@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! ddn stats    <trace.jsonl>
-//! ddn evaluate <trace.jsonl> --decision <name> [--estimator dr|dm|ips|snips|matching]
+//! ddn evaluate <trace.jsonl> --decision <name> [--estimator <name>]
 //!                            [--model tabular|knn] [--confidence 0.95]
 //! ddn compare  <trace.jsonl> [--estimator ...] [--model ...]
 //! ddn overlap  <trace.jsonl> --decision <name>
@@ -16,6 +16,8 @@
 //! `evaluate` scores the constant policy "always take `--decision`" —
 //! the what-if question operators actually ask of a trace ("what if we
 //! pinned everyone to CDN 2?"). `compare` ranks every constant policy.
+//! Both take any name of the estimator registry
+//! ([`ddn_estimators::menu`]) that `ddn serve` accepts, plus `matching`.
 //! `repair` fills missing propensities with trace-estimated ones so
 //! legacy telemetry becomes IPS/DR-capable.
 //!
@@ -26,11 +28,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use ddn_estimators::menu::{self, BoxScalar, Defaults};
+use ddn_estimators::online::BoxModel;
 use ddn_estimators::{
-    DirectMethod, DoublyRobust, ErrorTable, Estimate, Estimator, Ips, MatchingEstimator,
-    OverlapReport, PolicyComparator, SelfNormalizedIps,
+    ErrorTable, Estimator, Ips, MatchingEstimator, OverlapReport, PolicyComparator,
 };
-use ddn_models::{KnnConfig, KnnRegressor, RewardModel, TabularMeanModel};
+use ddn_models::{KnnConfig, KnnRegressor, TabularMeanModel};
 use ddn_policy::{LookupPolicy, Policy};
 use ddn_scenarios::ablations::{ablation_menu, ablation_menu_instrumented, MenuConfig};
 use ddn_scenarios::figure7a::{figure7a_instrumented, figure7a_with, Figure7aConfig};
@@ -114,10 +117,10 @@ ddn — trace-driven evaluation toolkit
 
 USAGE:
   ddn stats    <trace.jsonl>
-  ddn evaluate <trace.jsonl> --decision <name> [--estimator dr|dm|ips|snips|matching]
+  ddn evaluate <trace.jsonl> --decision <name> [--estimator <name>]
                              [--model tabular|knn] [--confidence 0.95]
                              [--telemetry <out.json>]
-  ddn compare  <trace.jsonl> [--estimator dr|dm|ips|snips|matching] [--model tabular|knn]
+  ddn compare  <trace.jsonl> [--estimator <name>] [--model tabular|knn]
   ddn overlap  <trace.jsonl> --decision <name>
   ddn repair   <in.jsonl> <out.jsonl> [--smoothing 0.5]
   ddn generate <out.jsonl> --world cfa|wise|relay|netsim [--n 1000] [--seed 7]
@@ -130,7 +133,7 @@ USAGE:
                [--port-file <path>] [--data-dir <dir>] [--snapshot-every 256]
                [--failpoint <marker>]
   ddn replay-to <trace.jsonl> --addr <host:port> --decision <name>
-               [--estimator ips|snips|clipped|dm|dr] [--session replay]
+               [--estimator <name>] [--session replay]
                [--batch 256] [--model-value 0] [--window <n>] [--binary]
                [--shutdown]
   ddn query    --addr <host:port> --session <name>
@@ -147,6 +150,13 @@ USAGE:
                [--addr <host:port>] [--bench-json <out.json>]
                [--health-every 512] [--stats-every 4096]
   ddn bench-diff <bench-dir> [--floors bench_floors.json] [--pin]
+
+--estimator names a member of the estimator menu — the names serve
+accepts: ips, snips, clipped, dm, dr, adaptive, adaptive_dr, mdr,
+seqdr. evaluate and compare default to dr and also take matching,
+which has no streaming form; replay-to defaults to ips. Offline, the
+reward model is the fitted --model and every other knob is at serve's
+init default: clip 10, horizon 1, identity embedding, uniform logging.
 
 figure7's `menu` panel (also reachable as `--panel menu`) runs the
 estimator-menu ablation instead of a paper panel: three breaking
@@ -285,54 +295,29 @@ fn load_trace(path: &str) -> Result<Trace, CliError> {
     Ok(Trace::read_jsonl(BufReader::new(file))?)
 }
 
-enum ModelChoice {
-    Tabular(TabularMeanModel),
-    Knn(KnnRegressor),
-}
-
-impl RewardModel for ModelChoice {
-    fn predict(&self, c: &ddn_trace::Context, d: ddn_trace::Decision) -> f64 {
-        match self {
-            ModelChoice::Tabular(m) => m.predict(c, d),
-            ModelChoice::Knn(m) => m.predict(c, d),
-        }
-    }
-}
-
-fn fit_model(trace: &Trace, which: &str) -> Result<ModelChoice, CliError> {
+fn fit_model(trace: &Trace, which: &str) -> Result<BoxModel, CliError> {
     match which {
-        "tabular" => Ok(ModelChoice::Tabular(TabularMeanModel::fit_trace(
-            trace, 1.0,
-        ))),
-        "knn" => Ok(ModelChoice::Knn(KnnRegressor::fit(
-            trace,
-            KnnConfig::default(),
-        ))),
+        "tabular" => Ok(Box::new(TabularMeanModel::fit_trace(trace, 1.0))),
+        "knn" => Ok(Box::new(KnnRegressor::fit(trace, KnnConfig::default()))),
         other => Err(CliError::Usage(format!(
             "unknown model {other:?} (expected tabular|knn)\n\n{USAGE}"
         ))),
     }
 }
 
-fn estimate_with(
-    estimator: &str,
-    trace: &Trace,
-    policy: &dyn Policy,
-    model: &ModelChoice,
-) -> Result<Estimate, CliError> {
-    let est = match estimator {
-        "dr" => DoublyRobust::new(model).estimate(trace, policy),
-        "dm" => DirectMethod::new(model).estimate(trace, policy),
-        "ips" => Ips::new().estimate(trace, policy),
-        "snips" => SelfNormalizedIps::new().estimate(trace, policy),
-        "matching" => MatchingEstimator::new().estimate(trace, policy),
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown estimator {other:?} (expected dr|dm|ips|snips|matching)\n\n{USAGE}"
-            )))
-        }
-    };
-    Ok(est?)
+/// The scalar estimator `name` picks: a registry row at serve's init
+/// defaults over `model`, or `matching`, which has no streaming form.
+fn scalar_estimator(name: &str, trace: &Trace, model: BoxModel) -> Result<BoxScalar, CliError> {
+    if name == "matching" {
+        return Ok(Box::new(MatchingEstimator::new()));
+    }
+    let row = menu::lookup(name).ok_or_else(|| {
+        CliError::Usage(format!(
+            "unknown estimator {name:?} (expected {}|matching)\n\n{USAGE}",
+            menu::names()
+        ))
+    })?;
+    (row.scalar)(trace.space(), model, &Defaults).map_err(CliError::Usage)
 }
 
 /// Runs the CLI on argv-style arguments (excluding the program name) and
@@ -418,18 +403,18 @@ fn cmd_evaluate(args: &[String]) -> Result<String, CliError> {
         ))
     })?;
     let policy = LookupPolicy::constant(trace.space().clone(), idx);
-    let model = fit_model(&trace, model_name)?;
+    let chosen = scalar_estimator(estimator, &trace, fit_model(&trace, model_name)?)?;
     let est = if let Some(telemetry_path) = flags.get("telemetry") {
         let (est, collector) = ddn_telemetry::collect(|| {
             let _span = ddn_telemetry::span("evaluate");
-            estimate_with(estimator, &trace, &policy, &model)
+            chosen.estimate(&trace, &policy)
         });
         let mut snap = TelemetrySnapshot::from_runs(std::slice::from_ref(&collector));
         snap.set_threads(1);
         write_telemetry(telemetry_path, &snap)?;
         est?
     } else {
-        estimate_with(estimator, &trace, &policy, &model)?
+        chosen.estimate(&trace, &policy)?
     };
     let mut rng = Xoshiro256::seed_from(0xDDCC);
     let ci = bootstrap_ci(&est.per_record, confidence, 2_000, &mut rng);
@@ -457,7 +442,7 @@ fn cmd_compare(args: &[String]) -> Result<String, CliError> {
     let estimator = flags.get("estimator").unwrap_or("dr");
     let model_name = flags.get("model").unwrap_or("tabular");
     let trace = load_trace(path)?;
-    let model = fit_model(&trace, model_name)?;
+    let chosen = scalar_estimator(estimator, &trace, fit_model(&trace, model_name)?)?;
 
     let policies: Vec<(String, LookupPolicy)> = trace
         .space()
@@ -476,38 +461,6 @@ fn cmd_compare(args: &[String]) -> Result<String, CliError> {
         .map(|(n, p)| (n.as_str(), p as &dyn Policy))
         .collect();
 
-    // Wrap the chosen estimator so PolicyComparator can drive it.
-    struct Chosen<'a> {
-        name: String,
-        model: &'a ModelChoice,
-    }
-    impl Estimator for Chosen<'_> {
-        fn name(&self) -> &str {
-            &self.name
-        }
-        fn estimate(
-            &self,
-            trace: &Trace,
-            policy: &dyn Policy,
-        ) -> Result<Estimate, ddn_estimators::EstimatorError> {
-            match self.name.as_str() {
-                "dr" => DoublyRobust::new(self.model).estimate(trace, policy),
-                "dm" => DirectMethod::new(self.model).estimate(trace, policy),
-                "ips" => Ips::new().estimate(trace, policy),
-                "snips" => SelfNormalizedIps::new().estimate(trace, policy),
-                _ => MatchingEstimator::new().estimate(trace, policy),
-            }
-        }
-    }
-    if !matches!(estimator, "dr" | "dm" | "ips" | "snips" | "matching") {
-        return Err(CliError::Usage(format!(
-            "unknown estimator {estimator:?} (expected dr|dm|ips|snips|matching)\n\n{USAGE}"
-        )));
-    }
-    let chosen = Chosen {
-        name: estimator.to_string(),
-        model: &model,
-    };
     let mut rng = Xoshiro256::seed_from(0xCCDD);
     let cmp = PolicyComparator::new(&chosen).compare(&trace, &slate, &mut rng);
     let mut out = format!("estimator: {estimator} (model: {model_name})\n");

@@ -157,6 +157,15 @@ pub trait Estimator {
     fn estimate(&self, trace: &Trace, new_policy: &dyn Policy) -> Result<Estimate, EstimatorError>;
 }
 
+impl<E: Estimator + ?Sized> Estimator for Box<E> {
+    fn name(&self) -> &str {
+        (**self).name()
+    }
+    fn estimate(&self, trace: &Trace, new_policy: &dyn Policy) -> Result<Estimate, EstimatorError> {
+        (**self).estimate(trace, new_policy)
+    }
+}
+
 /// Emits an estimator's weight diagnostics (plus estimator-specific
 /// `extras` such as clip rate or residual magnitude) as telemetry health
 /// metrics. No-op — including the metric assembly — when no telemetry

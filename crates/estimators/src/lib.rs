@@ -67,11 +67,14 @@
 //! ## Online (streaming) estimation
 //!
 //! [`online`] provides `push(record)`/`estimate()` counterparts of the
-//! stationary menu ([`OnlineDm`], [`OnlineIps`], [`OnlineSnips`],
-//! [`OnlineClippedIps`], [`OnlineDr`]) that are bit-identical to the batch
-//! engine when a trace is replayed in order, plus a [`SlidingWindow`]
-//! variant for non-stationary streams. The `ddn-serve` crate builds its
-//! ingest service on this layer.
+//! menu ([`OnlineDm`], [`OnlineIps`], [`OnlineSnips`], [`OnlineClippedIps`],
+//! [`OnlineDr`], [`OnlineAdaptiveIps`], [`OnlineAdaptiveDr`],
+//! [`OnlineMarginalizedDr`], [`OnlineSeqDr`]) that are bit-identical to the
+//! batch engine when a trace is replayed in order, plus a [`SlidingWindow`]
+//! variant for non-stationary streams. Each is one per-record kernel
+//! folded by the generic [`online::Fold`]. [`menu`] is the name →
+//! estimator registry that `ddn serve` and `ddn evaluate`/`compare` share;
+//! the `ddn-serve` crate builds its ingest service on both.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -87,6 +90,7 @@ pub mod experiment;
 pub mod ips;
 pub mod marginalized;
 pub mod matching;
+pub mod menu;
 pub mod online;
 pub mod optimize;
 pub mod overlap;

@@ -1,47 +1,44 @@
-//! Online (streaming) counterparts of the stationary estimator menu.
+//! Online (streaming) counterparts of the estimator menu. Each estimator
+//! is written once, as a [`Kernel`]: a per-record [`Step`], a
+//! [`Finalize`] expression and its extra health keys. One generic
+//! [`Fold`] owns the state they share (record count, left-fold sum,
+//! weight accumulators, contribution moments, |residual| sum, retained
+//! pairs or pending trajectory steps) and implements [`OnlineEstimator`]
+//! once; [`OnlineDm`] … [`OnlineSeqDr`] alias it over the nine kernels,
+//! and [`crate::menu`] maps protocol names to them. Callers instantiate
+//! the generic fold in their own crate, so the per-record path is
+//! `#[inline]`.
 //!
-//! The batch estimators of §3 are all per-record sums, so they admit an
-//! incremental form: [`OnlineDm`], [`OnlineIps`], [`OnlineSnips`],
-//! [`OnlineClippedIps`] and [`OnlineDr`] accept records one at a time via
-//! `push` and produce an estimate at any point via `estimate`. The design
-//! contract — property-tested in `tests/online_parity.rs` — is
-//! **bit-identity with the batch engine**: replaying a full trace in order
-//! through an online estimator yields exactly the bits that
-//! [`crate::Estimator::estimate`] / [`crate::BatchEstimator::estimate_batch`]
-//! produce, including the [`WeightDiagnostics`] and the error surface
-//! (first missing propensity, SNIPS with zero weight mass).
-//!
-//! How bit-identity is achieved:
-//!
-//! - `Estimate::from_contributions` divides a *left-to-right* fold of the
-//!   per-record contributions by `n`; a running `sum += contribution` in
-//!   push order reproduces that fold exactly. DM, IPS, clipped IPS and DR
-//!   contributions are final the moment the record arrives, so those four
-//!   estimators keep O(1) state.
-//! - [`WeightDiagnostics::from_weights`] is likewise a set of left folds
-//!   (`Σw`, `Σw²`, zero count, running max), mirrored by [`WeightAcc`].
-//! - SNIPS is the exception: its per-record term `n·w_k·r_k / Σw` embeds
-//!   end-of-stream quantities inside non-associative float operations, so
-//!   [`OnlineSnips`] retains the `(w_k, r_k)` pairs (O(n) state) and
-//!   replays the exact batch loop at `estimate` time.
-//!
-//! Beyond the bit-identical estimate, every online estimator maintains
-//! Welford-style streaming moments of its contributions
-//! ([`StreamingMoments`]) — the variance early-warning the §2.2.2
-//! discussion asks for, available *during* ingest instead of after the
-//! trace closes — surfaced through `health_metrics` along with the
-//! running ESS / max-weight diagnostics.
-//!
-//! For non-stationarity (§4.1), [`SlidingWindow`] bounds any online
-//! estimator to the last `capacity` records: the windowed estimate equals
-//! the batch estimate over exactly those records.
+//! The contract, property-tested in `tests/online_parity.rs`, is
+//! **bit-identity with the batch engine**, including the
+//! [`WeightDiagnostics`] and the error surface. Each step keeps the batch
+//! path's float expression and each finalize shape its fold order:
+//! [`Finalize::Mean`] terms are final on arrival, so a running
+//! `sum += t` seeded at `-0.0` (the float `Sum` identity) is the batch
+//! left fold in O(1) state; [`Finalize::Pairs`] terms (SNIPS's
+//! `n·w·r/Σw`, the adaptive `(h·Γ)·(n/Σh)`) need end-of-stream
+//! quantities, so the pairs are kept and `estimate` replays the batch
+//! loop; [`Finalize::Trajectory`] steps (SeqDR) wait for their trajectory
+//! and fold through the backward recursion. [`SlidingWindow`] bounds any
+//! estimator to its last `capacity` records (§4.1 non-stationarity).
 
+use crate::adaptive::AdaptiveWeights;
 use crate::estimate::{EstimatorError, WeightDiagnostics};
+use crate::marginalized::ActionEmbedding;
 use ddn_models::RewardModel;
 use ddn_policy::Policy;
 use ddn_stats::Json;
-use ddn_trace::{DecisionSpace, TraceRecord};
+use ddn_trace::{Context, Decision, DecisionSpace, TraceRecord};
 use std::collections::VecDeque;
+
+/// A target or logging policy as an online estimator owns it.
+pub type BoxPolicy = Box<dyn Policy + Send + Sync>;
+
+/// A fitted reward model as an online estimator owns it.
+pub type BoxModel = Box<dyn RewardModel + Send + Sync>;
+
+/// `Result` with [`EstimatorError`], the online menu's error type.
+pub type Result<T, E = EstimatorError> = std::result::Result<T, E>;
 
 // ---- state serialization plumbing -------------------------------------
 //
@@ -59,26 +56,28 @@ fn bits(x: f64) -> Json {
     Json::Int(x.to_bits() as i64)
 }
 
-fn field<'a>(state: &'a Json, key: &str) -> Result<&'a Json, EstimatorError> {
+fn field<'a>(state: &'a Json, key: &str) -> Result<&'a Json> {
     state
         .get(key)
         .ok_or_else(|| state_err(format!("missing field `{key}`")))
 }
 
-fn unbits(state: &Json, key: &str) -> Result<f64, EstimatorError> {
-    field(state, key)?
-        .as_i64()
-        .map(|b| f64::from_bits(b as u64))
-        .ok_or_else(|| state_err(format!("field `{key}` must hold f64 bits")))
+fn unbit(v: &Json, key: &str) -> Result<f64> {
+    let bits = v.as_i64().map(|b| f64::from_bits(b as u64));
+    bits.ok_or_else(|| state_err(format!("`{key}` must hold f64 bits")))
 }
 
-fn uint(state: &Json, key: &str) -> Result<u64, EstimatorError> {
+fn unbits(state: &Json, key: &str) -> Result<f64> {
+    unbit(field(state, key)?, key)
+}
+
+fn uint(state: &Json, key: &str) -> Result<u64> {
     field(state, key)?
         .as_u64()
         .ok_or_else(|| state_err(format!("field `{key}` must be a non-negative integer")))
 }
 
-fn check_kind(state: &Json, want: &str) -> Result<(), EstimatorError> {
+fn check_kind(state: &Json, want: &str) -> Result<()> {
     let got = field(state, "est")?
         .as_str()
         .ok_or_else(|| state_err("field `est` must be a string"))?;
@@ -90,6 +89,20 @@ fn check_kind(state: &Json, want: &str) -> Result<(), EstimatorError> {
     Ok(())
 }
 
+/// Decodes the flat bit array `key` (pairs, pending steps) of `width`-f64
+/// groups.
+fn load_flat(state: &Json, key: &str, width: usize) -> Result<Vec<f64>> {
+    let flat = field(state, key)?
+        .as_array()
+        .ok_or_else(|| state_err(format!("field `{key}` must be an array")))?;
+    if flat.len() % width != 0 {
+        return Err(state_err(format!(
+            "`{key}` must hold groups of {width} entries"
+        )));
+    }
+    flat.iter().map(|v| unbit(v, key)).collect()
+}
+
 /// Welford-style streaming mean/variance of per-record contributions.
 ///
 /// This is health telemetry, not part of the bit-identity contract: the
@@ -97,49 +110,41 @@ fn check_kind(state: &Json, want: &str) -> Result<(), EstimatorError> {
 /// engine), while these moments give an any-time view of estimator
 /// variance — `variance / n` approximates the squared standard error.
 #[derive(Debug, Clone)]
-pub struct StreamingMoments {
-    inner: ddn_stats::Welford,
-}
+pub struct StreamingMoments(ddn_stats::Welford);
 
 impl StreamingMoments {
     fn new() -> Self {
-        Self {
-            inner: ddn_stats::Welford::new(),
-        }
+        Self(ddn_stats::Welford::new())
     }
 
+    #[inline]
     fn push(&mut self, x: f64) {
-        self.inner.push(x);
-    }
-
-    /// Number of contributions observed.
-    pub fn count(&self) -> u64 {
-        self.inner.count()
+        self.0.push(x);
     }
 
     /// Running mean contribution.
     pub fn mean(&self) -> f64 {
-        self.inner.mean()
+        self.0.mean()
     }
 
     /// Unbiased sample variance of the contributions.
     pub fn variance(&self) -> f64 {
-        self.inner.variance()
+        self.0.variance()
     }
 
     /// Standard error of the value estimate implied by the running
     /// variance: `sqrt(variance / n)`; `0.0` before two observations.
     pub fn standard_error(&self) -> f64 {
-        let n = self.inner.count();
+        let n = self.0.count();
         if n < 2 {
             0.0
         } else {
-            (self.inner.variance() / n as f64).sqrt()
+            (self.0.variance() / n as f64).sqrt()
         }
     }
 
     fn state_save(&self) -> Json {
-        let (n, mean, m2, min, max) = self.inner.to_raw();
+        let (n, mean, m2, min, max) = self.0.to_raw();
         Json::Object(vec![
             ("n".into(), Json::Int(n as i64)),
             ("mean".into(), bits(mean)),
@@ -149,22 +154,21 @@ impl StreamingMoments {
         ])
     }
 
-    fn state_load(state: &Json) -> Result<Self, EstimatorError> {
-        Ok(Self {
-            inner: ddn_stats::Welford::from_raw(
-                uint(state, "n")?,
-                unbits(state, "mean")?,
-                unbits(state, "m2")?,
-                unbits(state, "min")?,
-                unbits(state, "max")?,
-            ),
-        })
+    fn state_load(state: &Json) -> Result<Self> {
+        Ok(Self(ddn_stats::Welford::from_raw(
+            uint(state, "n")?,
+            unbits(state, "mean")?,
+            unbits(state, "m2")?,
+            unbits(state, "min")?,
+            unbits(state, "max")?,
+        )))
     }
 }
 
 /// Running importance-weight accumulators replicating
 /// [`WeightDiagnostics::from_weights`] bit-for-bit: each field is the same
-/// left fold the batch version computes over the full weight vector.
+/// left fold (`Σw`, `Σw²`, zero count, running max) the batch version
+/// computes over the full weight vector.
 #[derive(Debug, Clone)]
 struct WeightAcc {
     n: usize,
@@ -188,6 +192,7 @@ impl WeightAcc {
         }
     }
 
+    #[inline]
     fn push(&mut self, w: f64) {
         self.n += 1;
         self.sum += w;
@@ -222,7 +227,7 @@ impl WeightAcc {
         ])
     }
 
-    fn state_load(state: &Json) -> Result<Self, EstimatorError> {
+    fn state_load(state: &Json) -> Result<Self> {
         Ok(Self {
             n: uint(state, "n")? as usize,
             sum: unbits(state, "sum")?,
@@ -242,7 +247,7 @@ pub struct OnlineEstimate {
     /// batch [`crate::Estimate::value`] over the same records in the same
     /// order.
     pub value: f64,
-    /// Number of records pushed so far.
+    /// Contributions so far: records, or completed trajectories for SeqDR.
     pub n: usize,
     /// Importance-weight diagnostics, bit-identical to the batch path.
     pub diagnostics: WeightDiagnostics,
@@ -258,12 +263,12 @@ pub trait OnlineEstimator {
     /// Ingests one record. Errors (e.g. a missing propensity) reject the
     /// record *without* corrupting accumulated state: a failed push leaves
     /// the estimator exactly as it was.
-    fn push(&mut self, rec: &TraceRecord) -> Result<(), EstimatorError>;
+    fn push(&mut self, rec: &TraceRecord) -> Result<()>;
 
     /// The estimate over everything pushed so far.
     /// `Err(NoUsableRecords)` before the first record (and, for SNIPS,
     /// whenever the weight mass is not positive — same as the batch).
-    fn estimate(&self) -> Result<OnlineEstimate, EstimatorError>;
+    fn estimate(&self) -> Result<OnlineEstimate>;
 
     /// Number of records accepted so far.
     fn len(&self) -> usize;
@@ -299,17 +304,17 @@ pub trait OnlineEstimator {
     /// [`OnlineEstimator::state_save`] on an identically-configured
     /// estimator. On error (wrong estimator kind, corrupt field) the
     /// current state is left untouched.
-    fn state_load(&mut self, state: &Json) -> Result<(), EstimatorError>;
+    fn state_load(&mut self, state: &Json) -> Result<()>;
 }
 
 impl<E: OnlineEstimator + ?Sized> OnlineEstimator for Box<E> {
     fn name(&self) -> &str {
         (**self).name()
     }
-    fn push(&mut self, rec: &TraceRecord) -> Result<(), EstimatorError> {
+    fn push(&mut self, rec: &TraceRecord) -> Result<()> {
         (**self).push(rec)
     }
-    fn estimate(&self) -> Result<OnlineEstimate, EstimatorError> {
+    fn estimate(&self) -> Result<OnlineEstimate> {
         (**self).estimate()
     }
     fn len(&self) -> usize {
@@ -324,1226 +329,717 @@ impl<E: OnlineEstimator + ?Sized> OnlineEstimator for Box<E> {
     fn state_save(&self) -> Json {
         (**self).state_save()
     }
-    fn state_load(&mut self, state: &Json) -> Result<(), EstimatorError> {
+    fn state_load(&mut self, state: &Json) -> Result<()> {
         (**self).state_load(state)
     }
 }
 
-fn common_health(
-    n: usize,
-    acc: Option<&WeightAcc>,
-    moments: &StreamingMoments,
-) -> Vec<(&'static str, f64)> {
-    let mut m: Vec<(&'static str, f64)> = vec![("n", n as f64)];
-    if n == 0 {
-        return m;
-    }
-    let diag = match acc {
-        Some(acc) => acc.diagnostics(),
-        None => WeightDiagnostics::uniform(n),
-    };
-    m.push(("ess", diag.effective_sample_size));
-    m.push(("max_weight", diag.max_weight));
-    m.push(("mean_weight", diag.mean_weight));
-    m.push(("zero_weight_fraction", diag.zero_weight_fraction));
-    m.push(("contribution_mean", moments.mean()));
-    m.push(("contribution_variance", moments.variance()));
-    m.push(("standard_error", moments.standard_error()));
-    m
+// ---- the generic fold ---------------------------------------------------
+
+/// What a kernel's step computes for one record.
+#[derive(Debug, Clone, Copy)]
+pub struct Step {
+    /// Importance weight, for the weight diagnostics.
+    pub w: f64,
+    /// The term: the contribution ([`Finalize::Mean`]), the pair's second
+    /// element ([`Finalize::Pairs`]) or the DM term ([`Finalize::Trajectory`]).
+    pub t: f64,
+    /// Model residual `r − r̂(c, d)` at the logged decision, if tracked.
+    pub residual: f64,
+    /// The pair's first element: `w` (SNIPS) unless a kernel sets it.
+    pub h: f64,
 }
 
-fn check_policy_space(
-    space: &DecisionSpace,
-    policy: &dyn Policy,
-) -> Result<(), EstimatorError> {
-    if space.len() != policy.space().len() {
-        return Err(EstimatorError::SpaceMismatch {
-            trace: space.len(),
-            policy: policy.space().len(),
-        });
+impl Step {
+    /// A step of weight `w`, term `t` and residual `residual`.
+    pub fn new(w: f64, t: f64, residual: f64) -> Self {
+        Self {
+            w,
+            t,
+            residual,
+            h: w,
+        }
+    }
+}
+
+/// How a kernel's terms become the estimate.
+#[derive(Debug, Clone, Copy)]
+pub enum Finalize {
+    /// Terms are final on arrival; the estimate is their left-fold mean.
+    Mean,
+    /// The fold retains `(h, t)` pairs; the estimate is the left-fold mean
+    /// of `f(n, Σh, h, t)` over them, defined only when `Σh > 0`.
+    Pairs(fn(f64, f64, f64, f64) -> f64),
+    /// Steps wait until this many complete a trajectory, which folds
+    /// through SeqDR's backward recursion into one contribution.
+    Trajectory(usize),
+}
+
+/// The per-estimator part of an online estimator; [`Fold`] does the rest.
+pub trait Kernel: Sized {
+    /// Whether steps carry importance weights (DM's diagnostics are uniform).
+    const WEIGHTED: bool = true;
+    /// Whether steps carry model residuals (reported as `mean_abs_residual`).
+    const RESIDUALS: bool = false;
+    /// Short name matching the batch twin ("DM", "IPS", …).
+    fn name(&self) -> &'static str;
+    /// The step for the record at stream position `k`; on error the kernel
+    /// is untouched.
+    fn step(&mut self, rec: &TraceRecord, k: usize) -> Result<Step>;
+    /// The finalize expression.
+    fn finalize(&self) -> Finalize {
+        Finalize::Mean
+    }
+    /// Extra health keys, once a contribution has folded.
+    fn health(&self, _fold: &Fold<Self>, _m: &mut Vec<(&'static str, f64)>) {}
+    /// Appends kernel-owned state (ClippedIPS's count, the adaptive EMA)
+    /// to the saved state.
+    fn save(&self, _fields: &mut Vec<(String, Json)>) {}
+    /// Restores what [`Kernel::save`] wrote; on error nothing changes.
+    fn load(&mut self, _state: &Json) -> Result<()> {
+        Ok(())
+    }
+    /// Clears kernel-owned state.
+    fn reset(&mut self) {}
+}
+
+/// The streaming fold every online estimator shares: kernel `K`'s steps
+/// folded into running state, behind [`OnlineEstimator`].
+pub struct Fold<K> {
+    kernel: K,
+    /// Records accepted, including a pending partial trajectory.
+    n: usize,
+    /// Left-fold sum of final contributions, seeded at `-0.0`.
+    sum: f64,
+    abs_residual_sum: f64,
+    acc: WeightAcc,
+    moments: StreamingMoments,
+    /// `(h, t)` per record of a [`Finalize::Pairs`] kernel.
+    pairs: Vec<(f64, f64)>,
+    /// `(dm, w, residual)` steps of the in-flight trajectory.
+    pending: Vec<(f64, f64, f64)>,
+}
+
+impl<K: Kernel> Fold<K> {
+    fn with(kernel: K) -> Self {
+        Self {
+            kernel,
+            n: 0,
+            sum: -0.0,
+            abs_residual_sum: 0.0,
+            acc: WeightAcc::new(),
+            moments: StreamingMoments::new(),
+            pairs: Vec::new(),
+            pending: Vec::new(),
+        }
+    }
+    /// Records whose contribution has folded.
+    fn folded(&self) -> usize {
+        self.n - self.pending.len()
+    }
+    /// Contributions in the estimate: records, or completed trajectories.
+    fn contributions(&self) -> usize {
+        match self.kernel.finalize() {
+            Finalize::Trajectory(horizon) => self.folded() / horizon,
+            _ => self.n,
+        }
+    }
+    /// `Σh` over the retained pairs, the batch path's left fold.
+    fn hsum(&self) -> f64 {
+        self.pairs.iter().map(|(h, _)| *h).sum()
+    }
+    fn absorb(acc: &mut WeightAcc, abs_residual_sum: &mut f64, w: f64, residual: f64) {
+        if K::WEIGHTED {
+            acc.push(w);
+        }
+        if K::RESIDUALS {
+            *abs_residual_sum += residual.abs();
+        }
+    }
+    fn diagnostics(&self) -> WeightDiagnostics {
+        match K::WEIGHTED {
+            true => self.acc.diagnostics(),
+            false => WeightDiagnostics::uniform(self.folded()),
+        }
+    }
+}
+
+impl<K: Kernel> OnlineEstimator for Fold<K> {
+    fn name(&self) -> &str {
+        self.kernel.name()
+    }
+
+    fn push(&mut self, rec: &TraceRecord) -> Result<()> {
+        let s = self.kernel.step(rec, self.n)?;
+        self.n += 1;
+        match self.kernel.finalize() {
+            Finalize::Mean => {
+                self.sum += s.t;
+                self.moments.push(s.t);
+            }
+            Finalize::Pairs(_) => {
+                self.pairs.push((s.h, s.t));
+                // The moments track the unnormalized terms: the final
+                // normalization is not knowable until the stream ends.
+                self.moments.push(s.h * s.t);
+            }
+            Finalize::Trajectory(horizon) => {
+                self.pending.push((s.t, s.w, s.residual));
+                if self.pending.len() == horizon {
+                    // The batch path's record order: weights and residuals
+                    // forward, then the backward value recursion.
+                    for &(_, w, residual) in &self.pending {
+                        Self::absorb(&mut self.acc, &mut self.abs_residual_sum, w, residual);
+                    }
+                    let v = crate::seq::trajectory_value(&self.pending);
+                    self.sum += v;
+                    self.moments.push(v);
+                    self.pending.clear();
+                }
+                return Ok(());
+            }
+        }
+        Self::absorb(&mut self.acc, &mut self.abs_residual_sum, s.w, s.residual);
+        Ok(())
+    }
+
+    fn estimate(&self) -> Result<OnlineEstimate> {
+        let n = self.contributions();
+        let value = match self.kernel.finalize() {
+            Finalize::Pairs(term) => {
+                // The batch path's order of checks and float operations.
+                let hsum = self.hsum();
+                if hsum <= 0.0 {
+                    return Err(EstimatorError::NoUsableRecords);
+                }
+                let mut sum = -0.0;
+                for &(h, t) in &self.pairs {
+                    sum += term(n as f64, hsum, h, t);
+                }
+                sum / n as f64
+            }
+            _ if n == 0 => return Err(EstimatorError::NoUsableRecords),
+            _ => self.sum / n as f64,
+        };
+        let diagnostics = self.diagnostics();
+        Ok(OnlineEstimate {
+            value,
+            n,
+            diagnostics,
+        })
+    }
+
+    fn len(&self) -> usize {
+        self.n
+    }
+
+    fn reset(&mut self) {
+        self.n = 0;
+        self.sum = -0.0;
+        self.abs_residual_sum = 0.0;
+        self.acc = WeightAcc::new();
+        self.moments = StreamingMoments::new();
+        self.pairs.clear();
+        self.pending.clear();
+        self.kernel.reset();
+    }
+
+    fn health_metrics(&self) -> Vec<(&'static str, f64)> {
+        let folded = self.folded();
+        let mut m = vec![("n", folded as f64)];
+        if folded == 0 {
+            return m;
+        }
+        let diag = self.diagnostics();
+        m.push(("ess", diag.effective_sample_size));
+        m.push(("max_weight", diag.max_weight));
+        m.push(("mean_weight", diag.mean_weight));
+        m.push(("zero_weight_fraction", diag.zero_weight_fraction));
+        m.push(("contribution_mean", self.moments.mean()));
+        m.push(("contribution_variance", self.moments.variance()));
+        m.push(("standard_error", self.moments.standard_error()));
+        self.kernel.health(self, &mut m);
+        if K::RESIDUALS {
+            m.push(("mean_abs_residual", self.abs_residual_sum / folded as f64));
+        }
+        m
+    }
+
+    fn state_save(&self) -> Json {
+        // Every estimator's fields in their historical order, so snapshots
+        // re-save byte for byte: est, n | pairs | trajectories, kernel
+        // state, sum, abs_residual_sum, pending, acc, moments.
+        let finalize = self.kernel.finalize();
+        let mut f = vec![("est".to_string(), Json::str(self.name()))];
+        match finalize {
+            Finalize::Mean => f.push(("n".into(), Json::Int(self.n as i64))),
+            Finalize::Pairs(_) => {
+                let flat = self.pairs.iter().flat_map(|&(h, t)| [bits(h), bits(t)]);
+                f.push(("pairs".into(), Json::Array(flat.collect())));
+            }
+            Finalize::Trajectory(_) => {
+                let done = self.contributions() as i64;
+                f.push(("trajectories".into(), Json::Int(done)));
+            }
+        }
+        self.kernel.save(&mut f);
+        if !matches!(finalize, Finalize::Pairs(_)) {
+            f.push(("sum".into(), bits(self.sum)));
+        }
+        if K::RESIDUALS {
+            f.push(("abs_residual_sum".into(), bits(self.abs_residual_sum)));
+        }
+        if let Finalize::Trajectory(_) = finalize {
+            let flat = self
+                .pending
+                .iter()
+                .flat_map(|&(dm, w, r)| [dm, w, r].map(bits));
+            f.push(("pending".into(), Json::Array(flat.collect())));
+        }
+        if K::WEIGHTED {
+            f.push(("acc".into(), self.acc.state_save()));
+        }
+        f.push(("moments".into(), self.moments.state_save()));
+        Json::Object(f)
+    }
+
+    fn state_load(&mut self, state: &Json) -> Result<()> {
+        check_kind(state, self.name())?;
+        let finalize = self.kernel.finalize();
+        let (mut pairs, mut pending, mut sum) = (Vec::new(), Vec::new(), -0.0);
+        let n = match finalize {
+            Finalize::Mean => uint(state, "n")? as usize,
+            Finalize::Pairs(_) => {
+                let flat = load_flat(state, "pairs", 2)?;
+                pairs = flat.chunks_exact(2).map(|p| (p[0], p[1])).collect();
+                pairs.len()
+            }
+            Finalize::Trajectory(horizon) => {
+                let flat = load_flat(state, "pending", 3)?;
+                pending = flat.chunks_exact(3).map(|s| (s[0], s[1], s[2])).collect();
+                if pending.len() >= horizon {
+                    return Err(state_err("pending steps fill a whole trajectory"));
+                }
+                (uint(state, "trajectories")? as usize)
+                    .checked_mul(horizon)
+                    .and_then(|done| done.checked_add(pending.len()))
+                    .ok_or_else(|| state_err("trajectory count overflows"))?
+            }
+        };
+        if !matches!(finalize, Finalize::Pairs(_)) {
+            sum = unbits(state, "sum")?;
+        }
+        let abs_residual_sum = match K::RESIDUALS {
+            true => unbits(state, "abs_residual_sum")?,
+            false => 0.0,
+        };
+        let acc = match K::WEIGHTED {
+            true => WeightAcc::state_load(field(state, "acc")?)?,
+            false => WeightAcc::new(),
+        };
+        let moments = StreamingMoments::state_load(field(state, "moments")?)?;
+        // Last fallible step, itself atomic: an error anywhere leaves the
+        // fold untouched.
+        self.kernel.load(state)?;
+        (self.n, self.sum, self.abs_residual_sum) = (n, sum, abs_residual_sum);
+        (self.acc, self.moments, self.pairs, self.pending) = (acc, moments, pairs, pending);
+        Ok(())
+    }
+}
+
+// ---- the kernels ----------------------------------------------------------
+
+fn check_policy_space(space: &DecisionSpace, policy: &dyn Policy) -> Result<()> {
+    let (trace, policy) = (space.len(), policy.space().len());
+    if trace != policy {
+        return Err(EstimatorError::SpaceMismatch { trace, policy });
     }
     Ok(())
 }
 
 /// The importance weight for the record at stream position `k`, with the
 /// batch path's error surface (`MissingPropensity { record: k }`).
-fn weight_at(
-    policy: &dyn Policy,
-    rec: &TraceRecord,
-    k: usize,
-) -> Result<f64, EstimatorError> {
+#[inline]
+fn weight_at(policy: &dyn Policy, rec: &TraceRecord, k: usize) -> Result<f64> {
     let p_old = rec.require_propensity(k)?;
     let p_new = policy.prob(&rec.context, rec.decision);
     Ok(p_new / p_old)
 }
 
-/// Streaming Direct Method: `push` folds `Σ_d μ_new(d|c_k)·r̂(c_k,d)` into
-/// a running sum. O(1) state; never needs propensities.
-pub struct OnlineDm {
+/// Direct Method: the term is `Σ_d μ_new(d|c)·r̂(c, d)`. Never reads
+/// propensities. Also the model half every DR-family kernel embeds.
+pub struct DmKernel {
     space: DecisionSpace,
-    policy: Box<dyn Policy + Send + Sync>,
-    model: Box<dyn RewardModel + Send + Sync>,
-    n: usize,
-    contribution_sum: f64,
-    moments: StreamingMoments,
+    policy: BoxPolicy,
+    model: BoxModel,
 }
 
-impl OnlineDm {
-    /// Creates a streaming DM over `space`, evaluating `policy` through
-    /// `model`. Fails like the batch path when the policy's decision space
-    /// does not match the trace's.
-    pub fn new(
-        space: DecisionSpace,
-        policy: Box<dyn Policy + Send + Sync>,
-        model: Box<dyn RewardModel + Send + Sync>,
-    ) -> Result<Self, EstimatorError> {
+impl DmKernel {
+    fn new(space: DecisionSpace, policy: BoxPolicy, model: BoxModel) -> Result<Self> {
         check_policy_space(&space, policy.as_ref())?;
         Ok(Self {
             space,
             policy,
             model,
-            n: 0,
-            contribution_sum: -0.0,
-            moments: StreamingMoments::new(),
         })
+    }
+
+    /// `Σ_d probs[d]·r̂(c, d)` in the batch path's order.
+    #[inline]
+    fn dm(&self, probs: &[f64], ctx: &Context) -> f64 {
+        let predict = |d: Decision| probs[d.index()] * self.model.predict(ctx, d);
+        self.space.iter().map(predict).sum()
+    }
+
+    /// The DR family's `(w, dm, residual)` for the record at position `k`.
+    #[inline]
+    fn dr_parts(&self, rec: &TraceRecord, k: usize) -> Result<(f64, f64, f64)> {
+        let w = weight_at(self.policy.as_ref(), rec, k)?;
+        let dm = self.dm(&self.policy.probabilities(&rec.context), &rec.context);
+        let residual = rec.reward - self.model.predict(&rec.context, rec.decision);
+        Ok((w, dm, residual))
     }
 }
 
-impl OnlineEstimator for OnlineDm {
-    fn name(&self) -> &str {
+impl Kernel for DmKernel {
+    const WEIGHTED: bool = false;
+    fn name(&self) -> &'static str {
         "DM"
     }
-
-    fn push(&mut self, rec: &TraceRecord) -> Result<(), EstimatorError> {
-        let probs = self.policy.probabilities(&rec.context);
-        let contribution: f64 = self
-            .space
-            .iter()
-            .map(|d| probs[d.index()] * self.model.predict(&rec.context, d))
-            .sum();
-        self.contribution_sum += contribution;
-        self.moments.push(contribution);
-        self.n += 1;
-        Ok(())
-    }
-
-    fn estimate(&self) -> Result<OnlineEstimate, EstimatorError> {
-        if self.n == 0 {
-            return Err(EstimatorError::NoUsableRecords);
-        }
-        Ok(OnlineEstimate {
-            value: self.contribution_sum / self.n as f64,
-            n: self.n,
-            diagnostics: WeightDiagnostics::uniform(self.n),
-        })
-    }
-
-    fn len(&self) -> usize {
-        self.n
-    }
-
-    fn reset(&mut self) {
-        self.n = 0;
-        self.contribution_sum = -0.0;
-        self.moments = StreamingMoments::new();
-    }
-
-    fn health_metrics(&self) -> Vec<(&'static str, f64)> {
-        common_health(self.n, None, &self.moments)
-    }
-
-    fn state_save(&self) -> Json {
-        Json::Object(vec![
-            ("est".into(), Json::str(self.name())),
-            ("n".into(), Json::Int(self.n as i64)),
-            ("sum".into(), bits(self.contribution_sum)),
-            ("moments".into(), self.moments.state_save()),
-        ])
-    }
-
-    fn state_load(&mut self, state: &Json) -> Result<(), EstimatorError> {
-        check_kind(state, self.name())?;
-        let n = uint(state, "n")? as usize;
-        let sum = unbits(state, "sum")?;
-        let moments = StreamingMoments::state_load(field(state, "moments")?)?;
-        self.n = n;
-        self.contribution_sum = sum;
-        self.moments = moments;
-        Ok(())
+    #[inline]
+    fn step(&mut self, rec: &TraceRecord, _k: usize) -> Result<Step> {
+        let dm = self.dm(&self.policy.probabilities(&rec.context), &rec.context);
+        Ok(Step::new(1.0, dm, 0.0))
     }
 }
 
-/// Streaming plain IPS: running `Σ w_k·r_k` plus weight accumulators.
-/// O(1) state.
-pub struct OnlineIps {
-    policy: Box<dyn Policy + Send + Sync>,
-    n: usize,
-    contribution_sum: f64,
-    acc: WeightAcc,
-    moments: StreamingMoments,
+/// Plain IPS: the term is `w·r`.
+pub struct IpsKernel(BoxPolicy);
+
+impl Kernel for IpsKernel {
+    fn name(&self) -> &'static str {
+        "IPS"
+    }
+    #[inline]
+    fn step(&mut self, rec: &TraceRecord, k: usize) -> Result<Step> {
+        let w = weight_at(self.0.as_ref(), rec, k)?;
+        Ok(Step::new(w, w * rec.reward, 0.0))
+    }
+}
+
+/// Self-normalized IPS: keeps `(w, r)` and finalizes `n·w·r / Σw`.
+pub struct SnipsKernel(BoxPolicy);
+
+impl Kernel for SnipsKernel {
+    fn name(&self) -> &'static str {
+        "SNIPS"
+    }
+    #[inline]
+    fn step(&mut self, rec: &TraceRecord, k: usize) -> Result<Step> {
+        let w = weight_at(self.0.as_ref(), rec, k)?;
+        Ok(Step::new(w, rec.reward, 0.0))
+    }
+    fn finalize(&self) -> Finalize {
+        Finalize::Pairs(|n, wsum, w, r| n * w * r / wsum)
+    }
+}
+
+/// Clipped IPS: weights are capped at `max_weight`, as in [`crate::ClippedIps`].
+pub struct ClippedKernel {
+    policy: BoxPolicy,
+    max_weight: f64,
+    clipped: usize,
+}
+
+impl Kernel for ClippedKernel {
+    fn name(&self) -> &'static str {
+        "ClippedIPS"
+    }
+    #[inline]
+    fn step(&mut self, rec: &TraceRecord, k: usize) -> Result<Step> {
+        let raw = weight_at(self.policy.as_ref(), rec, k)?;
+        if raw > self.max_weight {
+            self.clipped += 1;
+        }
+        let w = raw.min(self.max_weight);
+        Ok(Step::new(w, w * rec.reward, 0.0))
+    }
+    fn health(&self, fold: &Fold<Self>, m: &mut Vec<(&'static str, f64)>) {
+        m.push(("clip_rate", fold.clip_rate()));
+    }
+    fn save(&self, fields: &mut Vec<(String, Json)>) {
+        fields.push(("clipped".into(), Json::Int(self.clipped as i64)));
+    }
+    fn load(&mut self, state: &Json) -> Result<()> {
+        self.clipped = uint(state, "clipped")? as usize;
+        Ok(())
+    }
+    fn reset(&mut self) {
+        self.clipped = 0;
+    }
+}
+
+/// Doubly Robust (Eq. 2): the term is `dm + w·(r − r̂(c, d))`.
+pub struct DrKernel(DmKernel);
+
+impl Kernel for DrKernel {
+    const RESIDUALS: bool = true;
+    fn name(&self) -> &'static str {
+        "DR"
+    }
+    #[inline]
+    fn step(&mut self, rec: &TraceRecord, k: usize) -> Result<Step> {
+        let (w, dm, residual) = self.0.dr_parts(rec, k)?;
+        Ok(Step::new(w, dm + w * residual, residual))
+    }
+}
+
+/// Adaptive weighting ([`crate::AdaptiveIps`], [`crate::AdaptiveDr`]): the
+/// inner term `Γ` with a stabilizer `h` of past weights, `(h·Γ)·(n/Σh)`.
+pub struct AdaptiveKernel<K> {
+    inner: K,
+    name: &'static str,
+    mode: AdaptiveWeights,
+    /// EMA of past squared weights — the stabilizer's variance tracker.
+    ema: f64,
+}
+
+impl<K: Kernel> Kernel for AdaptiveKernel<K> {
+    const RESIDUALS: bool = K::RESIDUALS;
+    fn name(&self) -> &'static str {
+        self.name
+    }
+    fn step(&mut self, rec: &TraceRecord, k: usize) -> Result<Step> {
+        let s = self.inner.step(rec, k)?;
+        let h = self.mode.h_at(self.ema);
+        self.ema = AdaptiveWeights::advance(self.ema, s.w);
+        Ok(Step { h, ..s })
+    }
+    fn finalize(&self) -> Finalize {
+        Finalize::Pairs(|n, hsum, h, gamma| (h * gamma) * (n / hsum))
+    }
+    fn health(&self, fold: &Fold<Self>, m: &mut Vec<(&'static str, f64)>) {
+        m.push(("hsum", fold.hsum()));
+    }
+    fn save(&self, fields: &mut Vec<(String, Json)>) {
+        fields.push(("ema".into(), bits(self.ema)));
+    }
+    fn load(&mut self, state: &Json) -> Result<()> {
+        self.ema = unbits(state, "ema")?;
+        Ok(())
+    }
+    fn reset(&mut self) {
+        self.ema = 1.0;
+    }
+}
+
+/// Marginalized DR ([`crate::MarginalizedDr`]): the weight is the target's
+/// over the logging policy's mass on the logged arm's embedding group.
+pub struct MdrKernel {
+    dm: DmKernel,
+    logging: BoxPolicy,
+    embedding: ActionEmbedding,
+}
+
+impl Kernel for MdrKernel {
+    const RESIDUALS: bool = true;
+    fn name(&self) -> &'static str {
+        "MarginalizedDR"
+    }
+    #[inline]
+    fn step(&mut self, rec: &TraceRecord, _k: usize) -> Result<Step> {
+        let (ctx, a) = (&rec.context, rec.decision.index());
+        let probs = self.dm.policy.probabilities(ctx);
+        let num = self.embedding.marginal(&probs, a);
+        let w = num / self.embedding.marginal(&self.logging.probabilities(ctx), a);
+        let dm = self.dm.dm(&probs, ctx);
+        let residual = rec.reward - self.dm.model.predict(ctx, rec.decision);
+        Ok(Step::new(w, dm + w * residual, residual))
+    }
+    fn health(&self, _fold: &Fold<Self>, m: &mut Vec<(&'static str, f64)>) {
+        m.push(("embedding_groups", self.embedding.num_groups() as f64));
+    }
+}
+
+/// Per-decision sequential DR ([`crate::SeqDr`]): DR's `(dm, w, residual)`
+/// per step, folded per trajectory of `horizon` steps.
+pub struct SeqDrKernel {
+    dm: DmKernel,
+    horizon: usize,
+}
+
+impl Kernel for SeqDrKernel {
+    const RESIDUALS: bool = true;
+    fn name(&self) -> &'static str {
+        "SeqDR"
+    }
+    #[inline]
+    fn step(&mut self, rec: &TraceRecord, k: usize) -> Result<Step> {
+        let (w, dm, residual) = self.dm.dr_parts(rec, k)?;
+        Ok(Step::new(w, dm, residual))
+    }
+    fn finalize(&self) -> Finalize {
+        Finalize::Trajectory(self.horizon)
+    }
+    fn health(&self, fold: &Fold<Self>, m: &mut Vec<(&'static str, f64)>) {
+        m.push(("horizon", self.horizon as f64));
+        m.push(("trajectories", fold.contributions() as f64));
+    }
+}
+
+/// Streaming Direct Method: O(1) state, no propensities needed.
+pub type OnlineDm = Fold<DmKernel>;
+/// Streaming plain IPS: O(1) state.
+pub type OnlineIps = Fold<IpsKernel>;
+/// Streaming self-normalized IPS: two f64 per record.
+pub type OnlineSnips = Fold<SnipsKernel>;
+/// Streaming weight-clipped IPS: O(1) state.
+pub type OnlineClippedIps = Fold<ClippedKernel>;
+/// Streaming Doubly Robust: O(1) state.
+pub type OnlineDr = Fold<DrKernel>;
+/// Streaming adaptively-weighted IPS: two f64 per record.
+pub type OnlineAdaptiveIps = Fold<AdaptiveKernel<IpsKernel>>;
+/// Streaming adaptively-weighted DR: two f64 per record.
+pub type OnlineAdaptiveDr = Fold<AdaptiveKernel<DrKernel>>;
+/// Streaming marginalized DR: O(1) state, no propensities needed.
+pub type OnlineMarginalizedDr = Fold<MdrKernel>;
+/// Streaming sequential DR: at most one partial trajectory of state.
+pub type OnlineSeqDr = Fold<SeqDrKernel>;
+
+impl OnlineDm {
+    /// Streaming DM of `policy` over `space` through a fitted `model`.
+    pub fn new(space: DecisionSpace, policy: BoxPolicy, model: BoxModel) -> Result<Self> {
+        Ok(Fold::with(DmKernel::new(space, policy, model)?))
+    }
 }
 
 impl OnlineIps {
-    /// Creates a streaming IPS evaluator of `policy` over `space`.
-    pub fn new(space: DecisionSpace, policy: Box<dyn Policy + Send + Sync>) -> Result<Self, EstimatorError> {
+    /// Streaming IPS of `policy` over `space`.
+    pub fn new(space: DecisionSpace, policy: BoxPolicy) -> Result<Self> {
         check_policy_space(&space, policy.as_ref())?;
-        Ok(Self {
-            policy,
-            n: 0,
-            contribution_sum: -0.0,
-            acc: WeightAcc::new(),
-            moments: StreamingMoments::new(),
-        })
+        Ok(Fold::with(IpsKernel(policy)))
     }
-}
-
-impl OnlineEstimator for OnlineIps {
-    fn name(&self) -> &str {
-        "IPS"
-    }
-
-    fn push(&mut self, rec: &TraceRecord) -> Result<(), EstimatorError> {
-        let w = weight_at(self.policy.as_ref(), rec, self.n)?;
-        let contribution = w * rec.reward;
-        self.contribution_sum += contribution;
-        self.acc.push(w);
-        self.moments.push(contribution);
-        self.n += 1;
-        Ok(())
-    }
-
-    fn estimate(&self) -> Result<OnlineEstimate, EstimatorError> {
-        if self.n == 0 {
-            return Err(EstimatorError::NoUsableRecords);
-        }
-        Ok(OnlineEstimate {
-            value: self.contribution_sum / self.n as f64,
-            n: self.n,
-            diagnostics: self.acc.diagnostics(),
-        })
-    }
-
-    fn len(&self) -> usize {
-        self.n
-    }
-
-    fn reset(&mut self) {
-        self.n = 0;
-        self.contribution_sum = -0.0;
-        self.acc = WeightAcc::new();
-        self.moments = StreamingMoments::new();
-    }
-
-    fn health_metrics(&self) -> Vec<(&'static str, f64)> {
-        common_health(self.n, Some(&self.acc), &self.moments)
-    }
-
-    fn state_save(&self) -> Json {
-        Json::Object(vec![
-            ("est".into(), Json::str(self.name())),
-            ("n".into(), Json::Int(self.n as i64)),
-            ("sum".into(), bits(self.contribution_sum)),
-            ("acc".into(), self.acc.state_save()),
-            ("moments".into(), self.moments.state_save()),
-        ])
-    }
-
-    fn state_load(&mut self, state: &Json) -> Result<(), EstimatorError> {
-        check_kind(state, self.name())?;
-        let n = uint(state, "n")? as usize;
-        let sum = unbits(state, "sum")?;
-        let acc = WeightAcc::state_load(field(state, "acc")?)?;
-        let moments = StreamingMoments::state_load(field(state, "moments")?)?;
-        self.n = n;
-        self.contribution_sum = sum;
-        self.acc = acc;
-        self.moments = moments;
-        Ok(())
-    }
-}
-
-/// Streaming self-normalized IPS.
-///
-/// SNIPS cannot be O(1): its per-record term `n·w_k·r_k / Σw` places the
-/// final count and weight sum *inside* each term's non-associative float
-/// expression, so `estimate` must replay the exact batch loop. The
-/// retained state is the `(w_k, r_k)` pairs — two f64 per record.
-pub struct OnlineSnips {
-    policy: Box<dyn Policy + Send + Sync>,
-    pairs: Vec<(f64, f64)>,
-    acc: WeightAcc,
-    moments: StreamingMoments,
 }
 
 impl OnlineSnips {
-    /// Creates a streaming SNIPS evaluator of `policy` over `space`.
-    pub fn new(space: DecisionSpace, policy: Box<dyn Policy + Send + Sync>) -> Result<Self, EstimatorError> {
+    /// Streaming SNIPS of `policy` over `space`.
+    pub fn new(space: DecisionSpace, policy: BoxPolicy) -> Result<Self> {
         check_policy_space(&space, policy.as_ref())?;
-        Ok(Self {
-            policy,
-            pairs: Vec::new(),
-            acc: WeightAcc::new(),
-            moments: StreamingMoments::new(),
-        })
+        Ok(Fold::with(SnipsKernel(policy)))
     }
-}
-
-impl OnlineEstimator for OnlineSnips {
-    fn name(&self) -> &str {
-        "SNIPS"
-    }
-
-    fn push(&mut self, rec: &TraceRecord) -> Result<(), EstimatorError> {
-        let w = weight_at(self.policy.as_ref(), rec, self.pairs.len())?;
-        self.pairs.push((w, rec.reward));
-        self.acc.push(w);
-        // The moments track the *unnormalized* w·r terms: the normalized
-        // contributions are not knowable until the stream ends.
-        self.moments.push(w * rec.reward);
-        Ok(())
-    }
-
-    fn estimate(&self) -> Result<OnlineEstimate, EstimatorError> {
-        // Same order of checks and float operations as the batch path:
-        // wsum is a left fold over the weights, each contribution is
-        // ((n·w)·r)/wsum, and the value is their left-fold mean.
-        let wsum: f64 = self.pairs.iter().map(|(w, _)| *w).sum();
-        if wsum <= 0.0 {
-            return Err(EstimatorError::NoUsableRecords);
-        }
-        let n = self.pairs.len() as f64;
-        let mut contribution_sum = -0.0;
-        for (w, r) in &self.pairs {
-            contribution_sum += n * w * r / wsum;
-        }
-        Ok(OnlineEstimate {
-            value: contribution_sum / n,
-            n: self.pairs.len(),
-            diagnostics: self.acc.diagnostics(),
-        })
-    }
-
-    fn len(&self) -> usize {
-        self.pairs.len()
-    }
-
-    fn reset(&mut self) {
-        self.pairs.clear();
-        self.acc = WeightAcc::new();
-        self.moments = StreamingMoments::new();
-    }
-
-    fn health_metrics(&self) -> Vec<(&'static str, f64)> {
-        common_health(self.pairs.len(), Some(&self.acc), &self.moments)
-    }
-
-    fn state_save(&self) -> Json {
-        // The (w, r) tail is stored as a flat alternating bit array.
-        let mut flat = Vec::with_capacity(self.pairs.len() * 2);
-        for (w, r) in &self.pairs {
-            flat.push(bits(*w));
-            flat.push(bits(*r));
-        }
-        Json::Object(vec![
-            ("est".into(), Json::str(self.name())),
-            ("pairs".into(), Json::Array(flat)),
-            ("acc".into(), self.acc.state_save()),
-            ("moments".into(), self.moments.state_save()),
-        ])
-    }
-
-    fn state_load(&mut self, state: &Json) -> Result<(), EstimatorError> {
-        check_kind(state, self.name())?;
-        let flat = field(state, "pairs")?
-            .as_array()
-            .ok_or_else(|| state_err("field `pairs` must be an array"))?;
-        if flat.len() % 2 != 0 {
-            return Err(state_err("`pairs` must hold an even number of entries"));
-        }
-        let mut pairs = Vec::with_capacity(flat.len() / 2);
-        for wr in flat.chunks(2) {
-            let decode = |v: &Json| {
-                v.as_i64()
-                    .map(|b| f64::from_bits(b as u64))
-                    .ok_or_else(|| state_err("`pairs` entries must hold f64 bits"))
-            };
-            pairs.push((decode(&wr[0])?, decode(&wr[1])?));
-        }
-        let acc = WeightAcc::state_load(field(state, "acc")?)?;
-        let moments = StreamingMoments::state_load(field(state, "moments")?)?;
-        self.pairs = pairs;
-        self.acc = acc;
-        self.moments = moments;
-        Ok(())
-    }
-}
-
-/// Streaming weight-clipped IPS: weights are capped at `max_weight` before
-/// they enter the running sums, exactly as [`crate::ClippedIps`] caps the
-/// full vector. O(1) state.
-pub struct OnlineClippedIps {
-    policy: Box<dyn Policy + Send + Sync>,
-    max_weight: f64,
-    n: usize,
-    clipped: usize,
-    contribution_sum: f64,
-    acc: WeightAcc,
-    moments: StreamingMoments,
 }
 
 impl OnlineClippedIps {
-    /// Creates a streaming clipped-IPS evaluator with the given weight cap.
+    /// Streaming clipped IPS of `policy` over `space`.
     ///
     /// # Panics
-    /// Panics unless `max_weight > 0` and finite, like
-    /// [`crate::ClippedIps::new`].
-    pub fn new(
-        space: DecisionSpace,
-        policy: Box<dyn Policy + Send + Sync>,
-        max_weight: f64,
-    ) -> Result<Self, EstimatorError> {
+    /// Unless `max_weight > 0` and finite, like [`crate::ClippedIps::new`].
+    pub fn new(space: DecisionSpace, policy: BoxPolicy, max_weight: f64) -> Result<Self> {
         assert!(
             max_weight > 0.0 && max_weight.is_finite(),
             "max_weight must be positive, got {max_weight}"
         );
         check_policy_space(&space, policy.as_ref())?;
-        Ok(Self {
+        Ok(Fold::with(ClippedKernel {
             policy,
             max_weight,
-            n: 0,
             clipped: 0,
-            contribution_sum: -0.0,
-            acc: WeightAcc::new(),
-            moments: StreamingMoments::new(),
-        })
+        }))
     }
 
     /// Fraction of records whose raw weight exceeded the cap.
     pub fn clip_rate(&self) -> f64 {
-        self.clipped as f64 / self.n.max(1) as f64
+        self.kernel.clipped as f64 / self.n.max(1) as f64
     }
-}
-
-impl OnlineEstimator for OnlineClippedIps {
-    fn name(&self) -> &str {
-        "ClippedIPS"
-    }
-
-    fn push(&mut self, rec: &TraceRecord) -> Result<(), EstimatorError> {
-        let raw = weight_at(self.policy.as_ref(), rec, self.n)?;
-        if raw > self.max_weight {
-            self.clipped += 1;
-        }
-        let w = raw.min(self.max_weight);
-        let contribution = w * rec.reward;
-        self.contribution_sum += contribution;
-        self.acc.push(w);
-        self.moments.push(contribution);
-        self.n += 1;
-        Ok(())
-    }
-
-    fn estimate(&self) -> Result<OnlineEstimate, EstimatorError> {
-        if self.n == 0 {
-            return Err(EstimatorError::NoUsableRecords);
-        }
-        Ok(OnlineEstimate {
-            value: self.contribution_sum / self.n as f64,
-            n: self.n,
-            diagnostics: self.acc.diagnostics(),
-        })
-    }
-
-    fn len(&self) -> usize {
-        self.n
-    }
-
-    fn reset(&mut self) {
-        self.n = 0;
-        self.clipped = 0;
-        self.contribution_sum = -0.0;
-        self.acc = WeightAcc::new();
-        self.moments = StreamingMoments::new();
-    }
-
-    fn health_metrics(&self) -> Vec<(&'static str, f64)> {
-        let mut m = common_health(self.n, Some(&self.acc), &self.moments);
-        if self.n > 0 {
-            m.push(("clip_rate", self.clip_rate()));
-        }
-        m
-    }
-
-    fn state_save(&self) -> Json {
-        Json::Object(vec![
-            ("est".into(), Json::str(self.name())),
-            ("n".into(), Json::Int(self.n as i64)),
-            ("clipped".into(), Json::Int(self.clipped as i64)),
-            ("sum".into(), bits(self.contribution_sum)),
-            ("acc".into(), self.acc.state_save()),
-            ("moments".into(), self.moments.state_save()),
-        ])
-    }
-
-    fn state_load(&mut self, state: &Json) -> Result<(), EstimatorError> {
-        check_kind(state, self.name())?;
-        let n = uint(state, "n")? as usize;
-        let clipped = uint(state, "clipped")? as usize;
-        let sum = unbits(state, "sum")?;
-        let acc = WeightAcc::state_load(field(state, "acc")?)?;
-        let moments = StreamingMoments::state_load(field(state, "moments")?)?;
-        self.n = n;
-        self.clipped = clipped;
-        self.contribution_sum = sum;
-        self.acc = acc;
-        self.moments = moments;
-        Ok(())
-    }
-}
-
-/// Streaming Doubly Robust: running sum of
-/// `dm_term_k + w_k·(r_k − r̂(c_k, d_k))`, in the exact expression shape of
-/// the batch path. O(1) state.
-pub struct OnlineDr {
-    space: DecisionSpace,
-    policy: Box<dyn Policy + Send + Sync>,
-    model: Box<dyn RewardModel + Send + Sync>,
-    n: usize,
-    contribution_sum: f64,
-    abs_residual_sum: f64,
-    acc: WeightAcc,
-    moments: StreamingMoments,
 }
 
 impl OnlineDr {
-    /// Creates a streaming DR evaluator of `policy` over `space` with the
-    /// given (pre-fitted) reward model.
-    pub fn new(
-        space: DecisionSpace,
-        policy: Box<dyn Policy + Send + Sync>,
-        model: Box<dyn RewardModel + Send + Sync>,
-    ) -> Result<Self, EstimatorError> {
-        check_policy_space(&space, policy.as_ref())?;
-        Ok(Self {
-            space,
-            policy,
-            model,
-            n: 0,
-            contribution_sum: -0.0,
-            abs_residual_sum: 0.0,
-            acc: WeightAcc::new(),
-            moments: StreamingMoments::new(),
-        })
-    }
-
-    /// Running mean absolute model residual at the logged decisions — the
-    /// DM half's calibration check.
-    pub fn mean_abs_residual(&self) -> f64 {
-        self.abs_residual_sum / self.n.max(1) as f64
+    /// Streaming DR of `policy` over `space` with a fitted `model`.
+    pub fn new(space: DecisionSpace, policy: BoxPolicy, model: BoxModel) -> Result<Self> {
+        Ok(Fold::with(DrKernel(DmKernel::new(space, policy, model)?)))
     }
 }
 
-impl OnlineEstimator for OnlineDr {
-    fn name(&self) -> &str {
-        "DR"
-    }
-
-    fn push(&mut self, rec: &TraceRecord) -> Result<(), EstimatorError> {
-        let w = weight_at(self.policy.as_ref(), rec, self.n)?;
-        let probs = self.policy.probabilities(&rec.context);
-        let dm_term: f64 = self
-            .space
-            .iter()
-            .map(|d| probs[d.index()] * self.model.predict(&rec.context, d))
-            .sum();
-        let residual = rec.reward - self.model.predict(&rec.context, rec.decision);
-        let contribution = dm_term + w * residual;
-        self.contribution_sum += contribution;
-        self.abs_residual_sum += residual.abs();
-        self.acc.push(w);
-        self.moments.push(contribution);
-        self.n += 1;
-        Ok(())
-    }
-
-    fn estimate(&self) -> Result<OnlineEstimate, EstimatorError> {
-        if self.n == 0 {
-            return Err(EstimatorError::NoUsableRecords);
-        }
-        Ok(OnlineEstimate {
-            value: self.contribution_sum / self.n as f64,
-            n: self.n,
-            diagnostics: self.acc.diagnostics(),
+impl<K: Kernel> Fold<AdaptiveKernel<K>> {
+    fn adaptive(inner: K, name: &'static str, mode: AdaptiveWeights) -> Self {
+        Fold::with(AdaptiveKernel {
+            inner,
+            name,
+            mode,
+            ema: 1.0,
         })
     }
-
-    fn len(&self) -> usize {
-        self.n
-    }
-
-    fn reset(&mut self) {
-        self.n = 0;
-        self.contribution_sum = -0.0;
-        self.abs_residual_sum = 0.0;
-        self.acc = WeightAcc::new();
-        self.moments = StreamingMoments::new();
-    }
-
-    fn health_metrics(&self) -> Vec<(&'static str, f64)> {
-        let mut m = common_health(self.n, Some(&self.acc), &self.moments);
-        if self.n > 0 {
-            m.push(("mean_abs_residual", self.mean_abs_residual()));
-        }
-        m
-    }
-
-    fn state_save(&self) -> Json {
-        Json::Object(vec![
-            ("est".into(), Json::str(self.name())),
-            ("n".into(), Json::Int(self.n as i64)),
-            ("sum".into(), bits(self.contribution_sum)),
-            ("abs_residual_sum".into(), bits(self.abs_residual_sum)),
-            ("acc".into(), self.acc.state_save()),
-            ("moments".into(), self.moments.state_save()),
-        ])
-    }
-
-    fn state_load(&mut self, state: &Json) -> Result<(), EstimatorError> {
-        check_kind(state, self.name())?;
-        let n = uint(state, "n")? as usize;
-        let sum = unbits(state, "sum")?;
-        let abs_residual_sum = unbits(state, "abs_residual_sum")?;
-        let acc = WeightAcc::state_load(field(state, "acc")?)?;
-        let moments = StreamingMoments::state_load(field(state, "moments")?)?;
-        self.n = n;
-        self.contribution_sum = sum;
-        self.abs_residual_sum = abs_residual_sum;
-        self.acc = acc;
-        self.moments = moments;
-        Ok(())
-    }
-}
-
-/// Streaming adaptively-weighted IPS ([`crate::AdaptiveIps`]).
-///
-/// Like SNIPS, the stabilized per-record term `(h_k·Γ_k)·(n/Σh)` embeds
-/// end-of-stream quantities (`n`, `Σh`) inside non-associative float
-/// expressions, so the estimator retains the `(h_k, Γ_k)` pairs — two
-/// f64 per record — and replays the exact batch fold at `estimate` time.
-pub struct OnlineAdaptiveIps {
-    policy: Box<dyn Policy + Send + Sync>,
-    mode: crate::adaptive::AdaptiveWeights,
-    /// `(h_k, Γ_k)` per accepted record, in push order.
-    pairs: Vec<(f64, f64)>,
-    /// EMA of past squared weights — the stabilizer's variance tracker.
-    ema: f64,
-    acc: WeightAcc,
-    moments: StreamingMoments,
 }
 
 impl OnlineAdaptiveIps {
-    /// Creates a streaming adaptive-IPS evaluator of `policy` over
-    /// `space` with the given stabilizer schedule.
-    pub fn new(
-        space: DecisionSpace,
-        policy: Box<dyn Policy + Send + Sync>,
-        mode: crate::adaptive::AdaptiveWeights,
-    ) -> Result<Self, EstimatorError> {
+    /// Streaming adaptive IPS of `policy` over `space`.
+    pub fn new(space: DecisionSpace, policy: BoxPolicy, mode: AdaptiveWeights) -> Result<Self> {
         check_policy_space(&space, policy.as_ref())?;
-        Ok(Self {
-            policy,
-            mode,
-            pairs: Vec::new(),
-            ema: 1.0,
-            acc: WeightAcc::new(),
-            moments: StreamingMoments::new(),
-        })
+        Ok(Fold::adaptive(IpsKernel(policy), "AdaptiveIPS", mode))
     }
-
-    /// The running stabilizer mass `Σh` — the same left fold the batch
-    /// path computes.
-    pub fn hsum(&self) -> f64 {
-        self.pairs.iter().map(|(h, _)| *h).sum()
-    }
-}
-
-/// The shared `estimate` tail of the adaptive family: replay the exact
-/// batch fold `(1/n)·Σ (h_k·Γ_k)·(n/Σh)` over the retained pairs.
-fn adaptive_estimate(
-    pairs: &[(f64, f64)],
-    acc: &WeightAcc,
-) -> Result<OnlineEstimate, EstimatorError> {
-    let hsum: f64 = pairs.iter().map(|(h, _)| *h).sum();
-    if hsum <= 0.0 {
-        return Err(EstimatorError::NoUsableRecords);
-    }
-    let n = pairs.len() as f64;
-    let scale = n / hsum;
-    let mut contribution_sum = -0.0;
-    for (h, g) in pairs {
-        contribution_sum += (h * g) * scale;
-    }
-    Ok(OnlineEstimate {
-        value: contribution_sum / n,
-        n: pairs.len(),
-        diagnostics: acc.diagnostics(),
-    })
-}
-
-/// Encodes `(a, b)` pairs as a flat alternating bit array (the SNIPS
-/// state format).
-fn save_pairs(pairs: &[(f64, f64)]) -> Json {
-    let mut flat = Vec::with_capacity(pairs.len() * 2);
-    for (a, b) in pairs {
-        flat.push(bits(*a));
-        flat.push(bits(*b));
-    }
-    Json::Array(flat)
-}
-
-/// Decodes a flat alternating bit array back into `(a, b)` pairs.
-fn load_pairs(state: &Json, key: &str) -> Result<Vec<(f64, f64)>, EstimatorError> {
-    let flat = field(state, key)?
-        .as_array()
-        .ok_or_else(|| state_err(format!("field `{key}` must be an array")))?;
-    if flat.len() % 2 != 0 {
-        return Err(state_err(format!(
-            "`{key}` must hold an even number of entries"
-        )));
-    }
-    let decode = |v: &Json| {
-        v.as_i64()
-            .map(|b| f64::from_bits(b as u64))
-            .ok_or_else(|| state_err(format!("`{key}` entries must hold f64 bits")))
-    };
-    let mut pairs = Vec::with_capacity(flat.len() / 2);
-    for ab in flat.chunks(2) {
-        pairs.push((decode(&ab[0])?, decode(&ab[1])?));
-    }
-    Ok(pairs)
-}
-
-impl OnlineEstimator for OnlineAdaptiveIps {
-    fn name(&self) -> &str {
-        "AdaptiveIPS"
-    }
-
-    fn push(&mut self, rec: &TraceRecord) -> Result<(), EstimatorError> {
-        let w = weight_at(self.policy.as_ref(), rec, self.pairs.len())?;
-        let gamma = w * rec.reward;
-        // h sees only past weights; the tracker advances afterward.
-        let h = self.mode.h_at(self.ema);
-        self.ema = crate::adaptive::AdaptiveWeights::advance(self.ema, w);
-        self.pairs.push((h, gamma));
-        self.acc.push(w);
-        // The moments track the unscaled stabilized terms: the final
-        // normalization is not knowable until the stream ends.
-        self.moments.push(h * gamma);
-        Ok(())
-    }
-
-    fn estimate(&self) -> Result<OnlineEstimate, EstimatorError> {
-        adaptive_estimate(&self.pairs, &self.acc)
-    }
-
-    fn len(&self) -> usize {
-        self.pairs.len()
-    }
-
-    fn reset(&mut self) {
-        self.pairs.clear();
-        self.ema = 1.0;
-        self.acc = WeightAcc::new();
-        self.moments = StreamingMoments::new();
-    }
-
-    fn health_metrics(&self) -> Vec<(&'static str, f64)> {
-        let mut m = common_health(self.pairs.len(), Some(&self.acc), &self.moments);
-        if !self.pairs.is_empty() {
-            m.push(("hsum", self.hsum()));
-        }
-        m
-    }
-
-    fn state_save(&self) -> Json {
-        Json::Object(vec![
-            ("est".into(), Json::str(self.name())),
-            ("pairs".into(), save_pairs(&self.pairs)),
-            ("ema".into(), bits(self.ema)),
-            ("acc".into(), self.acc.state_save()),
-            ("moments".into(), self.moments.state_save()),
-        ])
-    }
-
-    fn state_load(&mut self, state: &Json) -> Result<(), EstimatorError> {
-        check_kind(state, self.name())?;
-        let pairs = load_pairs(state, "pairs")?;
-        let ema = unbits(state, "ema")?;
-        let acc = WeightAcc::state_load(field(state, "acc")?)?;
-        let moments = StreamingMoments::state_load(field(state, "moments")?)?;
-        self.pairs = pairs;
-        self.ema = ema;
-        self.acc = acc;
-        self.moments = moments;
-        Ok(())
-    }
-}
-
-/// Streaming adaptively-weighted DR ([`crate::AdaptiveDr`]): retains
-/// `(h_k, Γ_k)` pairs where `Γ_k` is the full DR contribution, and
-/// replays the stabilized fold at `estimate` time.
-pub struct OnlineAdaptiveDr {
-    space: DecisionSpace,
-    policy: Box<dyn Policy + Send + Sync>,
-    model: Box<dyn RewardModel + Send + Sync>,
-    mode: crate::adaptive::AdaptiveWeights,
-    pairs: Vec<(f64, f64)>,
-    /// EMA of past squared weights — the stabilizer's variance tracker.
-    ema: f64,
-    abs_residual_sum: f64,
-    acc: WeightAcc,
-    moments: StreamingMoments,
 }
 
 impl OnlineAdaptiveDr {
-    /// Creates a streaming adaptive-DR evaluator of `policy` over
-    /// `space` with the given (pre-fitted) reward model and stabilizer
-    /// schedule.
+    /// Streaming adaptive DR of `policy` over `space` with a fitted `model`.
     pub fn new(
         space: DecisionSpace,
-        policy: Box<dyn Policy + Send + Sync>,
-        model: Box<dyn RewardModel + Send + Sync>,
-        mode: crate::adaptive::AdaptiveWeights,
-    ) -> Result<Self, EstimatorError> {
-        check_policy_space(&space, policy.as_ref())?;
-        Ok(Self {
-            space,
-            policy,
-            model,
-            mode,
-            pairs: Vec::new(),
-            ema: 1.0,
-            abs_residual_sum: 0.0,
-            acc: WeightAcc::new(),
-            moments: StreamingMoments::new(),
-        })
+        policy: BoxPolicy,
+        model: BoxModel,
+        mode: AdaptiveWeights,
+    ) -> Result<Self> {
+        let dr = DrKernel(DmKernel::new(space, policy, model)?);
+        Ok(Fold::adaptive(dr, "AdaptiveDR", mode))
     }
-}
-
-impl OnlineEstimator for OnlineAdaptiveDr {
-    fn name(&self) -> &str {
-        "AdaptiveDR"
-    }
-
-    fn push(&mut self, rec: &TraceRecord) -> Result<(), EstimatorError> {
-        let w = weight_at(self.policy.as_ref(), rec, self.pairs.len())?;
-        let probs = self.policy.probabilities(&rec.context);
-        let dm_term: f64 = self
-            .space
-            .iter()
-            .map(|d| probs[d.index()] * self.model.predict(&rec.context, d))
-            .sum();
-        let residual = rec.reward - self.model.predict(&rec.context, rec.decision);
-        let gamma = dm_term + w * residual;
-        // h sees only past weights; the tracker advances afterward.
-        let h = self.mode.h_at(self.ema);
-        self.ema = crate::adaptive::AdaptiveWeights::advance(self.ema, w);
-        self.pairs.push((h, gamma));
-        self.abs_residual_sum += residual.abs();
-        self.acc.push(w);
-        self.moments.push(h * gamma);
-        Ok(())
-    }
-
-    fn estimate(&self) -> Result<OnlineEstimate, EstimatorError> {
-        adaptive_estimate(&self.pairs, &self.acc)
-    }
-
-    fn len(&self) -> usize {
-        self.pairs.len()
-    }
-
-    fn reset(&mut self) {
-        self.pairs.clear();
-        self.ema = 1.0;
-        self.abs_residual_sum = 0.0;
-        self.acc = WeightAcc::new();
-        self.moments = StreamingMoments::new();
-    }
-
-    fn health_metrics(&self) -> Vec<(&'static str, f64)> {
-        let mut m = common_health(self.pairs.len(), Some(&self.acc), &self.moments);
-        if !self.pairs.is_empty() {
-            m.push(("hsum", self.pairs.iter().map(|(h, _)| *h).sum()));
-            m.push((
-                "mean_abs_residual",
-                self.abs_residual_sum / self.pairs.len() as f64,
-            ));
-        }
-        m
-    }
-
-    fn state_save(&self) -> Json {
-        Json::Object(vec![
-            ("est".into(), Json::str(self.name())),
-            ("pairs".into(), save_pairs(&self.pairs)),
-            ("ema".into(), bits(self.ema)),
-            ("abs_residual_sum".into(), bits(self.abs_residual_sum)),
-            ("acc".into(), self.acc.state_save()),
-            ("moments".into(), self.moments.state_save()),
-        ])
-    }
-
-    fn state_load(&mut self, state: &Json) -> Result<(), EstimatorError> {
-        check_kind(state, self.name())?;
-        let pairs = load_pairs(state, "pairs")?;
-        let ema = unbits(state, "ema")?;
-        let abs_residual_sum = unbits(state, "abs_residual_sum")?;
-        let acc = WeightAcc::state_load(field(state, "acc")?)?;
-        let moments = StreamingMoments::state_load(field(state, "moments")?)?;
-        self.pairs = pairs;
-        self.ema = ema;
-        self.abs_residual_sum = abs_residual_sum;
-        self.acc = acc;
-        self.moments = moments;
-        Ok(())
-    }
-}
-
-/// Streaming marginalized DR ([`crate::MarginalizedDr`]): the marginal
-/// weight is final the moment a record arrives (both policy
-/// distributions are configuration), so the state is O(1) like
-/// [`OnlineDr`]. Never reads recorded propensities.
-pub struct OnlineMarginalizedDr {
-    space: DecisionSpace,
-    policy: Box<dyn Policy + Send + Sync>,
-    logging: Box<dyn Policy + Send + Sync>,
-    model: Box<dyn RewardModel + Send + Sync>,
-    embedding: crate::marginalized::ActionEmbedding,
-    n: usize,
-    contribution_sum: f64,
-    abs_residual_sum: f64,
-    acc: WeightAcc,
-    moments: StreamingMoments,
 }
 
 impl OnlineMarginalizedDr {
-    /// Creates a streaming marginalized-DR evaluator of `policy` over
-    /// `space`, with the logging policy supplying marginal denominators
-    /// over `embedding`'s groups.
+    /// Streaming marginalized DR of `policy` over `space`, with `logging`
+    /// supplying the marginal denominators over `embedding`'s groups.
     ///
     /// # Panics
-    /// Panics if the embedding does not cover exactly `space`'s arms.
+    /// If the embedding does not cover exactly `space`'s arms.
     pub fn new(
         space: DecisionSpace,
-        policy: Box<dyn Policy + Send + Sync>,
-        logging: Box<dyn Policy + Send + Sync>,
-        model: Box<dyn RewardModel + Send + Sync>,
-        embedding: crate::marginalized::ActionEmbedding,
-    ) -> Result<Self, EstimatorError> {
-        check_policy_space(&space, policy.as_ref())?;
-        check_policy_space(&space, logging.as_ref())?;
-        assert_eq!(
-            embedding.len(),
-            space.len(),
-            "embedding covers {} arms but the space has {}",
-            embedding.len(),
-            space.len()
+        policy: BoxPolicy,
+        logging: BoxPolicy,
+        model: BoxModel,
+        embedding: ActionEmbedding,
+    ) -> Result<Self> {
+        let dm = DmKernel::new(space, policy, model)?;
+        check_policy_space(&dm.space, logging.as_ref())?;
+        let (covered, arms) = (embedding.len(), dm.space.len());
+        assert!(
+            covered == arms,
+            "embedding covers {covered} arms but the space has {arms}"
         );
-        Ok(Self {
-            space,
-            policy,
+        Ok(Fold::with(MdrKernel {
+            dm,
             logging,
-            model,
             embedding,
-            n: 0,
-            contribution_sum: -0.0,
-            abs_residual_sum: 0.0,
-            acc: WeightAcc::new(),
-            moments: StreamingMoments::new(),
-        })
+        }))
     }
-}
-
-impl OnlineEstimator for OnlineMarginalizedDr {
-    fn name(&self) -> &str {
-        "MarginalizedDR"
-    }
-
-    fn push(&mut self, rec: &TraceRecord) -> Result<(), EstimatorError> {
-        let a = rec.decision.index();
-        let probs = self.policy.probabilities(&rec.context);
-        let num = self.embedding.marginal(&probs, a);
-        let den = self
-            .embedding
-            .marginal(&self.logging.probabilities(&rec.context), a);
-        let w = num / den;
-        let dm_term: f64 = self
-            .space
-            .iter()
-            .map(|d| probs[d.index()] * self.model.predict(&rec.context, d))
-            .sum();
-        let residual = rec.reward - self.model.predict(&rec.context, rec.decision);
-        let contribution = dm_term + w * residual;
-        self.contribution_sum += contribution;
-        self.abs_residual_sum += residual.abs();
-        self.acc.push(w);
-        self.moments.push(contribution);
-        self.n += 1;
-        Ok(())
-    }
-
-    fn estimate(&self) -> Result<OnlineEstimate, EstimatorError> {
-        if self.n == 0 {
-            return Err(EstimatorError::NoUsableRecords);
-        }
-        Ok(OnlineEstimate {
-            value: self.contribution_sum / self.n as f64,
-            n: self.n,
-            diagnostics: self.acc.diagnostics(),
-        })
-    }
-
-    fn len(&self) -> usize {
-        self.n
-    }
-
-    fn reset(&mut self) {
-        self.n = 0;
-        self.contribution_sum = -0.0;
-        self.abs_residual_sum = 0.0;
-        self.acc = WeightAcc::new();
-        self.moments = StreamingMoments::new();
-    }
-
-    fn health_metrics(&self) -> Vec<(&'static str, f64)> {
-        let mut m = common_health(self.n, Some(&self.acc), &self.moments);
-        if self.n > 0 {
-            m.push(("embedding_groups", self.embedding.num_groups() as f64));
-            m.push((
-                "mean_abs_residual",
-                self.abs_residual_sum / self.n as f64,
-            ));
-        }
-        m
-    }
-
-    fn state_save(&self) -> Json {
-        Json::Object(vec![
-            ("est".into(), Json::str(self.name())),
-            ("n".into(), Json::Int(self.n as i64)),
-            ("sum".into(), bits(self.contribution_sum)),
-            ("abs_residual_sum".into(), bits(self.abs_residual_sum)),
-            ("acc".into(), self.acc.state_save()),
-            ("moments".into(), self.moments.state_save()),
-        ])
-    }
-
-    fn state_load(&mut self, state: &Json) -> Result<(), EstimatorError> {
-        check_kind(state, self.name())?;
-        let n = uint(state, "n")? as usize;
-        let sum = unbits(state, "sum")?;
-        let abs_residual_sum = unbits(state, "abs_residual_sum")?;
-        let acc = WeightAcc::state_load(field(state, "acc")?)?;
-        let moments = StreamingMoments::state_load(field(state, "moments")?)?;
-        self.n = n;
-        self.contribution_sum = sum;
-        self.abs_residual_sum = abs_residual_sum;
-        self.acc = acc;
-        self.moments = moments;
-        Ok(())
-    }
-}
-
-/// Streaming per-decision sequential DR ([`crate::SeqDr`]).
-///
-/// Records buffer into a pending trajectory as precomputed
-/// `(dm, w, residual)` steps — propensity errors therefore surface at
-/// the offending `push`, leaving state untouched. When the pending
-/// buffer reaches `horizon` the trajectory folds through the backward
-/// recursion and collapses into the O(1) running sums; only a partial
-/// trajectory (< horizon steps) is ever retained. Weight diagnostics
-/// cover completed trajectories only, matching the batch path's
-/// whole-trajectory slice.
-pub struct OnlineSeqDr {
-    space: DecisionSpace,
-    policy: Box<dyn Policy + Send + Sync>,
-    model: Box<dyn RewardModel + Send + Sync>,
-    horizon: usize,
-    /// `(dm, w, residual)` steps of the in-flight trajectory.
-    pending: Vec<(f64, f64, f64)>,
-    /// Completed trajectories.
-    trajectories: usize,
-    contribution_sum: f64,
-    abs_residual_sum: f64,
-    acc: WeightAcc,
-    moments: StreamingMoments,
 }
 
 impl OnlineSeqDr {
-    /// Creates a streaming sequential-DR evaluator of `policy` over
-    /// `space` for trajectories of exactly `horizon` steps.
+    /// Streaming sequential DR of `policy` over `space` for trajectories
+    /// of exactly `horizon` steps.
     ///
     /// # Panics
-    /// Panics if `horizon == 0`.
+    /// If `horizon == 0`.
     pub fn new(
         space: DecisionSpace,
-        policy: Box<dyn Policy + Send + Sync>,
-        model: Box<dyn RewardModel + Send + Sync>,
+        policy: BoxPolicy,
+        model: BoxModel,
         horizon: usize,
-    ) -> Result<Self, EstimatorError> {
+    ) -> Result<Self> {
         assert!(horizon > 0, "horizon must be positive");
-        check_policy_space(&space, policy.as_ref())?;
-        Ok(Self {
-            space,
-            policy,
-            model,
-            horizon,
-            pending: Vec::new(),
-            trajectories: 0,
-            contribution_sum: -0.0,
-            abs_residual_sum: 0.0,
-            acc: WeightAcc::new(),
-            moments: StreamingMoments::new(),
-        })
-    }
-
-    /// The trajectory length.
-    pub fn horizon(&self) -> usize {
-        self.horizon
+        let dm = DmKernel::new(space, policy, model)?;
+        Ok(Fold::with(SeqDrKernel { dm, horizon }))
     }
 
     /// Completed trajectories so far.
     pub fn trajectories(&self) -> usize {
-        self.trajectories
-    }
-}
-
-impl OnlineEstimator for OnlineSeqDr {
-    fn name(&self) -> &str {
-        "SeqDR"
-    }
-
-    fn push(&mut self, rec: &TraceRecord) -> Result<(), EstimatorError> {
-        let k = self.trajectories * self.horizon + self.pending.len();
-        let w = weight_at(self.policy.as_ref(), rec, k)?;
-        let probs = self.policy.probabilities(&rec.context);
-        let dm_term: f64 = self
-            .space
-            .iter()
-            .map(|d| probs[d.index()] * self.model.predict(&rec.context, d))
-            .sum();
-        let residual = rec.reward - self.model.predict(&rec.context, rec.decision);
-        self.pending.push((dm_term, w, residual));
-        if self.pending.len() == self.horizon {
-            // Fold the completed trajectory into the running sums. The
-            // accumulators mirror the batch path's record order: weights
-            // and residuals forward, then the backward value recursion.
-            for &(_, w, residual) in &self.pending {
-                self.acc.push(w);
-                self.abs_residual_sum += residual.abs();
-            }
-            let v = crate::seq::trajectory_value(&self.pending);
-            self.contribution_sum += v;
-            self.moments.push(v);
-            self.trajectories += 1;
-            self.pending.clear();
-        }
-        Ok(())
-    }
-
-    fn estimate(&self) -> Result<OnlineEstimate, EstimatorError> {
-        if self.trajectories == 0 {
-            return Err(EstimatorError::NoUsableRecords);
-        }
-        Ok(OnlineEstimate {
-            value: self.contribution_sum / self.trajectories as f64,
-            n: self.trajectories,
-            diagnostics: self.acc.diagnostics(),
-        })
-    }
-
-    fn len(&self) -> usize {
-        self.trajectories * self.horizon + self.pending.len()
-    }
-
-    fn reset(&mut self) {
-        self.pending.clear();
-        self.trajectories = 0;
-        self.contribution_sum = -0.0;
-        self.abs_residual_sum = 0.0;
-        self.acc = WeightAcc::new();
-        self.moments = StreamingMoments::new();
-    }
-
-    fn health_metrics(&self) -> Vec<(&'static str, f64)> {
-        let completed = self.trajectories * self.horizon;
-        let mut m = common_health(completed, Some(&self.acc), &self.moments);
-        if completed > 0 {
-            m.push(("horizon", self.horizon as f64));
-            m.push(("trajectories", self.trajectories as f64));
-            m.push((
-                "mean_abs_residual",
-                self.abs_residual_sum / completed as f64,
-            ));
-        }
-        m
-    }
-
-    fn state_save(&self) -> Json {
-        let mut flat = Vec::with_capacity(self.pending.len() * 3);
-        for (dm, w, residual) in &self.pending {
-            flat.push(bits(*dm));
-            flat.push(bits(*w));
-            flat.push(bits(*residual));
-        }
-        Json::Object(vec![
-            ("est".into(), Json::str(self.name())),
-            ("trajectories".into(), Json::Int(self.trajectories as i64)),
-            ("sum".into(), bits(self.contribution_sum)),
-            ("abs_residual_sum".into(), bits(self.abs_residual_sum)),
-            ("pending".into(), Json::Array(flat)),
-            ("acc".into(), self.acc.state_save()),
-            ("moments".into(), self.moments.state_save()),
-        ])
-    }
-
-    fn state_load(&mut self, state: &Json) -> Result<(), EstimatorError> {
-        check_kind(state, self.name())?;
-        let trajectories = uint(state, "trajectories")? as usize;
-        let sum = unbits(state, "sum")?;
-        let abs_residual_sum = unbits(state, "abs_residual_sum")?;
-        let flat = field(state, "pending")?
-            .as_array()
-            .ok_or_else(|| state_err("field `pending` must be an array"))?;
-        if flat.len() % 3 != 0 {
-            return Err(state_err("`pending` must hold step triples"));
-        }
-        if flat.len() / 3 >= self.horizon {
-            return Err(state_err(format!(
-                "pending trajectory holds {} steps but the horizon is {}",
-                flat.len() / 3,
-                self.horizon
-            )));
-        }
-        let decode = |v: &Json| {
-            v.as_i64()
-                .map(|b| f64::from_bits(b as u64))
-                .ok_or_else(|| state_err("`pending` entries must hold f64 bits"))
-        };
-        let mut pending = Vec::with_capacity(flat.len() / 3);
-        for step in flat.chunks(3) {
-            pending.push((decode(&step[0])?, decode(&step[1])?, decode(&step[2])?));
-        }
-        let acc = WeightAcc::state_load(field(state, "acc")?)?;
-        let moments = StreamingMoments::state_load(field(state, "moments")?)?;
-        self.trajectories = trajectories;
-        self.contribution_sum = sum;
-        self.abs_residual_sum = abs_residual_sum;
-        self.pending = pending;
-        self.acc = acc;
-        self.moments = moments;
-        Ok(())
+        self.contributions()
     }
 }
 
@@ -1594,7 +1090,7 @@ impl<E: OnlineEstimator> SlidingWindow<E> {
     /// Estimate over exactly the windowed records, computed by replaying
     /// them through the inner estimator (after a reset). Equal to the
     /// batch estimate over the same records.
-    pub fn estimate(&mut self) -> Result<OnlineEstimate, EstimatorError> {
+    pub fn estimate(&mut self) -> Result<OnlineEstimate> {
         self.inner.reset();
         for rec in &self.window {
             self.inner.push(rec)?;
@@ -1641,7 +1137,7 @@ impl<E: OnlineEstimator> SlidingWindow<E> {
     /// Restores window state captured by [`Self::state_save`] on a window
     /// around an identically-configured inner estimator. On error the
     /// current window is left untouched.
-    pub fn state_load(&mut self, state: &Json) -> Result<(), EstimatorError> {
+    pub fn state_load(&mut self, state: &Json) -> Result<()> {
         check_kind(state, self.inner.name())?;
         let raw = field(state, "window")?
             .as_array()
@@ -1665,7 +1161,6 @@ impl<E: OnlineEstimator> SlidingWindow<E> {
         Ok(())
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;

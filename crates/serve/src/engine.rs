@@ -7,13 +7,11 @@
 //! detection over the live reward stream.
 
 use crate::protocol::{ok_response, InitSpec, PolicySpec};
-use ddn_estimators::{
-    ActionEmbedding, AdaptiveWeights, OnlineAdaptiveDr, OnlineAdaptiveIps, OnlineClippedIps,
-    OnlineDm, OnlineDr, OnlineEstimator, OnlineIps, OnlineMarginalizedDr, OnlineSeqDr,
-    OnlineSnips, SlidingWindow,
-};
+use ddn_estimators::menu::{self, BoxOnline, MenuConfig};
+use ddn_estimators::online::BoxPolicy;
+use ddn_estimators::{ActionEmbedding, OnlineEstimator, SlidingWindow};
 use ddn_models::ConstantModel;
-use ddn_policy::{LookupPolicy, Policy, UniformRandomPolicy};
+use ddn_policy::{LookupPolicy, UniformRandomPolicy};
 use ddn_stats::changepoint::{pelt, CostModel, Penalty};
 use ddn_stats::Json;
 use ddn_telemetry::Collector;
@@ -154,8 +152,8 @@ impl CouplingMonitor {
 /// One estimator slot: either a cumulative online estimator or a
 /// sliding-window wrapper around one.
 enum BankEntry {
-    Plain(Box<dyn OnlineEstimator + Send>),
-    Windowed(SlidingWindow<Box<dyn OnlineEstimator + Send>>),
+    Plain(BoxOnline),
+    Windowed(SlidingWindow<BoxOnline>),
 }
 
 impl BankEntry {
@@ -210,10 +208,7 @@ impl BankEntry {
     }
 }
 
-fn build_policy(
-    spec: &PolicySpec,
-    space: &DecisionSpace,
-) -> Result<Box<dyn Policy + Send + Sync>, String> {
+fn build_policy(spec: &PolicySpec, space: &DecisionSpace) -> Result<BoxPolicy, String> {
     match spec {
         PolicySpec::Uniform => Ok(Box::new(UniformRandomPolicy::new(space.clone()))),
         PolicySpec::ConstantIndex(i) => {
@@ -231,6 +226,29 @@ fn build_policy(
             })?;
             Ok(Box::new(LookupPolicy::constant(space.clone(), i)))
         }
+    }
+}
+
+/// An init request configures the menu's knobs; what it leaves unset
+/// is already at the registry's defaults.
+impl MenuConfig for InitSpec {
+    fn max_weight(&self) -> f64 {
+        self.max_weight
+    }
+
+    fn horizon(&self) -> usize {
+        self.horizon
+    }
+
+    fn embedding(&self, space: &DecisionSpace) -> ActionEmbedding {
+        match &self.embedding {
+            Some(groups) => ActionEmbedding::from_groups(groups.clone()),
+            None => ActionEmbedding::identity(space.len()),
+        }
+    }
+
+    fn logging(&self, space: &DecisionSpace) -> Result<BoxPolicy, String> {
+        build_policy(&self.logging, space)
     }
 }
 
@@ -258,110 +276,20 @@ pub struct Session {
 }
 
 impl Session {
-    /// Builds the session's estimator bank from an init spec.
+    /// Builds the session's estimator bank from an init spec, one
+    /// registry row per requested name.
     pub fn new(spec: InitSpec) -> Result<Self, String> {
         let init_json = spec.to_json();
         let mut bank = Vec::with_capacity(spec.estimators.len());
         let mut needs_propensity = false;
         for name in &spec.estimators {
             let policy = build_policy(&spec.policy, &spec.space)?;
-            let inner: Box<dyn OnlineEstimator + Send> = match name.as_str() {
-                "dm" => Box::new(
-                    OnlineDm::new(
-                        spec.space.clone(),
-                        policy,
-                        Box::new(ConstantModel::new(spec.model_value)),
-                    )
-                    .map_err(|e| e.to_string())?,
-                ),
-                "ips" => {
-                    needs_propensity = true;
-                    Box::new(
-                        OnlineIps::new(spec.space.clone(), policy).map_err(|e| e.to_string())?,
-                    )
-                }
-                "snips" => {
-                    needs_propensity = true;
-                    Box::new(
-                        OnlineSnips::new(spec.space.clone(), policy).map_err(|e| e.to_string())?,
-                    )
-                }
-                "clipped" => {
-                    needs_propensity = true;
-                    Box::new(
-                        OnlineClippedIps::new(spec.space.clone(), policy, spec.max_weight)
-                            .map_err(|e| e.to_string())?,
-                    )
-                }
-                "dr" => {
-                    needs_propensity = true;
-                    Box::new(
-                        OnlineDr::new(
-                            spec.space.clone(),
-                            policy,
-                            Box::new(ConstantModel::new(spec.model_value)),
-                        )
-                        .map_err(|e| e.to_string())?,
-                    )
-                }
-                "adaptive" => {
-                    needs_propensity = true;
-                    Box::new(
-                        OnlineAdaptiveIps::new(
-                            spec.space.clone(),
-                            policy,
-                            AdaptiveWeights::Stabilized,
-                        )
-                        .map_err(|e| e.to_string())?,
-                    )
-                }
-                "adaptive_dr" => {
-                    needs_propensity = true;
-                    Box::new(
-                        OnlineAdaptiveDr::new(
-                            spec.space.clone(),
-                            policy,
-                            Box::new(ConstantModel::new(spec.model_value)),
-                            AdaptiveWeights::Stabilized,
-                        )
-                        .map_err(|e| e.to_string())?,
-                    )
-                }
-                // Marginalized DR never reads per-record propensities —
-                // its denominators come from the init-declared logging
-                // policy's marginals — so it does not flip the
-                // propensity requirement.
-                "mdr" => Box::new(
-                    OnlineMarginalizedDr::new(
-                        spec.space.clone(),
-                        policy,
-                        build_policy(&spec.logging, &spec.space)?,
-                        Box::new(ConstantModel::new(spec.model_value)),
-                        match &spec.embedding {
-                            Some(groups) => ActionEmbedding::from_groups(groups.clone()),
-                            None => ActionEmbedding::identity(spec.space.len()),
-                        },
-                    )
-                    .map_err(|e| e.to_string())?,
-                ),
-                "seqdr" => {
-                    needs_propensity = true;
-                    Box::new(
-                        OnlineSeqDr::new(
-                            spec.space.clone(),
-                            policy,
-                            Box::new(ConstantModel::new(spec.model_value)),
-                            spec.horizon,
-                        )
-                        .map_err(|e| e.to_string())?,
-                    )
-                }
-                other => {
-                    return Err(format!(
-                        "unknown estimator {other:?} (expected ips|snips|clipped|dm|dr|adaptive|adaptive_dr|mdr|seqdr)"
-                    ))
-                }
-            };
+            let row = menu::lookup(name).ok_or_else(|| {
+                format!("unknown estimator {name:?} (expected {})", menu::names())
+            })?;
+            needs_propensity |= row.needs_propensity;
+            let model = Box::new(ConstantModel::new(spec.model_value));
+            let inner = (row.online)(spec.space.clone(), policy, model, &spec)?;
             let entry = match spec.window {
                 Some(cap) => BankEntry::Windowed(SlidingWindow::new(inner, cap)),
                 None => BankEntry::Plain(inner),
@@ -382,32 +310,9 @@ impl Session {
         })
     }
 
-    /// Validates and ingests a batch. On error, records before the
-    /// offending one stay ingested and the error names the batch
-    /// position; the session remains usable.
-    pub fn ingest(&mut self, records: &[TraceRecord]) -> Result<usize, String> {
-        for (i, rec) in records.iter().enumerate() {
-            let k = self.accepted;
-            Trace::validate_record(k, rec, &self.schema, &self.space, &mut self.last_ts)
-                .map_err(|e| format!("batch record {i}: {e}"))?;
-            if self.needs_propensity && rec.propensity.is_none() {
-                return Err(format!(
-                    "batch record {i}: logging propensity required by the session's estimators"
-                ));
-            }
-            for (name, entry) in &mut self.bank {
-                entry
-                    .push(rec)
-                    .map_err(|e| format!("batch record {i}: {name}: {e}"))?;
-            }
-            self.coupling.push(rec.reward);
-            self.accepted += 1;
-        }
-        Ok(records.len())
-    }
-
     /// Validates-then-applies a batch atomically: either every record is
-    /// ingested or none is. This is the sequenced-ingest semantics — an
+    /// ingested or none is, and the error names the offending batch
+    /// position. Every ingest, sequenced or not, takes this path — an
     /// acknowledgement must mean "the whole batch counted once", or a
     /// replay after a partial failure would double-ingest the prefix.
     pub fn ingest_atomic(&mut self, records: &[TraceRecord]) -> Result<usize, String> {
@@ -571,17 +476,16 @@ impl Engine {
         }
     }
 
-    /// Ingests a batch into a session. The response carries `accepted`
-    /// (from this batch) and `total` so the caller can account
-    /// throughput.
+    /// Ingests a batch into a session, atomically: either every record is
+    /// ingested or none is. The response carries `accepted` (from this
+    /// batch) and `total` so the caller can account throughput.
     ///
-    /// With `seq` set, the batch is sequenced: applied atomically and
-    /// exactly once. The expected sequence advances the session; a replay
-    /// of the last-acknowledged sequence returns the stored
-    /// acknowledgement tagged `"duplicate":true` without touching state;
-    /// anything else (a gap, or a stale sequence an older retry might
-    /// still carry) is an error. Without `seq`, legacy prefix semantics
-    /// apply.
+    /// With `seq` set, the batch is also applied exactly once. The
+    /// expected sequence advances the session; a replay of the
+    /// last-acknowledged sequence returns the stored acknowledgement
+    /// tagged `"duplicate":true` without touching state; anything else (a
+    /// gap, or a stale sequence an older retry might still carry) is an
+    /// error.
     pub fn handle_ingest(
         &mut self,
         session: &str,
@@ -591,50 +495,47 @@ impl Engine {
         let Some(s) = self.sessions.get_mut(session) else {
             return crate::protocol::error_response(&format!("unknown session {session:?}"));
         };
-        let Some(seq) = seq else {
-            return match s.ingest(records) {
-                Ok(n) => ok_response(vec![
+        if let Some(seq) = seq.filter(|&q| q != s.next_seq) {
+            return if s.next_seq > 0 && seq == s.next_seq - 1 {
+                match &s.last_ack {
+                    Some((acked, resp)) if *acked == seq => {
+                        let mut fields = match resp.clone() {
+                            Json::Object(fields) => fields,
+                            other => return other,
+                        };
+                        fields.push(("duplicate".to_string(), Json::Bool(true)));
+                        Json::Object(fields)
+                    }
+                    _ => crate::protocol::error_response(&format!(
+                        "seq {seq} already consumed but its acknowledgement is gone"
+                    )),
+                }
+            } else {
+                crate::protocol::error_response(&format!(
+                    "seq {seq} out of order (expected {})",
+                    s.next_seq
+                ))
+            };
+        }
+        let resp = match s.ingest_atomic(records) {
+            Ok(n) => {
+                let mut fields = vec![
                     ("accepted", Json::Int(n as i64)),
                     ("total", Json::Int(s.accepted() as i64)),
-                ]),
-                Err(e) => crate::protocol::error_response(&e),
-            };
+                ];
+                fields.extend(seq.map(|q| ("seq", Json::Int(q as i64))));
+                ok_response(fields)
+            }
+            Err(e) => crate::protocol::error_response(&e),
         };
-        if seq == s.next_seq {
-            let resp = match s.ingest_atomic(records) {
-                Ok(n) => ok_response(vec![
-                    ("accepted", Json::Int(n as i64)),
-                    ("total", Json::Int(s.accepted() as i64)),
-                    ("seq", Json::Int(seq as i64)),
-                ]),
-                Err(e) => crate::protocol::error_response(&e),
-            };
+        if let Some(seq) = seq {
             // A rejected batch is acknowledged (negatively) too: the
             // client may never see the response and will retry the same
             // sequence; it must get the same verdict, not a re-ingest.
             s.next_seq += 1;
             s.last_ack = Some((seq, resp.clone()));
-            resp
-        } else if s.next_seq > 0 && seq == s.next_seq - 1 {
-            match &s.last_ack {
-                Some((acked, resp)) if *acked == seq => {
-                    let mut fields = match resp.clone() {
-                        Json::Object(fields) => fields,
-                        other => return other,
-                    };
-                    fields.push(("duplicate".to_string(), Json::Bool(true)));
-                    Json::Object(fields)
-                }
-                _ => crate::protocol::error_response(&format!(
-                    "seq {seq} already consumed but its acknowledgement is gone"
-                )),
-            }
-        } else {
-            crate::protocol::error_response(&format!(
-                "seq {seq} out of order (expected {})",
-                s.next_seq
-            ))
         }
+        resp
     }
 
     /// The current estimates for a session.
@@ -779,7 +680,7 @@ mod tests {
 
     #[test]
     fn menu_estimators_round_trip_match_offline() {
-        use ddn_estimators::{AdaptiveDr, AdaptiveIps, MarginalizedDr, SeqDr};
+        use ddn_estimators::{AdaptiveDr, AdaptiveIps, AdaptiveWeights, MarginalizedDr, SeqDr};
         use ddn_policy::UniformRandomPolicy;
 
         let mut engine = Engine::new();
@@ -858,9 +759,10 @@ mod tests {
         assert_eq!(resp.get("ok"), Some(&Json::Bool(false)));
         let msg = resp.get("error").and_then(Json::as_str).unwrap();
         assert!(msg.contains("batch record 3"), "{msg}");
-        // The three good records before it are in; the session still works.
+        // Ingest is atomic: none of the batch is in, and the session
+        // still works.
         let est = engine.handle_estimate("s");
-        assert_eq!(est.get("n").and_then(Json::as_i64), Some(3));
+        assert_eq!(est.get("n").and_then(Json::as_i64), Some(0));
     }
 
     #[test]
@@ -908,8 +810,8 @@ mod tests {
         recs[3].propensity = None;
         let resp = engine.handle_ingest("s", &recs, Some(0));
         assert_eq!(resp.get("ok"), Some(&Json::Bool(false)));
-        // Unlike the legacy prefix semantics, nothing lands: an ack (even
-        // a negative one) must describe the whole batch.
+        // Nothing lands: an ack (even a negative one) must describe the
+        // whole batch.
         let est = engine.handle_estimate("s");
         assert_eq!(est.get("n").and_then(Json::as_i64), Some(0));
         // The rejection is itself replayable with the same verdict.

@@ -220,6 +220,26 @@ pub fn encode(
     Ok(out)
 }
 
+/// The body length a header declares: fixed header, kinds, session,
+/// optional scalars, then `n_rows` times the per-row column bytes.
+/// `None` if it overflows.
+fn implied_body_len(
+    flags: u16,
+    session_len: usize,
+    n_rows: usize,
+    n_features: usize,
+) -> Option<usize> {
+    let opt = |flag: u16, bytes: usize| if flags & flag != 0 { bytes } else { 0 };
+    let header = 10 + n_features + session_len + opt(FLAG_SEQ, 8) + opt(FLAG_ID, 8);
+    let per_row = opt(FLAG_TIMESTAMP, 8)
+        + 8 * n_features
+        + 4
+        + 8
+        + opt(FLAG_PROPENSITY, 8)
+        + opt(FLAG_STATE, 4);
+    n_rows.checked_mul(per_row)?.checked_add(header)
+}
+
 /// A cursor over the body with little-endian scalar reads.
 struct Cursor<'a> {
     buf: &'a [u8],
@@ -258,8 +278,10 @@ impl<'a> Cursor<'a> {
 /// Decodes a complete frame (magic through crc) back into a batch.
 ///
 /// `bytes` must be exactly one frame — the server's framer has already
-/// split the stream using the length prefix. Verifies magic, length,
-/// and crc; trailing bytes beyond the declared body are an error.
+/// split the stream using the length prefix. Verifies magic, length and
+/// crc, then that the header's row count, feature count and column flags
+/// imply exactly the body's size — before allocating anything sized from
+/// them.
 pub fn decode(bytes: &[u8]) -> Result<BinaryBatch, String> {
     if bytes.len() < FRAME_PREFIX_BYTES + FRAME_CRC_BYTES {
         return Err(format!("frame of {} bytes is shorter than its header", bytes.len()));
@@ -291,6 +313,18 @@ pub fn decode(bytes: &[u8]) -> Result<BinaryBatch, String> {
     let session_len = c.u16("session_len")? as usize;
     let n_rows = c.u32("n_rows")? as usize;
     let n_features = c.u16("n_features")? as usize;
+    // Every allocation below is sized from this header, which the crc
+    // does not authenticate: hold its claims to the bytes that arrived
+    // before allocating anything.
+    let implied = implied_body_len(flags, session_len, n_rows, n_features);
+    if implied != Some(body.len()) {
+        return Err(format!(
+            "frame header ({n_rows} rows, {n_features} features, flags {flags:#06x}) \
+             implies a body of {} bytes, but the body has {}",
+            implied.map_or_else(|| "overflowing".to_string(), |n| n.to_string()),
+            body.len()
+        ));
+    }
     let kinds = c.take(n_features, "feature kinds")?.to_vec();
     for (col, k) in kinds.iter().enumerate() {
         if *k > 1 {
@@ -365,13 +399,6 @@ pub fn decode(bytes: &[u8]) -> Result<BinaryBatch, String> {
     } else {
         None
     };
-    if c.pos != body.len() {
-        return Err(format!(
-            "frame body has {} trailing bytes after the last column",
-            body.len() - c.pos
-        ));
-    }
-
     let mut records = Vec::with_capacity(n_rows);
     for (row, vals) in values.into_iter().enumerate() {
         records.push(TraceRecord {
@@ -509,6 +536,68 @@ mod tests {
         assert!(decode(truncated).unwrap_err().contains("body"));
 
         assert!(decode(&good[..6]).unwrap_err().contains("shorter"));
+    }
+
+    /// Wraps `body` in a frame with a matching length prefix and a valid
+    /// crc — the checksum authenticates nothing, so only the header's
+    /// own claims can be caught.
+    fn forge(body: &[u8]) -> Vec<u8> {
+        let mut frame = FRAME_MAGIC.to_vec();
+        frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        frame.extend_from_slice(body);
+        frame.extend_from_slice(&fnv1a(body).to_le_bytes());
+        frame
+    }
+
+    #[test]
+    fn lying_headers_are_refused_before_allocating() {
+        // 26 bytes claiming 2^32-1 rows: allocating from the header alone
+        // would ask for ~100 GB and abort the process.
+        let mut body = vec![0, 0, 0, 0]; // flags, session_len
+        body.extend_from_slice(&u32::MAX.to_le_bytes());
+        body.extend_from_slice(&0u16.to_le_bytes());
+        let frame = forge(&body);
+        assert_eq!(frame.len(), 26);
+        let err = decode(&frame).unwrap_err();
+        assert!(err.contains("implies"), "{err}");
+
+        // Every size-bearing header field of an honest frame, lied about
+        // (offsets into the body: flags 0, n_rows 4, n_features 8).
+        let honest = encode("s", &sample(4), Some(1), None).unwrap();
+        let body = &honest[FRAME_PREFIX_BYTES..honest.len() - FRAME_CRC_BYTES];
+        let mut lies: Vec<Vec<u8>> = Vec::new();
+        for rows in [0u32, 3, 5, u32::MAX] {
+            let mut b = body.to_vec();
+            b[4..8].copy_from_slice(&rows.to_le_bytes());
+            lies.push(b);
+        }
+        for features in [0u16, 1, 3, u16::MAX] {
+            let mut b = body.to_vec();
+            b[8..10].copy_from_slice(&features.to_le_bytes());
+            lies.push(b);
+        }
+        // Each optional-column flag, toggled: the header then claims a
+        // column the body lacks, or disowns one it carries.
+        for flag in [
+            FLAG_SEQ,
+            FLAG_ID,
+            FLAG_PROPENSITY,
+            FLAG_STATE,
+            FLAG_TIMESTAMP,
+        ] {
+            let mut b = body.to_vec();
+            let flags = u16::from_le_bytes([b[0], b[1]]) ^ flag;
+            b[0..2].copy_from_slice(&flags.to_le_bytes());
+            lies.push(b);
+        }
+        for lie in &lies {
+            let err = decode(&forge(lie)).unwrap_err();
+            assert!(err.contains("implies"), "{err}");
+        }
+        assert!(
+            decode(&forge(body)).is_ok(),
+            "the honest body still decodes"
+        );
     }
 
     #[test]

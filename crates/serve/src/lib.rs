@@ -14,8 +14,9 @@
 //! - [`frame`] — the length-prefixed binary columnar batch frame: the
 //!   high-throughput ingest encoding (contiguous little-endian columns)
 //!   that decodes to the same [`Request::Ingest`] as the JSON verb.
-//! - [`engine`] — sessions, estimator banks, and the online
-//!   [`CouplingMonitor`]; transport-independent and directly testable.
+//! - [`engine`] — sessions, estimator banks built from the
+//!   `ddn_estimators::menu` registry, and the online [`CouplingMonitor`];
+//!   transport-independent and directly testable.
 //! - [`server`] — the readiness-driven TCP front end: one epoll event
 //!   loop owning every connection, a small dispatcher pool, sharded
 //!   bounded ingest queues with backpressure, graceful shutdown.

@@ -41,12 +41,13 @@
 //! also returns (and, with durability on, dumps to disk) every shard's
 //! flight-recorder ring. See DESIGN.md §13.
 //!
-//! `Q` is an optional per-session batch sequence number starting at 0.
-//! A sequenced batch is applied atomically and exactly once: replaying
-//! the last-acknowledged sequence returns the stored acknowledgement
-//! (tagged `"duplicate":true`) without re-ingesting, which is what makes
-//! client retries safe. Unsequenced ingests keep the legacy prefix
-//! semantics (records before a bad one stay ingested). See DESIGN.md §11.
+//! Every batch is applied atomically: a bad record rejects the whole
+//! batch, and the error names its position. `Q` is an optional
+//! per-session batch sequence number starting at 0. A sequenced batch is
+//! also applied exactly once: replaying the last-acknowledged sequence
+//! returns the stored acknowledgement (tagged `"duplicate":true`) without
+//! re-ingesting, which is what makes client retries safe. See DESIGN.md
+//! §11.
 //!
 //! Every response is `{"ok":true,...}` or `{"ok":false,"error":MSG}`.
 //! A malformed line never kills the connection: the server answers with
@@ -68,7 +69,7 @@ use ddn_trace::{ContextSchema, DecisionSpace, TraceRecord};
 
 /// The default clip threshold for the `clipped` estimator when the init
 /// request does not set `"max_weight"`.
-pub const DEFAULT_MAX_WEIGHT: f64 = 10.0;
+pub use ddn_estimators::menu::DEFAULT_MAX_WEIGHT;
 
 /// The target-policy specification carried by an `init` request.
 #[derive(Debug, Clone, PartialEq)]
@@ -109,8 +110,8 @@ pub struct InitSpec {
     pub schema: ContextSchema,
     /// Decision space the session's records must conform to.
     pub space: DecisionSpace,
-    /// Estimators to run, by protocol name (`ips`, `snips`, `clipped`,
-    /// `dm`, `dr`, `adaptive`, `adaptive_dr`, `mdr`, `seqdr`).
+    /// Estimators to run, by protocol name (the rows of
+    /// [`ddn_estimators::menu::MENU`]).
     pub estimators: Vec<String>,
     /// Target policy to evaluate.
     pub policy: PolicySpec,
