@@ -11,7 +11,7 @@
 //! twice. The net contract: an acknowledged batch was ingested exactly
 //! once, no matter how many wire-level attempts it took (DESIGN.md §11).
 
-use crate::protocol::{attach_id, request_id, DEFAULT_MAX_WEIGHT};
+use crate::protocol::{attach_id, ingest_request_json, request_id, DEFAULT_MAX_WEIGHT};
 use crate::transport::{IoStream, TcpTransport, Transport};
 use ddn_stats::Json;
 use ddn_telemetry::{Collector, Histogram};
@@ -429,16 +429,7 @@ impl ServeClient {
         records: &[TraceRecord],
     ) -> Result<Json, ClientError> {
         let seq = *self.seqs.entry(session.to_string()).or_insert(0);
-        let req = Json::object(vec![
-            ("verb", Json::str("ingest")),
-            ("session", Json::str(session)),
-            (
-                "records",
-                Json::Array(records.iter().map(TraceRecord::to_json).collect()),
-            ),
-            ("seq", Json::Int(seq as i64)),
-        ]);
-        let result = self.request(&req);
+        let result = self.request(&ingest_request_json(session, records, Some(seq)));
         // The server consumes the sequence whenever it delivered a
         // verdict — positive or negative — so the client advances on
         // both. Only a transport-level failure leaves it unconsumed.

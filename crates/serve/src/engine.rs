@@ -1,12 +1,14 @@
 //! Session state and request handling, independent of the transport.
 //!
 //! Each shard worker owns one [`Engine`]: a map from session id to
-//! [`Session`], where a session holds a bank of online estimators (one
-//! per requested protocol name), the schema/space its records must
-//! conform to, and a [`CouplingMonitor`] running §4.3 change-point
-//! detection over the live reward stream.
+//! [`Session`], where a session holds the [`InitSpec`] that created it
+//! (schema and space its records must conform to included), a bank of
+//! online estimators (one per requested protocol name), and a
+//! [`CouplingMonitor`] running §4.3 change-point detection over the live
+//! reward stream. [`Engine::apply`] is the one apply path both live
+//! shard traffic and WAL recovery take.
 
-use crate::protocol::{ok_response, InitSpec, PolicySpec};
+use crate::protocol::{error_response, ok_response, InitSpec, PolicySpec, Request};
 use ddn_estimators::menu::{self, BoxOnline, MenuConfig};
 use ddn_estimators::online::BoxPolicy;
 use ddn_estimators::{ActionEmbedding, OnlineEstimator, SlidingWindow};
@@ -16,7 +18,9 @@ use ddn_stats::changepoint::{pelt, CostModel, Penalty};
 use ddn_stats::Json;
 use ddn_telemetry::Collector;
 use ddn_trace::{DecisionSpace, Trace, TraceRecord};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::io;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// How many of the most recent rewards the coupling monitor keeps. The
 /// server must stay O(1) per session in the stream length, so change
@@ -254,14 +258,11 @@ impl MenuConfig for InitSpec {
 
 /// One client-visible evaluation session.
 pub struct Session {
-    /// The init request that created this session, re-serialized as a
-    /// parseable request line — the snapshot encoding of its
-    /// configuration (see [`Session::from_state`]).
-    init_json: Json,
-    schema: ddn_trace::ContextSchema,
-    space: DecisionSpace,
-    /// `(protocol_name, estimator)` in init-request order.
-    bank: Vec<(String, BankEntry)>,
+    /// The init request that created this session; a snapshot stores it
+    /// as [`InitSpec::to_json`] (see [`Session::from_state`]).
+    spec: InitSpec,
+    /// One estimator per name in `spec.estimators`, in the same order.
+    bank: Vec<BankEntry>,
     needs_propensity: bool,
     coupling: CouplingMonitor,
     last_ts: f64,
@@ -279,7 +280,6 @@ impl Session {
     /// Builds the session's estimator bank from an init spec, one
     /// registry row per requested name.
     pub fn new(spec: InitSpec) -> Result<Self, String> {
-        let init_json = spec.to_json();
         let mut bank = Vec::with_capacity(spec.estimators.len());
         let mut needs_propensity = false;
         for name in &spec.estimators {
@@ -294,12 +294,10 @@ impl Session {
                 Some(cap) => BankEntry::Windowed(SlidingWindow::new(inner, cap)),
                 None => BankEntry::Plain(inner),
             };
-            bank.push((name.clone(), entry));
+            bank.push(entry);
         }
         Ok(Session {
-            init_json,
-            schema: spec.schema,
-            space: spec.space,
+            spec,
             bank,
             needs_propensity,
             coupling: CouplingMonitor::new(COUPLING_WINDOW, COUPLING_MIN_SEGMENT),
@@ -320,8 +318,14 @@ impl Session {
         // leaves the session untouched.
         let mut ts = self.last_ts;
         for (i, rec) in records.iter().enumerate() {
-            Trace::validate_record(self.accepted + i, rec, &self.schema, &self.space, &mut ts)
-                .map_err(|e| format!("batch record {i}: {e}"))?;
+            Trace::validate_record(
+                self.accepted + i,
+                rec,
+                &self.spec.schema,
+                &self.spec.space,
+                &mut ts,
+            )
+            .map_err(|e| format!("batch record {i}: {e}"))?;
             if self.needs_propensity && rec.propensity.is_none() {
                 return Err(format!(
                     "batch record {i}: logging propensity required by the session's estimators"
@@ -331,7 +335,7 @@ impl Session {
         // Apply. The checks above cover every push failure mode, so this
         // phase cannot reject.
         for (i, rec) in records.iter().enumerate() {
-            for (name, entry) in &mut self.bank {
+            for (name, entry) in self.spec.estimators.iter().zip(&mut self.bank) {
                 entry
                     .push(rec)
                     .map_err(|e| format!("batch record {i}: {name}: {e}"))?;
@@ -363,10 +367,10 @@ impl Session {
             ]),
         };
         Json::object(vec![
-            ("init", self.init_json.clone()),
+            ("init", self.spec.to_json()),
             (
                 "estimators",
-                Json::Array(self.bank.iter().map(|(_, e)| e.state_save()).collect()),
+                Json::Array(self.bank.iter().map(BankEntry::state_save).collect()),
             ),
             ("coupling", self.coupling.state_save()),
             ("last_ts", Json::Int(self.last_ts.to_bits() as i64)),
@@ -376,16 +380,14 @@ impl Session {
         ])
     }
 
-    /// Rebuilds a session from [`Session::state_save`] output: re-parses
-    /// the stored init request through [`Request::parse`] (the same code
-    /// path a live init takes), then loads estimator, coupling, and
+    /// Rebuilds a session from [`Session::state_save`] output: reads
+    /// the stored init request through [`Request::from_json`] (the same
+    /// code path a live init takes), then loads estimator, coupling, and
     /// dedup state on top. Any failure discards the partial session.
-    ///
-    /// [`Request::parse`]: crate::protocol::Request::parse
     pub fn from_state(state: &Json) -> Result<Session, String> {
         let init = state.get("init").ok_or("session state needs \"init\"")?;
-        let spec = match crate::protocol::Request::parse(&init.to_string()) {
-            Ok(crate::protocol::Request::Init(spec)) => spec,
+        let spec = match Request::from_json(init) {
+            Ok(Request::Init(spec)) => spec,
             Ok(_) => return Err("session state \"init\" is not an init request".into()),
             Err(e) => return Err(format!("session state init: {e}")),
         };
@@ -401,7 +403,7 @@ impl Session {
                 s.bank.len()
             ));
         }
-        for ((name, entry), st) in s.bank.iter_mut().zip(states) {
+        for ((name, entry), st) in s.spec.estimators.iter().zip(&mut s.bank).zip(states) {
             entry.state_load(st).map_err(|e| format!("{name}: {e}"))?;
         }
         s.coupling
@@ -439,8 +441,10 @@ impl Session {
     pub fn estimate_json(&mut self) -> Json {
         let coupling = self.coupling.to_json();
         let estimates = Json::Object(
-            self.bank
-                .iter_mut()
+            self.spec
+                .estimators
+                .iter()
+                .zip(&mut self.bank)
                 .map(|(name, entry)| (name.clone(), entry.estimate_json()))
                 .collect(),
         );
@@ -450,6 +454,39 @@ impl Session {
             ("coupling", coupling),
         ])
     }
+}
+
+/// How a shard request ended — the `outcome` of its flight-recorder
+/// event.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Outcome {
+    /// Applied or answered successfully.
+    Ok,
+    /// Answered with an error.
+    Error,
+    /// A sequenced ingest answered from the dedup window, not re-applied.
+    Duplicate,
+    /// The handler panicked and its session was quarantined.
+    Panic,
+}
+
+impl Outcome {
+    /// The outcome's flight-recorder name.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Outcome::Ok => "ok",
+            Outcome::Error => "error",
+            Outcome::Duplicate => "duplicate",
+            Outcome::Panic => "panic",
+        }
+    }
+}
+
+/// The answer to every request for a quarantined session.
+fn degraded_response(session: &str) -> Json {
+    error_response(&format!(
+        "session {session:?} degraded: a worker panicked while serving it; re-init to recover"
+    ))
 }
 
 /// The per-shard engine: session routing plus health reporting.
@@ -472,7 +509,7 @@ impl Engine {
                 self.sessions.insert(id.clone(), s);
                 ok_response(vec![("session", Json::str(id))])
             }
-            Err(e) => crate::protocol::error_response(&e),
+            Err(e) => error_response(&e),
         }
     }
 
@@ -493,7 +530,7 @@ impl Engine {
         seq: Option<u64>,
     ) -> Json {
         let Some(s) = self.sessions.get_mut(session) else {
-            return crate::protocol::error_response(&format!("unknown session {session:?}"));
+            return error_response(&format!("unknown session {session:?}"));
         };
         if let Some(seq) = seq.filter(|&q| q != s.next_seq) {
             return if s.next_seq > 0 && seq == s.next_seq - 1 {
@@ -506,12 +543,12 @@ impl Engine {
                         fields.push(("duplicate".to_string(), Json::Bool(true)));
                         Json::Object(fields)
                     }
-                    _ => crate::protocol::error_response(&format!(
+                    _ => error_response(&format!(
                         "seq {seq} already consumed but its acknowledgement is gone"
                     )),
                 }
             } else {
-                crate::protocol::error_response(&format!(
+                error_response(&format!(
                     "seq {seq} out of order (expected {})",
                     s.next_seq
                 ))
@@ -526,7 +563,7 @@ impl Engine {
                 fields.extend(seq.map(|q| ("seq", Json::Int(q as i64))));
                 ok_response(fields)
             }
-            Err(e) => crate::protocol::error_response(&e),
+            Err(e) => error_response(&e),
         };
         if let Some(seq) = seq {
             // A rejected batch is acknowledged (negatively) too: the
@@ -541,8 +578,74 @@ impl Engine {
     /// The current estimates for a session.
     pub fn handle_estimate(&mut self, session: &str) -> Json {
         match self.sessions.get_mut(session) {
-            None => crate::protocol::error_response(&format!("unknown session {session:?}")),
+            None => error_response(&format!("unknown session {session:?}")),
             Some(s) => s.estimate_json(),
+        }
+    }
+
+    /// Applies one decoded `init`, `ingest` or `estimate` — the one apply
+    /// path live shard traffic and WAL recovery share, so a restart
+    /// rebuilds every session exactly as live requests built it:
+    ///
+    /// 1. a request for a session in `poisoned` is answered `degraded`,
+    ///    unless it is an `init`, which lifts the quarantine;
+    /// 2. `init` and `ingest` run `write_ahead` (the worker logs the
+    ///    payload there; recovery passes a no-op), and an error applies
+    ///    nothing — the ack would describe state a restart loses;
+    /// 3. the handler runs under `catch_unwind`, the test `failpoint`
+    ///    panics any `ingest` whose session contains it, and a panic
+    ///    drops the (possibly half-applied) session and quarantines it.
+    pub fn apply(
+        &mut self,
+        req: Request,
+        poisoned: &mut HashSet<String>,
+        failpoint: Option<&str>,
+        write_ahead: impl FnOnce() -> io::Result<()>,
+    ) -> (Json, Outcome) {
+        let Some(session) = req.session().map(str::to_string) else {
+            return (error_response("not a shard verb"), Outcome::Error);
+        };
+        let is_init = matches!(req, Request::Init(_));
+        if !is_init && poisoned.contains(&session) {
+            return (degraded_response(&session), Outcome::Error);
+        }
+        if !matches!(req, Request::Estimate { .. }) {
+            if let Err(e) = write_ahead() {
+                let msg = format!("durability failure: {e}");
+                return (error_response(&msg), Outcome::Error);
+            }
+        }
+        if is_init {
+            // The replacement session is built from scratch, sequence
+            // numbers included.
+            poisoned.remove(&session);
+        }
+        let applied = catch_unwind(AssertUnwindSafe(|| match req {
+            Request::Init(spec) => self.handle_init(spec),
+            Request::Ingest {
+                session,
+                records,
+                seq,
+            } => {
+                if failpoint.is_some_and(|marker| session.contains(marker)) {
+                    panic!("failpoint hit for session {session:?}");
+                }
+                self.handle_ingest(&session, &records, seq)
+            }
+            _ => self.handle_estimate(&session),
+        }));
+        match applied {
+            Ok(resp) if resp.get("duplicate") == Some(&Json::Bool(true)) => {
+                (resp, Outcome::Duplicate)
+            }
+            Ok(resp) if resp.get("ok") == Some(&Json::Bool(true)) => (resp, Outcome::Ok),
+            Ok(resp) => (resp, Outcome::Error),
+            Err(_) => {
+                self.remove_session(&session);
+                let resp = degraded_response(&session);
+                poisoned.insert(session);
+                (resp, Outcome::Panic)
+            }
         }
     }
 
@@ -551,7 +654,7 @@ impl Engine {
     pub fn collector(&self) -> Collector {
         let mut c = Collector::default();
         for (id, session) in &self.sessions {
-            for (name, entry) in &session.bank {
+            for (name, entry) in session.spec.estimators.iter().zip(&session.bank) {
                 c.health
                     .push((format!("serve/{id}/{name}"), entry.health_metrics()));
             }

@@ -10,13 +10,14 @@
 //! coupling change-point detection running live on the reward series.
 //!
 //! - [`protocol`] — the wire grammar (`init` / `ingest` / `estimate` /
-//!   `health` / `shutdown`) and request parsing.
+//!   `health` / `shutdown`) and [`Request::decode`], the one decoder.
 //! - [`frame`] — the length-prefixed binary columnar batch frame: the
 //!   high-throughput ingest encoding (contiguous little-endian columns)
 //!   that decodes to the same [`Request::Ingest`] as the JSON verb.
 //! - [`engine`] — sessions, estimator banks built from the
-//!   `ddn_estimators::menu` registry, and the online [`CouplingMonitor`];
-//!   transport-independent and directly testable.
+//!   `ddn_estimators::menu` registry, the online [`CouplingMonitor`],
+//!   and [`Engine::apply`], the apply path live traffic and recovery
+//!   share; transport-independent and directly testable.
 //! - [`server`] — the readiness-driven TCP front end: one epoll event
 //!   loop owning every connection, a small dispatcher pool, sharded
 //!   bounded ingest queues with backpressure, graceful shutdown.
@@ -30,7 +31,7 @@
 //!   recent request events dumped on worker panic and served by the
 //!   `stats` verb for causal post-mortems.
 //! - [`wal`] — the per-shard write-ahead log: length-prefixed,
-//!   checksummed frames holding the request lines a shard consumed.
+//!   checksummed frames holding each request as it arrived.
 //! - [`snapshot`] — periodic full-state snapshots and crash-resume:
 //!   restore the latest valid snapshot, replay the WAL tail, self-heal.
 //!

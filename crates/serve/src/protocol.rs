@@ -63,7 +63,12 @@
 //! debug/compat protocol; the frame is the high-throughput encoding.
 //! Byte layout and invariants live in [`crate::frame`] and DESIGN.md
 //! §14.
+//!
+//! [`Request::decode`] is the one decoder for both encodings: the
+//! dispatcher runs it on every payload a connection sends, and crash
+//! recovery runs it on every payload the WAL logged — the same bytes.
 
+use crate::frame::{self, FRAME_MAGIC};
 use ddn_stats::Json;
 use ddn_trace::{ContextSchema, DecisionSpace, TraceRecord};
 
@@ -130,11 +135,10 @@ pub struct InitSpec {
 }
 
 impl InitSpec {
-    /// Re-serializes the spec as a complete, parseable init request line
-    /// (the `"verb":"init"` object). This is the WAL/snapshot encoding of
-    /// a session's configuration: recovery feeds it back through
-    /// [`Request::parse`], so replay exercises the same code path as live
-    /// traffic. Round-tripping is exact — the workspace JSON float
+    /// Re-serializes the spec as a complete init request object (the
+    /// `"verb":"init"` object) — the snapshot encoding of a session's
+    /// configuration, read back through [`Request::from_json`] on
+    /// restore. Round-tripping is exact: the workspace JSON float
     /// formatting is bit-preserving, and `parse_init`'s `.reindexed()` is
     /// idempotent on an already-reindexed schema.
     pub fn to_json(&self) -> Json {
@@ -170,9 +174,8 @@ impl InitSpec {
     }
 }
 
-/// The ingest request line for `records` — the WAL encoding of a
-/// sequenced batch (the conn thread parses lines before shard dispatch,
-/// so the worker rebuilds the wire form to log it).
+/// The JSON ingest request object for `records` — the line
+/// [`crate::ServeClient::ingest`] sends.
 pub fn ingest_request_json(session: &str, records: &[TraceRecord], seq: Option<u64>) -> Json {
     let mut fields = vec![
         ("verb", Json::str("ingest")),
@@ -223,15 +226,44 @@ pub enum Request {
 }
 
 impl Request {
-    /// Parses one request line. Errors are user-facing strings (they go
-    /// straight into the `"error"` field of the response).
-    pub fn parse(line: &str) -> Result<Request, String> {
-        let v = Json::parse(line).map_err(|e| format!("bad JSON: {e}"))?;
-        Self::from_json(&v)
+    /// Decodes one request payload exactly as it arrived: a binary batch
+    /// frame when it opens with [`FRAME_MAGIC`], otherwise a JSON line
+    /// (newline stripped), read with lossy UTF-8 decoding and trimmed.
+    /// Returns the request — or the user-facing error to answer with —
+    /// plus the `"id"` to echo. A JSON line's id is read before its verb
+    /// is validated, so even a malformed request's error echoes it.
+    ///
+    /// This is the one decoder: the dispatcher runs it on live traffic
+    /// and recovery on the WAL, which logs these same payload bytes, so
+    /// a logged request replays exactly as it was first read.
+    pub fn decode(payload: &[u8]) -> (Result<Request, String>, Option<Json>) {
+        if payload.starts_with(&FRAME_MAGIC) {
+            return match frame::decode(payload) {
+                Ok(batch) => (
+                    Ok(Request::Ingest {
+                        session: batch.session,
+                        records: batch.records,
+                        seq: batch.seq,
+                    }),
+                    batch.id.map(|i| Json::Int(i as i64)),
+                ),
+                Err(e) => (Err(format!("bad frame: {e}")), None),
+            };
+        }
+        match Json::parse(String::from_utf8_lossy(payload).trim()) {
+            Ok(v) => (Self::from_json(&v), request_id(&v)),
+            Err(e) => (Err(format!("bad JSON: {e}")), None),
+        }
     }
 
-    /// Parses an already-decoded request object (the connection layer
-    /// decodes once so it can echo the `"id"` field even on errors).
+    /// Parses one request line through [`Request::decode`]. Errors are
+    /// user-facing strings (they go straight into the `"error"` field of
+    /// the response).
+    pub fn parse(line: &str) -> Result<Request, String> {
+        Self::decode(line.as_bytes()).0
+    }
+
+    /// Parses an already-decoded request object.
     pub fn from_json(v: &Json) -> Result<Request, String> {
         let verb = v
             .get("verb")
@@ -275,6 +307,16 @@ impl Request {
             }
             "shutdown" => Ok(Request::Shutdown),
             other => Err(format!("unknown verb {other:?}")),
+        }
+    }
+
+    /// The session a shard verb (`init`, `ingest`, `estimate`) targets;
+    /// `None` for the verbs a dispatcher answers itself.
+    pub fn session(&self) -> Option<&str> {
+        match self {
+            Request::Init(spec) => Some(&spec.session),
+            Request::Ingest { session, .. } | Request::Estimate { session } => Some(session),
+            Request::Health | Request::Stats { .. } | Request::Shutdown => None,
         }
     }
 }

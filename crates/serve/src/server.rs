@@ -5,14 +5,15 @@
 //!
 //! ```text
 //! event loop ──(complete requests)──▶ dispatchers (fixed pool)
-//!   │  epoll over listener,              │  parse JSON line or decode
-//!   │  every connection, and             │  binary frame → Request
+//!   │  epoll over listener,              │  Request::decode(payload)
+//!   │  every connection, and             │  (JSON line or binary frame)
 //!   │  a completion waker                │  hash(session) → shard
 //!   ▼                                    ▼
 //! accept / read / frame          bounded sync_channel (backpressure)
-//!   ▲                                    │
+//!   ▲                                    │  request + its payload bytes
 //!   │                                    ▼
-//!   └──(responses via waker)──── shard workers (own the sessions)
+//!   └──(responses via waker)──── shard workers (own the sessions):
+//!                                  log payload, then Engine::apply
 //! ```
 //!
 //! The event loop owns every socket: it accepts, reads, splits the byte
@@ -21,8 +22,15 @@
 //! thread holds ~100k idle connections at a few hundred bytes each
 //! instead of a stack per connection. Complete requests are handed to a
 //! fixed pool of dispatcher threads ([`ServeConfig::dispatchers`]) that
-//! do the parsing/decoding and the shard round-trip, then queue the
-//! response bytes back to the loop through an eventfd waker.
+//! decode them with [`Request::decode`] and do the shard round-trip,
+//! then queue the response bytes back to the loop through an eventfd
+//! waker.
+//!
+//! A shard verb reaches its shard as the decoded request plus the bytes
+//! it arrived as. With durability on, the worker logs an `init` or
+//! `ingest` payload verbatim before applying it; without, it drops the
+//! bytes. Live requests and WAL recovery both apply through
+//! [`Engine::apply`], so the two cannot drift apart.
 //!
 //! Each connection is stop-and-wait: one request in flight at a time,
 //! responses written in request order. Pipelined bytes wait in the
@@ -54,7 +62,7 @@
 //! oversized line gets an error response (or is dropped at EOF) without
 //! affecting other connections; such events count
 //! `serve.fault.conn_errors`. A shard worker that panics mid-request is
-//! caught ([`std::panic::catch_unwind`] around each message), the
+//! caught ([`std::panic::catch_unwind`] inside [`Engine::apply`]), the
 //! session whose request panicked is quarantined (its state may be
 //! half-applied), and the worker keeps serving its other sessions — the
 //! panic costs one session, not the server. Quarantined sessions answer
@@ -72,26 +80,22 @@
 //! every thread — loop, dispatchers, and workers — so when it returns
 //! the process holds no server state and no thread or fd has leaked.
 
-use crate::engine::Engine;
+use crate::engine::{Engine, Outcome};
 use crate::eventloop::{Epoll, Event, Waker, EPOLLIN, EPOLLOUT};
 use crate::flightrec::{flightrec_path, FlightRecorder};
 use crate::frame::{self, FRAME_MAGIC, FRAME_PREFIX_BYTES};
-use crate::protocol::{
-    attach_id, error_response, ingest_request_json, ok_response, request_id, InitSpec, Request,
-};
+use crate::protocol::{attach_id, error_response, ok_response, Request};
 use crate::snapshot::{check_meta, RecoverReport, ShardDurability};
 use crate::transport::{TcpTransport, Transport};
 use crate::wal::MAX_FRAME_BYTES;
 use ddn_stats::Json;
 use ddn_telemetry::{Collector, Counter, Gauge, Histogram, Registry, TelemetrySnapshot};
-use ddn_trace::TraceRecord;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TrySendError};
@@ -114,7 +118,9 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Hard cap on one request line, in bytes; longer lines get an error
     /// response and are discarded without buffering (anti-DoS). Binary
-    /// frames are capped separately at the WAL frame limit (64 MiB).
+    /// frames are capped separately at the WAL frame limit (64 MiB,
+    /// [`MAX_FRAME_BYTES`]), which this cap may not exceed: the WAL logs
+    /// each request as it arrived, so the two caps bound every frame.
     pub max_line_bytes: usize,
     /// Dispatcher threads parsing requests and doing shard round-trips.
     pub dispatchers: usize,
@@ -122,7 +128,7 @@ pub struct ServeConfig {
     /// (chaos tests inject faults here).
     pub wrap: Option<TransportWrap>,
     /// Test-only failpoint: an `ingest` whose session id contains this
-    /// marker panics inside the shard worker, exercising the panic
+    /// marker panics inside [`Engine::apply`], exercising the panic
     /// isolation path deterministically.
     pub failpoint: Option<String>,
     /// Durable-state directory. `None` (the default) keeps all session
@@ -379,26 +385,13 @@ impl ServerStats {
 /// Messages a dispatcher sends to a shard worker. Replies travel over a
 /// per-request channel so a slow shard never blocks other dispatchers.
 enum ShardMsg {
-    Init {
-        spec: InitSpec,
+    /// One `init`, `ingest` or `estimate` for a session on this shard.
+    Request {
+        req: Request,
+        /// The bytes the request arrived as (JSON line without its
+        /// newline, or binary frame): the WAL payload (DESIGN.md §12).
+        payload: Vec<u8>,
         /// Enqueue time, for the queue-wait histogram.
-        at: Instant,
-        reply: Sender<Json>,
-    },
-    Ingest {
-        session: String,
-        records: Vec<TraceRecord>,
-        seq: Option<u64>,
-        /// The verbatim binary frame this batch arrived as, if it came
-        /// over the binary protocol: the WAL logs these bytes untouched
-        /// so crash-resume replays the exact frame (DESIGN.md §14).
-        /// `None` for JSON ingests, which log the canonical re-encoding.
-        raw: Option<Vec<u8>>,
-        at: Instant,
-        reply: Sender<Json>,
-    },
-    Estimate {
-        session: String,
         at: Instant,
         reply: Sender<Json>,
     },
@@ -474,15 +467,6 @@ fn duration_ns(d: Duration) -> u64 {
     d.as_nanos().min(u64::MAX as u128) as u64
 }
 
-/// `"ok"` or `"error"` from a response envelope.
-fn outcome_of(resp: &Json) -> &'static str {
-    if resp.get("ok") == Some(&Json::Bool(true)) {
-        "ok"
-    } else {
-        "error"
-    }
-}
-
 /// Books one finished request: counts it, records queue-wait and
 /// handler latency (when tracing), and appends a flight event. Called
 /// BEFORE the reply is sent, so a client that reads `stats` right after
@@ -498,7 +482,7 @@ fn observe_request(
     session: &str,
     seq: Option<u64>,
     records: u64,
-    outcome: &'static str,
+    outcome: Outcome,
     at: Instant,
     started: Instant,
 ) {
@@ -512,7 +496,7 @@ fn observe_request(
     } else {
         0
     };
-    flight.push(verb, session, seq, records, outcome, dur_ns);
+    flight.push(verb, session, seq, records, outcome.as_str(), dur_ns);
 }
 
 /// A running server. Dropping the handle does NOT stop the server; call
@@ -587,15 +571,9 @@ const TOKEN_CONN0: u64 = 2;
 /// for a dispatcher.
 struct WorkItem {
     conn_id: u64,
-    payload: Payload,
-}
-
-/// The two wire encodings a request can arrive in.
-enum Payload {
-    /// One newline-delimited JSON line (newline stripped).
-    Line(Vec<u8>),
-    /// One complete binary frame, magic through crc.
-    Frame(Vec<u8>),
+    /// One JSON line (newline stripped) or one complete binary frame,
+    /// magic through crc.
+    payload: Vec<u8>,
 }
 
 /// A finished response headed back to the event loop for writing.
@@ -608,14 +586,28 @@ struct Completion {
 }
 
 /// Binds `config.addr` and starts the event loop, dispatchers, and
-/// shard workers. Any startup failure — bind, epoll/eventfd creation,
-/// thread spawn under resource exhaustion — returns an `io::Error`
-/// instead of panicking, so `ddn serve` exits 1 with a message.
+/// shard workers. Any startup failure — an invalid config (`InvalidInput`),
+/// bind, epoll/eventfd creation, thread spawn under resource exhaustion
+/// — returns an `io::Error` instead of panicking, so `ddn serve` exits 1
+/// with a message.
 pub fn serve(config: &ServeConfig) -> std::io::Result<ServerHandle> {
-    assert!(config.shards > 0, "need at least one shard");
-    assert!(config.queue_capacity > 0, "queue capacity must be positive");
-    assert!(config.max_line_bytes > 0, "line cap must be positive");
-    assert!(config.dispatchers > 0, "need at least one dispatcher");
+    for (bad, msg) in [
+        (config.shards == 0, "need at least one shard"),
+        (
+            config.queue_capacity == 0,
+            "queue capacity must be positive",
+        ),
+        (config.max_line_bytes == 0, "line cap must be positive"),
+        (config.dispatchers == 0, "need at least one dispatcher"),
+        (
+            config.max_line_bytes > MAX_FRAME_BYTES,
+            "line cap exceeds the WAL frame cap",
+        ),
+    ] {
+        if bad {
+            return Err(std::io::Error::new(ErrorKind::InvalidInput, msg));
+        }
+    }
     let listener = TcpListener::bind(&config.addr)?;
     let local_addr = listener.local_addr()?;
     let shutdown = Arc::new(AtomicBool::new(false));
@@ -831,7 +823,7 @@ enum Extract {
     /// Not enough bytes yet.
     Need,
     /// A complete request, off to a dispatcher.
-    Item(Payload),
+    Item(Vec<u8>),
     /// A whitespace-only line: skipped, no response (keep extracting).
     Skip,
     /// An oversized JSON line finished discarding: error, keep conn.
@@ -882,8 +874,7 @@ fn extract_request(conn: &mut Conn, max_line_bytes: usize) -> Extract {
             if conn.inbuf.len() < total {
                 return Extract::Need;
             }
-            let bytes: Vec<u8> = conn.inbuf.drain(..total).collect();
-            return Extract::Item(Payload::Frame(bytes));
+            return Extract::Item(conn.inbuf.drain(..total).collect());
         }
     }
     match conn.inbuf.iter().position(|&b| b == b'\n') {
@@ -902,7 +893,7 @@ fn extract_request(conn: &mut Conn, max_line_bytes: usize) -> Extract {
             if String::from_utf8_lossy(&line).trim().is_empty() {
                 Extract::Skip
             } else {
-                Extract::Item(Payload::Line(line))
+                Extract::Item(line)
             }
         }
         None => {
@@ -1273,8 +1264,11 @@ fn accept_ready(
 }
 
 /// A dispatcher thread: pulls framed requests off the shared queue,
-/// parses/decodes them, does the shard round-trip, and hands the
-/// response bytes back to the event loop.
+/// decodes them, does the shard round-trip, and hands the response
+/// bytes back to the event loop. A request that fails decoding (bad
+/// JSON, crc mismatch, malformed frame body) gets an error response but
+/// keeps the connection — the framer already located the next request
+/// boundary.
 #[allow(clippy::too_many_arguments)]
 fn dispatcher(
     work_rx: Arc<Mutex<Receiver<WorkItem>>>,
@@ -1293,15 +1287,12 @@ fn dispatcher(
         let Ok(item) = item else {
             return; // event loop exited and dropped the work channel
         };
-        let (resp, close) = match item.payload {
-            Payload::Line(line) => {
-                process_line(&line, &senders, &shutdown, &stats, local_addr, trace)
-            }
-            Payload::Frame(bytes) => {
-                process_frame(bytes, &senders, &shutdown, &stats, local_addr, trace)
-            }
+        let (req, id) = Request::decode(&item.payload);
+        let (resp, close) = match req {
+            Ok(req) => dispatch(req, item.payload, &senders, &shutdown, &stats, local_addr, trace),
+            Err(e) => (error_response(&e), false),
         };
-        let mut bytes = resp.to_string().into_bytes();
+        let mut bytes = attach_id(resp, id).to_string().into_bytes();
         bytes.push(b'\n');
         if done_tx
             .send(Completion {
@@ -1317,72 +1308,9 @@ fn dispatcher(
     }
 }
 
-/// Handles one JSON request line: parse, dispatch, echo the id.
-fn process_line(
-    line: &[u8],
-    senders: &[SyncSender<ShardMsg>],
-    shutdown: &AtomicBool,
-    stats: &ServerStats,
-    local_addr: SocketAddr,
-    trace: bool,
-) -> (Json, bool) {
-    let text = String::from_utf8_lossy(line);
-    match Json::parse(text.trim()) {
-        Ok(v) => {
-            // The id is extracted before verb validation so even an
-            // error response for a malformed request echoes it — the
-            // client can always correlate.
-            let id = request_id(&v);
-            let (resp, close) = match Request::from_json(&v) {
-                Ok(req) => dispatch(req, None, senders, shutdown, stats, local_addr, trace),
-                Err(e) => (error_response(&e), false),
-            };
-            (attach_id(resp, id), close)
-        }
-        Err(e) => (error_response(&format!("bad JSON: {e}")), false),
-    }
-}
-
-/// Handles one complete binary frame: decode, dispatch as an ingest,
-/// echo the frame's integer id. A frame that fails decoding (crc
-/// mismatch, malformed body) gets an error response but keeps the
-/// connection — the length prefix already located the next request
-/// boundary, exactly like a bad JSON line.
-fn process_frame(
-    bytes: Vec<u8>,
-    senders: &[SyncSender<ShardMsg>],
-    shutdown: &AtomicBool,
-    stats: &ServerStats,
-    local_addr: SocketAddr,
-    trace: bool,
-) -> (Json, bool) {
-    match frame::decode(&bytes) {
-        Ok(batch) => {
-            let id = batch.id.map(|i| Json::Int(i as i64));
-            let req = Request::Ingest {
-                session: batch.session,
-                records: batch.records,
-                seq: batch.seq,
-            };
-            let (resp, close) =
-                dispatch(req, Some(bytes), senders, shutdown, stats, local_addr, trace);
-            (attach_id(resp, id), close)
-        }
-        Err(e) => (error_response(&format!("bad frame: {e}")), false),
-    }
-}
-
-fn degraded_response(session: &str) -> Json {
-    error_response(&format!(
-        "session {session:?} degraded: a worker panicked while serving it; re-init to recover"
-    ))
-}
-
-/// Write-ahead-logs one request payload (a JSON line or a verbatim
-/// binary frame), updating the WAL counters. `Ok(())` with no
-/// durability configured. On an I/O error the request MUST NOT be
-/// applied (the ack would describe state a restart loses); the caller
-/// returns the error to the client instead.
+/// Write-ahead-logs one request payload (a JSON line or a binary frame,
+/// as it arrived), updating the WAL counters — the `write_ahead` step
+/// of [`Engine::apply`]. `Ok(())` with no durability configured.
 fn wal_log(
     durability: &mut Option<ShardDurability>,
     stats: &ServerStats,
@@ -1438,146 +1366,58 @@ fn shard_worker(
     while let Ok(msg) = rx.recv() {
         stats.queue_dec();
         match msg {
-            ShardMsg::Init { spec, at, reply } => {
-                let started = Instant::now();
-                let session = spec.session.clone();
-                // Write-ahead: the init line is durable before the session
-                // exists, so an acknowledged init always survives a kill.
-                if let Err(e) = wal_log(
-                    &mut durability,
-                    &stats,
-                    &ctx.metrics.wal_lag,
-                    spec.to_json().to_string().as_bytes(),
-                ) {
-                    observe_request(
-                        &ctx, &mut flight, &ctx.metrics.init, "init", &session, None, 0,
-                        "error", at, started,
-                    );
-                    let _ = reply.send(error_response(&format!("durability failure: {e}")));
-                    continue;
-                }
-                // Re-init lifts a quarantine: the replacement session is
-                // built from scratch, sequence numbers included.
-                poisoned.remove(&session);
-                let resp = engine.handle_init(spec);
-                ctx.metrics.sessions.set(engine.sessions() as f64);
-                observe_request(
-                    &ctx, &mut flight, &ctx.metrics.init, "init", &session, None, 0,
-                    outcome_of(&resp), at, started,
-                );
-                let _ = reply.send(resp);
-                wal_maybe_snapshot(&mut durability, &stats, &engine, &poisoned);
-            }
-            ShardMsg::Ingest {
-                session,
-                records,
-                seq,
-                raw,
+            ShardMsg::Request {
+                req,
+                payload,
                 at,
                 reply,
             } => {
                 let started = Instant::now();
-                let nrec = records.len() as u64;
-                if poisoned.contains(&session) {
-                    observe_request(
-                        &ctx, &mut flight, &ctx.metrics.ingest, "ingest", &session, seq,
-                        nrec, "error", at, started,
-                    );
-                    let _ = reply.send(degraded_response(&session));
-                    continue;
-                }
+                let (metrics, verb, seq, records) = match &req {
+                    Request::Init(_) => (&ctx.metrics.init, "init", None, 0),
+                    Request::Ingest { records, seq, .. } => {
+                        (&ctx.metrics.ingest, "ingest", *seq, records.len() as u64)
+                    }
+                    _ => (&ctx.metrics.estimate, "estimate", None, 0),
+                };
+                let session = req.session().unwrap_or_default().to_string();
                 // Write-ahead of the verdict, whatever it turns out to be:
                 // even a rejected sequenced batch consumes its sequence
-                // number, so replay must reproduce the rejection or
-                // recovery would desynchronize the dedup window. Binary
-                // batches log the client's frame bytes verbatim; JSON
-                // batches log the canonical re-encoding.
-                let payload = match &raw {
-                    Some(frame_bytes) => frame_bytes.clone(),
-                    None => ingest_request_json(&session, &records, seq)
-                        .to_string()
-                        .into_bytes(),
-                };
-                if let Err(e) =
-                    wal_log(&mut durability, &stats, &ctx.metrics.wal_lag, &payload)
-                {
-                    observe_request(
-                        &ctx, &mut flight, &ctx.metrics.ingest, "ingest", &session, seq,
-                        nrec, "error", at, started,
-                    );
-                    let _ = reply.send(error_response(&format!("durability failure: {e}")));
-                    continue;
-                }
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    if let Some(marker) = &failpoint {
-                        if session.contains(marker.as_str()) {
-                            panic!("failpoint hit for session {session:?}");
-                        }
-                    }
-                    engine.handle_ingest(&session, &records, seq)
-                }));
+                // number, so replay must reproduce the rejection.
+                let (resp, outcome) =
+                    engine.apply(req, &mut poisoned, failpoint.as_deref(), || {
+                        wal_log(&mut durability, &stats, &ctx.metrics.wal_lag, &payload)
+                    });
                 match outcome {
-                    Ok(resp) => {
-                        let duplicate =
-                            resp.get("duplicate") == Some(&Json::Bool(true));
-                        if duplicate {
-                            stats.dedup_replays.inc();
-                        } else if let Some(accepted) =
-                            resp.get("accepted").and_then(Json::as_u64)
-                        {
+                    Outcome::Duplicate => stats.dedup_replays.inc(),
+                    Outcome::Panic => stats.fault_worker_restarts.inc(),
+                    Outcome::Ok | Outcome::Error => {
+                        if let Some(accepted) = resp.get("accepted").and_then(Json::as_u64) {
                             stats.ingest_records.add(accepted);
                         }
-                        ctx.metrics.sessions.set(engine.sessions() as f64);
-                        let oc = if duplicate { "duplicate" } else { outcome_of(&resp) };
-                        observe_request(
-                            &ctx, &mut flight, &ctx.metrics.ingest, "ingest", &session,
-                            seq, nrec, oc, at, started,
-                        );
-                        let _ = reply.send(resp);
-                        wal_maybe_snapshot(&mut durability, &stats, &engine, &poisoned);
-                    }
-                    Err(_) => {
-                        // The worker survives the panic: quarantine the
-                        // one session whose state is now suspect and keep
-                        // serving the rest of the shard.
-                        stats.fault_worker_restarts.inc();
-                        engine.remove_session(&session);
-                        poisoned.insert(session.clone());
-                        ctx.metrics.sessions.set(engine.sessions() as f64);
-                        observe_request(
-                            &ctx, &mut flight, &ctx.metrics.ingest, "ingest", &session,
-                            seq, nrec, "panic", at, started,
-                        );
-                        // Post-mortem: dump the ring — ending with the
-                        // request that panicked — before answering, so
-                        // the evidence is on disk even if the process is
-                        // killed right after.
-                        if let Some(dir) = &ctx.flight_dir {
-                            let path = flightrec_path(dir, ctx.shard);
-                            if let Err(e) = flight.dump(&path) {
-                                eprintln!("ddn-serve: flight-recorder dump failed: {e}");
-                            }
-                        }
-                        let _ = reply.send(degraded_response(&session));
                     }
                 }
-            }
-            ShardMsg::Estimate { session, at, reply } => {
-                let started = Instant::now();
-                if poisoned.contains(&session) {
-                    observe_request(
-                        &ctx, &mut flight, &ctx.metrics.estimate, "estimate", &session,
-                        None, 0, "error", at, started,
-                    );
-                    let _ = reply.send(degraded_response(&session));
-                    continue;
-                }
-                let resp = engine.handle_estimate(&session);
+                ctx.metrics.sessions.set(engine.sessions() as f64);
                 observe_request(
-                    &ctx, &mut flight, &ctx.metrics.estimate, "estimate", &session, None,
-                    0, outcome_of(&resp), at, started,
+                    &ctx,
+                    &mut flight,
+                    metrics,
+                    verb,
+                    &session,
+                    seq,
+                    records,
+                    outcome,
+                    at,
+                    started,
                 );
+                if outcome == Outcome::Panic {
+                    // Post-mortem: dump the ring — ending with the request
+                    // that panicked — before answering, so the evidence is
+                    // on disk even if the process is killed right after.
+                    dump_flight(&ctx, &flight);
+                }
                 let _ = reply.send(resp);
+                wal_maybe_snapshot(&mut durability, &stats, &engine, &poisoned);
             }
             ShardMsg::Collect(reply) => {
                 let mut c = engine.collector();
@@ -1588,17 +1428,21 @@ fn shard_worker(
                 let _ = reply.send(c);
             }
             ShardMsg::Flight { dump, reply } => {
-                let events = flight.to_json_array();
                 if dump {
-                    if let Some(dir) = &ctx.flight_dir {
-                        let path = flightrec_path(dir, ctx.shard);
-                        if let Err(e) = flight.dump(&path) {
-                            eprintln!("ddn-serve: flight-recorder dump failed: {e}");
-                        }
-                    }
+                    dump_flight(&ctx, &flight);
                 }
-                let _ = reply.send(events);
+                let _ = reply.send(flight.to_json_array());
             }
+        }
+    }
+}
+
+/// Rewrites this shard's `flightrec-<shard>.jsonl` when durability is
+/// configured (a failed dump is reported, never fatal).
+fn dump_flight(ctx: &ShardCtx, flight: &FlightRecorder) {
+    if let Some(dir) = &ctx.flight_dir {
+        if let Err(e) = flight.dump(&flightrec_path(dir, ctx.shard)) {
+            eprintln!("ddn-serve: flight-recorder dump failed: {e}");
         }
     }
 }
@@ -1633,6 +1477,18 @@ fn send_with_backpressure(
     }
 }
 
+/// Round-trips one message to a shard and waits for the reply; `msg`
+/// wraps the reply channel. The error is the message to answer with.
+fn ask<T>(
+    tx: &SyncSender<ShardMsg>,
+    stats: &ServerStats,
+    msg: impl FnOnce(Sender<T>) -> ShardMsg,
+) -> Result<T, &'static str> {
+    let (reply, rx) = channel();
+    send_with_backpressure(tx, msg(reply), stats).map_err(|()| "server is shutting down")?;
+    rx.recv().map_err(|_| "shard worker unavailable")
+}
+
 /// Counts (and, when tracing, times) a verb handled on the dispatcher
 /// thread itself — `health`, `stats`, `shutdown`. These are rare, so
 /// the per-call registry lookup is fine; the histogram name carries no
@@ -1646,12 +1502,13 @@ fn record_conn_verb(stats: &ServerStats, verb: &str, trace: bool, started: Insta
     }
 }
 
-/// Routes one parsed request and returns the response to write, plus
-/// whether to close the connection after replying. `raw` carries the
-/// verbatim binary frame for binary ingests (WAL-logged untouched).
+/// Routes one decoded request and returns the response to write, plus
+/// whether to close the connection after replying. `payload` is the
+/// bytes the request arrived as; a shard verb carries them to its shard
+/// for the WAL.
 fn dispatch(
     req: Request,
-    raw: Option<Vec<u8>>,
+    payload: Vec<u8>,
     senders: &[SyncSender<ShardMsg>],
     shutdown: &AtomicBool,
     stats: &ServerStats,
@@ -1660,63 +1517,14 @@ fn dispatch(
 ) -> (Json, bool) {
     // Enqueue time for shard verbs; handler start for dispatcher verbs.
     let at = Instant::now();
-    // Round-trips one message to a shard and waits for its reply.
-    let ask = |shard: usize, msg: ShardMsg, rx: Receiver<Json>| -> Json {
-        if send_with_backpressure(&senders[shard], msg, stats).is_err() {
-            return error_response("server is shutting down");
-        }
-        rx.recv()
-            .unwrap_or_else(|_| error_response("shard worker unavailable"))
-    };
     match req {
-        Request::Init(spec) => {
-            let shard = shard_of(&spec.session, senders.len());
-            let (tx, rx) = std::sync::mpsc::channel();
-            let msg = ShardMsg::Init {
-                spec,
-                at,
-                reply: tx,
-            };
-            (ask(shard, msg, rx), false)
-        }
-        Request::Ingest {
-            session,
-            records,
-            seq,
-        } => {
-            let shard = shard_of(&session, senders.len());
-            let (tx, rx) = std::sync::mpsc::channel();
-            let msg = ShardMsg::Ingest {
-                session,
-                records,
-                seq,
-                raw,
-                at,
-                reply: tx,
-            };
-            (ask(shard, msg, rx), false)
-        }
-        Request::Estimate { session } => {
-            let shard = shard_of(&session, senders.len());
-            let (tx, rx) = std::sync::mpsc::channel();
-            let msg = ShardMsg::Estimate {
-                session,
-                at,
-                reply: tx,
-            };
-            (ask(shard, msg, rx), false)
-        }
         Request::Health => {
-            let mut collectors = Vec::with_capacity(senders.len() + 1);
-            collectors.push(stats.collector());
-            for tx in senders {
-                let (ctx, crx) = std::sync::mpsc::channel();
-                if send_with_backpressure(tx, ShardMsg::Collect(ctx), stats).is_ok() {
-                    if let Ok(c) = crx.recv() {
-                        collectors.push(c);
-                    }
-                }
-            }
+            let mut collectors = vec![stats.collector()];
+            collectors.extend(
+                senders
+                    .iter()
+                    .flat_map(|tx| ask(tx, stats, ShardMsg::Collect)),
+            );
             let mut snap = TelemetrySnapshot::from_runs(&collectors);
             snap.set_threads(senders.len());
             record_conn_verb(stats, "health", trace, at);
@@ -1735,21 +1543,14 @@ fn dispatch(
             let snapshot = stats.registry().to_json();
             let mut fields = vec![("stats", snapshot)];
             if flight {
-                let mut shards = Vec::with_capacity(senders.len());
-                for (i, tx) in senders.iter().enumerate() {
-                    let (ftx, frx) = std::sync::mpsc::channel();
-                    let msg = ShardMsg::Flight {
-                        dump: true,
-                        reply: ftx,
-                    };
-                    let events = if send_with_backpressure(tx, msg, stats).is_ok() {
-                        frx.recv().unwrap_or_else(|_| Json::Array(Vec::new()))
-                    } else {
-                        Json::Array(Vec::new())
-                    };
-                    shards.push((format!("shard-{i}"), events));
-                }
-                fields.push(("flight", Json::Object(shards)));
+                let shards = senders.iter().enumerate().map(|(i, tx)| {
+                    let events = ask(tx, stats, |reply| ShardMsg::Flight { dump: true, reply });
+                    (
+                        format!("shard-{i}"),
+                        events.unwrap_or(Json::Array(Vec::new())),
+                    )
+                });
+                fields.push(("flight", Json::Object(shards.collect())));
             }
             record_conn_verb(stats, "stats", trace, at);
             (ok_response(fields), false)
@@ -1763,6 +1564,17 @@ fn dispatch(
                 ok_response(vec![("shutting_down", Json::Bool(true))]),
                 true,
             )
+        }
+        // init, ingest, estimate: a round trip to the session's shard.
+        _ => {
+            let tx = &senders[shard_of(req.session().unwrap_or_default(), senders.len())];
+            let resp = ask(tx, stats, |reply| ShardMsg::Request {
+                req,
+                payload,
+                at,
+                reply,
+            });
+            (resp.unwrap_or_else(error_response), false)
         }
     }
 }

@@ -22,8 +22,9 @@
 //!
 //! [`ShardDurability::open`] restores the latest valid snapshot (a
 //! missing or corrupt one restores nothing), replays WAL frames with
-//! `id > last_frame_id` through the same engine code paths live traffic
-//! takes, then *self-heals*: it writes a fresh snapshot of the recovered
+//! `id > last_frame_id` through the code live traffic takes — the one
+//! decoder [`Request::decode`] and the one apply path [`Engine::apply`]
+//! — then *self-heals*: it writes a fresh snapshot of the recovered
 //! state and starts a new WAL. That rotation absorbs torn tails, bounds
 //! replay work at the next startup, and makes a stale-snapshot-plus-
 //! newer-WAL directory converge to a consistent pair.
@@ -43,7 +44,6 @@ use ddn_stats::Json;
 use std::collections::HashSet;
 use std::fs::{self, File};
 use std::io::{self, Read, Write};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
 /// File magic opening every snapshot file (also its format version).
@@ -193,51 +193,12 @@ fn snapshot_payload(engine: &Engine, poisoned: &HashSet<String>, last_frame_id: 
     ])
 }
 
-/// Replays one recovered request into the engine, mirroring the live
-/// shard-worker semantics exactly — including the test failpoint, so a
-/// panic that poisoned a session live re-poisons it on replay.
-fn replay_request(
-    req: Request,
-    failpoint: Option<&str>,
-    engine: &mut Engine,
-    poisoned: &mut HashSet<String>,
-) {
-    match req {
-        Request::Init(spec) => {
-            poisoned.remove(&spec.session);
-            let _ = engine.handle_init(spec);
-        }
-        Request::Ingest {
-            session,
-            records,
-            seq,
-        } => {
-            if poisoned.contains(&session) {
-                return;
-            }
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                if let Some(marker) = failpoint {
-                    if session.contains(marker) {
-                        panic!("failpoint hit for session {session:?}");
-                    }
-                }
-                engine.handle_ingest(&session, &records, seq)
-            }));
-            if outcome.is_err() {
-                engine.remove_session(&session);
-                poisoned.insert(session);
-            }
-        }
-        // estimate/health/shutdown never reach the WAL.
-        _ => {}
-    }
-}
-
 impl ShardDurability {
     /// Opens (recovering if needed) the durable state for `shard` under
     /// `dir`, restoring into `engine`/`poisoned`. See the module docs for
     /// the recovery invariants. On return the directory holds a fresh
-    /// snapshot of the recovered state and an empty WAL.
+    /// snapshot of the recovered state and an empty WAL. A zero
+    /// `snapshot_every` is refused with `InvalidInput`.
     pub fn open(
         dir: &Path,
         shard: usize,
@@ -246,7 +207,12 @@ impl ShardDurability {
         engine: &mut Engine,
         poisoned: &mut HashSet<String>,
     ) -> io::Result<(Self, RecoverReport)> {
-        assert!(snapshot_every > 0, "snapshot interval must be positive");
+        if snapshot_every == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "snapshot interval must be positive",
+            ));
+        }
         fs::create_dir_all(dir)?;
         let snap_path = snapshot_path(dir, shard);
         let wal_path = wal_path(dir, shard);
@@ -285,29 +251,14 @@ impl ShardDurability {
                 continue;
             }
             max_id = frame.id;
-            // Binary batch frames are logged verbatim (magic byte first);
-            // everything else is a JSON request line. Either way a payload
-            // that no longer decodes is skipped, not fatal: the WAL is a
-            // redo log, and an undecodable frame cannot have been applied.
-            let req = if frame.payload.first() == Some(&crate::frame::FRAME_MAGIC[0]) {
-                match crate::frame::decode(&frame.payload) {
-                    Ok(batch) => Request::Ingest {
-                        session: batch.session,
-                        records: batch.records,
-                        seq: batch.seq,
-                    },
-                    Err(_) => continue,
-                }
-            } else {
-                let Ok(text) = std::str::from_utf8(&frame.payload) else {
-                    continue;
-                };
-                let Ok(req) = Request::parse(text) else {
-                    continue;
-                };
-                req
+            // A payload that no longer decodes is skipped, not fatal: the
+            // WAL is a redo log, and an undecodable request was never
+            // applied. The write-ahead step is a no-op: the frame is
+            // already in the log.
+            let (Ok(req), _) = Request::decode(&frame.payload) else {
+                continue;
             };
-            replay_request(req, failpoint, engine, poisoned);
+            engine.apply(req, poisoned, failpoint, || Ok(()));
             report.frames_replayed += 1;
         }
         // Self-heal: persist the recovered state, then start a new WAL.
@@ -329,10 +280,10 @@ impl ShardDurability {
     }
 
     /// Appends one request payload to the WAL, write-ahead of applying
-    /// it. The payload is either a canonical JSON request line or a
-    /// verbatim binary batch frame — recovery distinguishes the two by
-    /// the leading magic byte. Returns the bytes appended (frame header
-    /// included).
+    /// it: the bytes the request arrived as, a JSON line (newline
+    /// stripped) or a binary batch frame — recovery reads both back
+    /// through [`Request::decode`]. Returns the bytes appended (frame
+    /// header included).
     pub fn log_request(&mut self, payload: &[u8]) -> io::Result<usize> {
         let before = self.wal.bytes_written();
         self.wal.append(payload)?;

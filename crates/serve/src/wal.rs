@@ -11,15 +11,15 @@
 //! crc    := FNV-1a 64 over id_le64 ++ payload
 //! ```
 //!
-//! A frame's payload is one state-bearing request exactly as it would
-//! travel on the wire: either a JSON request line (an `init` or `ingest`
-//! object, no trailing newline) or a verbatim binary batch frame
-//! ([`crate::frame`]). The WAL is literally the ordered log of every
-//! state-bearing request a shard consumed, so recovery replays frames
-//! through the same parse/decode code path live traffic takes —
-//! bit-identity for free. Recovery tells the two payload kinds apart by
-//! the leading byte: the binary magic `0xDB` can never begin a JSON
-//! request line.
+//! A frame's payload is one state-bearing request exactly as it arrived
+//! on the wire: either the client's JSON request line (an `init` or
+//! `ingest` object, without its newline) or its binary batch frame
+//! ([`crate::frame`]), byte for byte. The WAL is literally the ordered
+//! log of every state-bearing request a shard consumed, so recovery
+//! replays frames through the decoder and apply path live traffic takes
+//! ([`crate::Request::decode`], [`crate::Engine::apply`]) — bit-identity
+//! for free. The decoder tells the two payload kinds apart by the frame
+//! magic, which can never begin a JSON request line.
 //!
 //! Frame ids are monotonic across snapshot rotations and never reused;
 //! a snapshot records the last id it covers, which is what lets recovery
@@ -86,7 +86,8 @@ pub fn encode_frame(id: u64, payload: &[u8]) -> Vec<u8> {
 pub struct WalFrame {
     /// Monotonic frame id (never reused across snapshot rotations).
     pub id: u64,
-    /// The request line this frame logged.
+    /// The request payload this frame logged (a JSON line or a binary
+    /// batch frame).
     pub payload: Vec<u8>,
 }
 
@@ -116,11 +117,18 @@ impl WalWriter {
     /// write reaches the kernel before this returns (a `kill -9` after an
     /// acknowledged append loses nothing); it is *not* fsynced — power-loss
     /// durability is provided at snapshot boundaries via [`WalWriter::sync`].
+    /// A payload over [`MAX_FRAME_BYTES`] is refused with `InvalidInput`
+    /// before anything is written.
     pub fn append(&mut self, payload: &[u8]) -> io::Result<u64> {
-        assert!(
-            payload.len() <= MAX_FRAME_BYTES,
-            "WAL frame payload exceeds MAX_FRAME_BYTES"
-        );
+        if payload.len() > MAX_FRAME_BYTES {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "WAL payload of {} bytes exceeds the {MAX_FRAME_BYTES}-byte frame cap",
+                    payload.len()
+                ),
+            ));
+        }
         let id = self.next_id;
         let frame = encode_frame(id, payload);
         self.file.write_all(&frame)?;
@@ -293,6 +301,23 @@ mod tests {
         let r = read_wal(&path).unwrap();
         assert!(r.frames.is_empty());
         assert_eq!(r.truncated, 1);
+    }
+
+    #[test]
+    fn an_oversize_payload_is_refused_without_touching_the_log() {
+        let path = scratch("oversize");
+        let mut w = WalWriter::create(&path, 1).unwrap();
+        w.append(b"kept").unwrap();
+        let len = fs::metadata(&path).unwrap().len();
+        // Zeroed, never written: the pages stay unmapped.
+        let huge = vec![0u8; MAX_FRAME_BYTES + 1];
+        let err = w.append(&huge).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        assert_eq!(fs::metadata(&path).unwrap().len(), len);
+        assert_eq!(w.bytes_written(), len);
+        assert_eq!(w.next_id(), 2);
+        assert_eq!(w.append(b"next").unwrap(), 2);
+        assert_eq!(read_wal(&path).unwrap().frames.len(), 2);
     }
 
     #[test]

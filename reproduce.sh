@@ -57,6 +57,12 @@ if [[ "${1:-}" == "ci" ]]; then
   cargo build --workspace --release --offline
   echo "== ci: hermetic offline tests =="
   cargo test --workspace -q --offline
+  echo "== ci: servebench builds and passes its tests =="
+  # servebench/ is a workspace of its own, linked against the ddn-serve
+  # API by path, so neither command above compiles it: without this step
+  # a change that breaks an API it uses passes ci and fails only the
+  # benchmark run.
+  cargo test --release --offline --manifest-path servebench/Cargo.toml
   echo "== ci: telemetry smoke (selftest --telemetry + telemetry-check) =="
   # One small instrumented scenario: the health suite exercises every
   # estimator, writes a telemetry snapshot, and telemetry-check re-parses
@@ -307,7 +313,7 @@ if [[ "${1:-}" == "ci" ]]; then
   # The regression gate proper: every metric pinned in bench_floors.json
   # must sit at or above its floor, or ci fails here.
   ./target/release/ddn bench-diff "$bench_dir" --floors bench_floors.json
-  echo "ci ok: built, tested, telemetry-smoked, batch-equivalence-checked, serve-smoked, binary-protocol-smoked, crash-resume-smoked, chaos-smoked, loadgen-smoked, and bench-diff-gated with zero external dependencies"
+  echo "ci ok: built, tested, servebench-tested, telemetry-smoked, batch-equivalence-checked, serve-smoked, binary-protocol-smoked, crash-resume-smoked, chaos-smoked, loadgen-smoked, and bench-diff-gated with zero external dependencies"
   exit 0
 fi
 
