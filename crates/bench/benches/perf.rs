@@ -11,6 +11,7 @@ use ddn_estimators::{
 use ddn_models::{ForestConfig, ForestRegressor, KnnConfig, KnnRegressor, TabularMeanModel};
 use ddn_netsim::{small_world, wise_like_tiered, EventQueue, RateProfile, SimTime};
 use ddn_policy::{LookupPolicy, UniformRandomPolicy};
+use ddn_serve::engine::{COUPLING_MIN_SEGMENT, COUPLING_WINDOW};
 use ddn_stats::changepoint::{pelt, CostModel, Penalty};
 use ddn_stats::dist::{Distribution, Normal};
 use ddn_stats::rng::{Rng, Xoshiro256};
@@ -121,6 +122,14 @@ fn bench_changepoint(suite: &mut Suite) {
             pelt(&series, CostModel::NormalMean, Penalty::Bic, 10)
         });
     }
+    // PELT's worst case, with the serving coupling monitor's settings: on
+    // a stationary series pruning keeps almost every candidate.
+    let (n, min_seg) = (COUPLING_WINDOW, COUPLING_MIN_SEGMENT);
+    let series = Normal::new(2.0, 1.0).sample_n(&mut Xoshiro256::seed_from(11), n);
+    let name = format!("changepoint/pelt_stationary/{n}");
+    suite.bench_throughput(&name, n as u64, || {
+        pelt(&series, CostModel::NormalMean, Penalty::Bic, min_seg)
+    });
 }
 
 /// Telemetry cost, both ways: the *disabled* path (no collector — what

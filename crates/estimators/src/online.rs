@@ -1067,7 +1067,9 @@ impl<E: OnlineEstimator> SlidingWindow<E> {
         assert!(capacity > 0, "window capacity must be positive");
         Self {
             inner,
-            window: VecDeque::with_capacity(capacity),
+            // Grown on demand: `capacity` comes from the client, and memory
+            // must be bounded by the records actually sent.
+            window: VecDeque::new(),
             capacity,
             evicted: 0,
         }
@@ -1149,7 +1151,7 @@ impl<E: OnlineEstimator> SlidingWindow<E> {
                 self.capacity
             )));
         }
-        let mut window = VecDeque::with_capacity(self.capacity);
+        let mut window = VecDeque::with_capacity(raw.len());
         for rec in raw {
             window.push_back(
                 TraceRecord::from_json(rec)

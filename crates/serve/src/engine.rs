@@ -35,6 +35,11 @@ pub const COUPLING_MIN_SEGMENT: usize = 20;
 /// Online §4.3 coupling detection: keeps a bounded trailing window of
 /// observed rewards and, on demand, runs PELT (normal-mean cost, BIC
 /// penalty) over it to flag decision–reward coupling regimes live.
+///
+/// The window grows with the rewards pushed, up to its capacity. Every
+/// [`CouplingMonitor::changepoints`] call scans the whole window; on a
+/// stationary window of `n` rewards that is about `n²/2` segment costs
+/// (see [`pelt`]), a few ms at [`COUPLING_WINDOW`].
 pub struct CouplingMonitor {
     window: VecDeque<f64>,
     capacity: usize,
@@ -51,7 +56,8 @@ impl CouplingMonitor {
         assert!(capacity > 0, "coupling window capacity must be positive");
         assert!(min_segment > 0, "min_segment must be positive");
         Self {
-            window: VecDeque::with_capacity(capacity),
+            // Grown on demand, so an idle session costs no window memory.
+            window: VecDeque::new(),
             capacity,
             min_segment,
             seen: 0,
@@ -115,7 +121,7 @@ impl CouplingMonitor {
                 self.capacity
             ));
         }
-        let mut window = VecDeque::with_capacity(self.capacity);
+        let mut window = VecDeque::with_capacity(raw.len());
         for x in raw {
             let bits = x
                 .as_i64()
@@ -997,6 +1003,33 @@ mod tests {
         let policy = LookupPolicy::constant(space(), 1);
         let offline = ddn_estimators::Ips::new().estimate(&tail, &policy).unwrap();
         assert_eq!(online.to_bits(), offline.value.to_bits());
+    }
+
+    #[test]
+    fn a_huge_window_allocates_only_what_is_ingested() {
+        // Reserving the client's capacity up front would abort the whole
+        // process here (an allocation failure is not a panic).
+        let mut engine = Engine::new();
+        let mut poisoned = HashSet::new();
+        let mut apply = |line: &str| {
+            let req = Request::parse(line).unwrap();
+            engine.apply(req, &mut poisoned, None, || Ok(())).0
+        };
+        let resp = apply(&init_line(
+            r#","estimators":["ips"],"policy":{"kind":"constant","decision":"b"},"window":1000000000000"#,
+        ));
+        assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "{resp}");
+        let batch: Vec<String> = records(30, 4)
+            .iter()
+            .map(|r| r.to_json().to_string())
+            .collect();
+        let resp = apply(&format!(
+            r#"{{"verb":"ingest","session":"s","records":[{}]}}"#,
+            batch.join(",")
+        ));
+        assert_eq!(resp.get("total").and_then(Json::as_i64), Some(30), "{resp}");
+        let resp = apply(r#"{"verb":"estimate","session":"s"}"#);
+        assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "{resp}");
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   min/mean/max error reports that Figure 7 of the paper plots.
 //! - [`bootstrap`] — percentile bootstrap confidence intervals for
 //!   estimator outputs.
-//! - [`changepoint`] — PELT and binary segmentation for detecting
+//! - [`changepoint`] — PELT change-point detection for
 //!   self-induced system-state changes (paper §4.3, refs \[23, 26\]).
 //! - [`linalg`] — small dense matrix helpers (Cholesky solve) backing the
 //!   hand-rolled ridge regression in `ddn-models`.
@@ -41,7 +41,7 @@ pub mod summary;
 pub mod ttest;
 
 pub use bootstrap::{bootstrap_ci, BootstrapCi};
-pub use changepoint::{binary_segmentation, pelt, CostModel, Penalty};
+pub use changepoint::{pelt, CostModel, Penalty};
 pub use dist::{
     Bernoulli, Categorical, Distribution, Exponential, LogNormal, Normal, Pareto, Uniform,
 };

@@ -33,6 +33,20 @@ pub enum TraceError {
         /// Offending value.
         value: f64,
     },
+    /// A record's reward is NaN or infinite.
+    NonFiniteReward {
+        /// Record position in the trace.
+        record: usize,
+        /// Offending value.
+        value: f64,
+    },
+    /// A record's timestamp is NaN or infinite.
+    NonFiniteTimestamp {
+        /// Record position in the trace.
+        record: usize,
+        /// Offending value.
+        value: f64,
+    },
     /// Timestamps are present but not non-decreasing.
     UnorderedTimestamps {
         /// Position of the first out-of-order record.
@@ -101,6 +115,12 @@ impl fmt::Display for TraceError {
             }
             TraceError::InvalidPropensity { record, value } => {
                 write!(f, "record {record}: propensity {value} outside (0, 1]")
+            }
+            TraceError::NonFiniteReward { record, value } => {
+                write!(f, "record {record}: reward {value} is not finite")
+            }
+            TraceError::NonFiniteTimestamp { record, value } => {
+                write!(f, "record {record}: timestamp {value} is not finite")
             }
             TraceError::UnorderedTimestamps { record } => {
                 write!(f, "record {record}: timestamp decreases")

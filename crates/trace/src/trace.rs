@@ -65,11 +65,11 @@ impl Trace {
     }
 
     /// Validates one record at stream position `k`: decision range, schema
-    /// conformance, propensity range, and timestamp ordering against the
-    /// previous record (`last_ts` is advanced on success). Shared by
-    /// [`Trace::from_records`] and the incremental [`TraceStream`], and
-    /// public so streaming ingest layers can apply the exact same checks
-    /// to records that never pass through a `Trace`.
+    /// conformance, a finite reward, propensity range, and a finite
+    /// timestamp ordered after the previous record's (`last_ts` is advanced
+    /// on success). Shared by [`Trace::from_records`] and the incremental
+    /// [`TraceStream`], and public so streaming ingest layers can apply the
+    /// exact same checks to records that never pass through a `Trace`.
     pub fn validate_record(
         k: usize,
         r: &TraceRecord,
@@ -85,6 +85,12 @@ impl Trace {
             });
         }
         Self::check_context(k, r, schema)?;
+        if !r.reward.is_finite() {
+            return Err(TraceError::NonFiniteReward {
+                record: k,
+                value: r.reward,
+            });
+        }
         if let Some(p) = r.propensity {
             if !(p > 0.0 && p <= 1.0 && p.is_finite()) {
                 return Err(TraceError::InvalidPropensity {
@@ -94,6 +100,12 @@ impl Trace {
             }
         }
         if let Some(t) = r.timestamp {
+            if !t.is_finite() {
+                return Err(TraceError::NonFiniteTimestamp {
+                    record: k,
+                    value: t,
+                });
+            }
             if t < *last_ts {
                 return Err(TraceError::UnorderedTimestamps { record: k });
             }
@@ -458,6 +470,39 @@ mod tests {
         let r2 = rec(0, 1.0, 0, 0.0).with_timestamp(3.0);
         let e = Trace::from_records(schema(), space(), vec![r1, r2]).unwrap_err();
         assert!(matches!(e, TraceError::UnorderedTimestamps { record: 1 }));
+    }
+
+    #[test]
+    fn rejects_non_finite_rewards_and_timestamps() {
+        // Binary frames and JSON (`1e999`) can carry these past the
+        // `TraceRecord` constructors' asserts.
+        for value in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut bad = rec(0, 1.0, 0, 0.0);
+            bad.reward = value;
+            let e =
+                Trace::from_records(schema(), space(), vec![rec(0, 1.0, 0, 0.0), bad]).unwrap_err();
+            assert!(
+                matches!(e, TraceError::NonFiniteReward { record: 1, .. }),
+                "{e}"
+            );
+            assert!(e.to_string().contains("reward"), "{e}");
+        }
+        for value in [f64::NAN, f64::INFINITY] {
+            let mut bad = rec(0, 1.0, 0, 0.0);
+            bad.timestamp = Some(value);
+            let mut last_ts = 2.0;
+            let e = Trace::validate_record(4, &bad, &schema(), &space(), &mut last_ts).unwrap_err();
+            assert!(
+                matches!(e, TraceError::NonFiniteTimestamp { record: 4, .. }),
+                "{e}"
+            );
+            assert!(e.to_string().contains("timestamp"), "{e}");
+            assert_eq!(last_ts, 2.0, "a rejected record must not advance the clock");
+        }
+        // Only finiteness is checked, not the sign.
+        let mut early = rec(0, 1.0, 0, 0.0);
+        early.timestamp = Some(-5.0);
+        assert!(Trace::from_records(schema(), space(), vec![early]).is_ok());
     }
 
     #[test]

@@ -5,7 +5,8 @@
 # Usage:
 #   ./reproduce.sh       — full pipeline (build, tests, figures, examples)
 #   ./reproduce.sh ci    — hermetic CI check only: offline release build +
-#                          offline test suite, proving the workspace needs
+#                          offline test suite (plus ddn-stats on the
+#                          optimized build), proving the workspace needs
 #                          nothing from crates.io
 #   ./reproduce.sh bench-pin — re-run the CI-sized bench smokes and re-pin
 #                          the bench_floors.json regression floors from
@@ -57,6 +58,11 @@ if [[ "${1:-}" == "ci" ]]; then
   cargo build --workspace --release --offline
   echo "== ci: hermetic offline tests =="
   cargo test --workspace -q --offline
+  echo "== ci: ddn-stats tests on the optimized build =="
+  # The suite above is a debug build, which does not auto-vectorize; the
+  # PELT scan must still match its oracle once the compiler vectorizes
+  # it, and the release build also runs the oracle's full case grid.
+  cargo test --release --offline -p ddn-stats
   echo "== ci: servebench builds and passes its tests =="
   # servebench/ is a workspace of its own, linked against the ddn-serve
   # API by path, so neither command above compiles it: without this step
