@@ -129,7 +129,7 @@ USAGE:
   ddn selftest [--runs 16] [--telemetry <out.json>]
   ddn telemetry-check <telemetry.json>   (expects a full-menu snapshot,
                                           i.e. one written by selftest)
-  ddn serve    [--addr 127.0.0.1:0] [--shards 4] [--dispatchers 2] [--queue 256]
+  ddn serve    [--addr 127.0.0.1:0] [--shards 4] [--queue 256]
                [--port-file <path>] [--data-dir <dir>] [--snapshot-every 256]
                [--failpoint <marker>]
   ddn replay-to <trace.jsonl> --addr <host:port> --decision <name>
@@ -144,7 +144,7 @@ USAGE:
   ddn chaos    [--seed 7] [--faults 0.01] [--duration-records 20000]
                [--batch 256] [--shards 4]
   ddn loadgen  [--sessions 100000] [--records 3] [--batch 2] [--workers 0]
-               [--shards 4] [--dispatchers 2] [--queue 256] [--seed 7]
+               [--shards 4] [--queue 256] [--seed 7]
                [--rate 25000] [--profile constant|diurnal] [--framing mixed]
                [--faults 0] [--timescale 1] [--open-loop] [--smoke]
                [--addr <host:port>] [--bench-json <out.json>]
@@ -861,13 +861,6 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
             .ok()
             .filter(|&s: &usize| s > 0)
             .ok_or_else(|| CliError::Usage("shards must be a positive integer".into()))?;
-    }
-    if let Some(dispatchers) = flags.get("dispatchers") {
-        config.dispatchers = dispatchers
-            .parse()
-            .ok()
-            .filter(|&d: &usize| d > 0)
-            .ok_or_else(|| CliError::Usage("dispatchers must be a positive integer".into()))?;
     }
     if let Some(queue) = flags.get("queue") {
         config.queue_capacity = queue
@@ -1769,7 +1762,6 @@ fn cmd_loadgen(args: &[String]) -> Result<String, CliError> {
             addr: flags.get("addr").map(str::to_string),
             serve: ddn_serve::ServeConfig {
                 shards: parse_usize("shards", 4, 1)?,
-                dispatchers: parse_usize("dispatchers", 2, 1)?,
                 queue_capacity: parse_usize("queue", 256, 1)?,
                 ..ddn_serve::ServeConfig::default()
             },
@@ -2629,14 +2621,6 @@ mod tests {
             assert!(matches!(err, CliError::Usage(_)), "{bad:?}: {err}");
             assert_eq!(err.exit_code(), 2, "{bad:?}");
         }
-    }
-
-    #[test]
-    fn serve_dispatchers_usage_error() {
-        let err = run(&args(&["serve", "--dispatchers", "0"])).unwrap_err();
-        assert!(matches!(err, CliError::Usage(_)), "{err}");
-        let err = run(&args(&["serve", "--dispatchers", "lots"])).unwrap_err();
-        assert!(matches!(err, CliError::Usage(_)), "{err}");
     }
 
     #[test]

@@ -311,7 +311,7 @@ impl Epoll {
 
 /// A cross-thread wakeup handle backed by a nonblocking eventfd.
 ///
-/// Dispatcher threads call [`Waker::wake`] after queuing a completion;
+/// Shard workers call [`Waker::wake`] after queuing a completion;
 /// the event loop registers the eventfd alongside its sockets and calls
 /// [`Waker::drain`] when it fires. Cloning shares the same eventfd.
 #[derive(Debug, Clone)]
@@ -403,7 +403,7 @@ mod tests {
         let mut events = Vec::new();
         assert_eq!(epoll.wait(&mut events, 0).unwrap(), 0);
 
-        // Wake from another thread (the dispatcher-pool pattern).
+        // Wake from another thread (as a shard worker does).
         let w2 = waker.clone();
         let t = std::thread::spawn(move || w2.wake());
         let n = epoll.wait(&mut events, 2000).unwrap();

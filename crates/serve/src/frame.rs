@@ -65,7 +65,7 @@ const FLAG_PROPENSITY: u16 = 1 << 2;
 const FLAG_STATE: u16 = 1 << 3;
 const FLAG_TIMESTAMP: u16 = 1 << 4;
 
-/// A decoded binary batch: everything the dispatcher needs to build the
+/// A decoded binary batch: everything the decoder needs to build the
 /// same `Request::Ingest` the JSON verb would have produced.
 #[derive(Debug)]
 pub struct BinaryBatch {

@@ -19,8 +19,9 @@
 //!   and [`Engine::apply`], the apply path live traffic and recovery
 //!   share; transport-independent and directly testable.
 //! - [`server`] — the readiness-driven TCP front end: one epoll event
-//!   loop owning every connection, a small dispatcher pool, sharded
-//!   bounded ingest queues with backpressure, graceful shutdown.
+//!   loop that owns every connection, decodes every request and routes
+//!   it to its shard; sharded bounded queues whose overflow parks on
+//!   the loop; graceful shutdown.
 //! - [`eventloop`] — the zero-dependency epoll/eventfd layer (raw
 //!   syscalls; the only module in the workspace allowed `unsafe`).
 //! - [`client`] — a blocking client for `ddn replay-to` and tests, with

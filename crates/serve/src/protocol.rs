@@ -65,8 +65,9 @@
 //! §14.
 //!
 //! [`Request::decode`] is the one decoder for both encodings: the
-//! dispatcher runs it on every payload a connection sends, and crash
-//! recovery runs it on every payload the WAL logged — the same bytes.
+//! server's event loop runs it on every payload a connection sends, and
+//! crash recovery runs it on every payload the WAL logged — the same
+//! bytes.
 
 use crate::frame::{self, FRAME_MAGIC};
 use ddn_stats::Json;
@@ -233,7 +234,7 @@ impl Request {
     /// plus the `"id"` to echo. A JSON line's id is read before its verb
     /// is validated, so even a malformed request's error echoes it.
     ///
-    /// This is the one decoder: the dispatcher runs it on live traffic
+    /// This is the one decoder: the event loop runs it on live traffic
     /// and recovery on the WAL, which logs these same payload bytes, so
     /// a logged request replays exactly as it was first read.
     pub fn decode(payload: &[u8]) -> (Result<Request, String>, Option<Json>) {
@@ -311,7 +312,7 @@ impl Request {
     }
 
     /// The session a shard verb (`init`, `ingest`, `estimate`) targets;
-    /// `None` for the verbs a dispatcher answers itself.
+    /// `None` for the verbs the event loop answers itself.
     pub fn session(&self) -> Option<&str> {
         match self {
             Request::Init(spec) => Some(&spec.session),

@@ -1,30 +1,29 @@
-//! The TCP transport: one readiness-driven event loop, a small
-//! dispatcher pool, and the sharded worker pool.
+//! The TCP transport: one readiness-driven event loop and the sharded
+//! worker pool.
 //!
 //! ## Threading model (DESIGN.md §14)
 //!
 //! ```text
-//! event loop ──(complete requests)──▶ dispatchers (fixed pool)
-//!   │  epoll over listener,              │  Request::decode(payload)
-//!   │  every connection, and             │  (JSON line or binary frame)
-//!   │  a completion waker                │  hash(session) → shard
-//!   ▼                                    ▼
-//! accept / read / frame          bounded sync_channel (backpressure)
-//!   ▲                                    │  request + its payload bytes
-//!   │                                    ▼
-//!   └──(responses via waker)──── shard workers (own the sessions):
-//!                                  log payload, then Engine::apply
+//! event loop (one thread)                  shard workers (own the sessions)
+//!   epoll over listener, every               log payload, Engine::apply,
+//!   connection and a completion waker        book metrics, render the reply
+//!   accept / read / frame / write                 ▲                  │
+//!   Request::decode(payload)                      │                  │
+//!   answer health / stats / shutdown              │                  │
+//!   hash(session) → shard ── try_send ────────────┘                  │
+//!        ▲                   (bounded; a full queue parks)           │
+//!        └──────────── Completion {conn, bytes} + waker ◀────────────┘
 //! ```
 //!
 //! The event loop owns every socket: it accepts, reads, splits the byte
 //! stream into requests (newline-delimited JSON or length-prefixed
-//! binary frames), and writes responses — all nonblocking, so one
-//! thread holds ~100k idle connections at a few hundred bytes each
-//! instead of a stack per connection. Complete requests are handed to a
-//! fixed pool of dispatcher threads ([`ServeConfig::dispatchers`]) that
-//! decode them with [`Request::decode`] and do the shard round-trip,
-//! then queue the response bytes back to the loop through an eventfd
-//! waker.
+//! binary frames), decodes each with [`Request::decode`], and writes
+//! responses — all nonblocking, so one thread holds ~100k idle
+//! connections at a few hundred bytes each instead of a stack per
+//! connection. It answers `health`, `stats` and `shutdown` itself and
+//! hands `init`, `ingest` and `estimate` straight to the session's
+//! shard, which renders the reply bytes and queues them back to the
+//! loop through an eventfd waker: a request crosses two threads.
 //!
 //! A shard verb reaches its shard as the decoded request plus the bytes
 //! it arrived as. With durability on, the worker logs an `init` or
@@ -49,12 +48,21 @@
 //!
 //! ## Backpressure
 //!
-//! Ingest queues are bounded ([`ServeConfig::queue_capacity`] messages
-//! per shard). A dispatcher first tries a non-blocking send; when the
-//! shard's queue is full it counts a `serve.backpressure.stalls` event
-//! and falls back to a blocking send, which stalls that dispatcher (and,
-//! through stop-and-wait, the client that sent the request) without
-//! affecting connections served by the other dispatchers.
+//! Shard queues are bounded ([`ServeConfig::queue_capacity`] messages
+//! per shard), and the loop never blocks on one. It offers each request
+//! with a non-blocking send; when the shard's queue is full, or requests
+//! for that shard are already parked, it counts a
+//! `serve.backpressure.stalls` event and parks the request, oldest
+//! first per shard. Parked requests are offered again on every loop
+//! turn, after completions drain: a full queue holds requests whose
+//! completions wake the loop. The client that sent a parked request
+//! waits (stop-and-wait); connections served by other shards keep
+//! flowing.
+//!
+//! `health` and `stats {"flight":true}` ask every shard in turn from the
+//! loop, a blocking send and receive. That cannot deadlock: a shard
+//! never waits on the loop, because the completion queue is unbounded
+//! (one reply per in-flight connection) and the waker is nonblocking.
 //!
 //! ## Fault isolation
 //!
@@ -69,16 +77,22 @@
 //! every request with a `degraded` error (re-`init` lifts the
 //! quarantine) and show up in `health` under `serve/<session>/degraded`.
 //!
+//! A reply that ends its connection (an unframeable frame, the
+//! `shutdown` ack) is flushed, then the loop shuts the write half and
+//! discards input until the peer's EOF. Closing a socket with unread
+//! input makes the kernel send a reset, which can destroy the reply
+//! before the peer reads it.
+//!
 //! ## Shutdown contract
 //!
 //! A `shutdown` verb (the SIGTERM-equivalent for this zero-dependency
-//! server) or [`ServerHandle::shutdown`] sets a flag and wakes the
-//! event loop with a loopback connection. The loop stops accepting,
-//! closes idle connections, flushes in-flight responses, then exits;
-//! dropping its work channel stops the dispatchers, and dropping their
-//! shard senders stops the workers. [`ServerHandle::shutdown`] joins
-//! every thread — loop, dispatchers, and workers — so when it returns
-//! the process holds no server state and no thread or fd has leaked.
+//! server) or [`ServerHandle::shutdown`] sets a flag; the handle also
+//! wakes the event loop. The loop stops accepting, closes idle
+//! connections (at once, even half-closed ones whose peer never closes),
+//! lets in-flight and parked requests finish and flush, then exits;
+//! dropping its shard senders stops the workers. [`ServerHandle::shutdown`]
+//! joins every thread — loop and workers — so when it returns the
+//! process holds no server state and no thread or fd has leaked.
 
 use crate::engine::{Engine, Outcome};
 use crate::eventloop::{Epoll, Event, Waker, EPOLLIN, EPOLLOUT};
@@ -91,15 +105,15 @@ use crate::wal::MAX_FRAME_BYTES;
 use ddn_stats::Json;
 use ddn_telemetry::{Collector, Counter, Gauge, Histogram, Registry, TelemetrySnapshot};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::io::ErrorKind;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::os::fd::AsRawFd;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -122,8 +136,6 @@ pub struct ServeConfig {
     /// [`MAX_FRAME_BYTES`]), which this cap may not exceed: the WAL logs
     /// each request as it arrived, so the two caps bound every frame.
     pub max_line_bytes: usize,
-    /// Dispatcher threads parsing requests and doing shard round-trips.
-    pub dispatchers: usize,
     /// Optional hook wrapping every accepted connection's transport
     /// (chaos tests inject faults here).
     pub wrap: Option<TransportWrap>,
@@ -155,7 +167,6 @@ impl std::fmt::Debug for ServeConfig {
             .field("shards", &self.shards)
             .field("queue_capacity", &self.queue_capacity)
             .field("max_line_bytes", &self.max_line_bytes)
-            .field("dispatchers", &self.dispatchers)
             .field("wrap", &self.wrap.as_ref().map(|_| "<hook>"))
             .field("failpoint", &self.failpoint)
             .field("data_dir", &self.data_dir)
@@ -173,7 +184,6 @@ impl Default for ServeConfig {
             shards: 4,
             queue_capacity: 256,
             max_line_bytes: 1 << 20,
-            dispatchers: 2,
             wrap: None,
             failpoint: None,
             data_dir: None,
@@ -260,7 +270,8 @@ impl ServerStats {
         self.conn_active.load(Ordering::Relaxed)
     }
 
-    /// Times a dispatcher found its shard queue full and had to block.
+    /// Requests the event loop parked because their shard queue was full
+    /// (or held parked requests already).
     pub fn backpressure_stalls(&self) -> u64 {
         self.backpressure_stalls.get()
     }
@@ -382,18 +393,22 @@ impl ServerStats {
     }
 }
 
-/// Messages a dispatcher sends to a shard worker. Replies travel over a
-/// per-request channel so a slow shard never blocks other dispatchers.
+/// Messages the event loop sends to a shard worker.
 enum ShardMsg {
     /// One `init`, `ingest` or `estimate` for a session on this shard.
+    /// The worker answers through the loop's [`Outbox`].
     Request {
         req: Request,
         /// The bytes the request arrived as (JSON line without its
         /// newline, or binary frame): the WAL payload (DESIGN.md §12).
         payload: Vec<u8>,
-        /// Enqueue time, for the queue-wait histogram.
+        /// The `"id"` the reply echoes.
+        id: Option<Json>,
+        /// The connection the reply goes to.
+        conn: u64,
+        /// When the loop first offered the request, for the queue-wait
+        /// histogram: time parked on the loop counts as queue wait.
         at: Instant,
-        reply: Sender<Json>,
     },
     /// Health probe: the shard answers with its estimator-health
     /// collector.
@@ -451,8 +466,9 @@ impl ShardMetrics {
     }
 }
 
-/// Everything a shard worker needs for observability, bundled so the
-/// worker signature stays readable.
+/// Everything a shard worker needs besides its sessions — its
+/// observability handles and the way back to the event loop — bundled
+/// so the worker signature stays readable.
 struct ShardCtx {
     shard: usize,
     trace: bool,
@@ -460,6 +476,7 @@ struct ShardCtx {
     /// Where panic dumps and on-demand dumps go (the durability dir).
     flight_dir: Option<PathBuf>,
     metrics: ShardMetrics,
+    outbox: Outbox,
 }
 
 /// Saturating nanosecond count of a duration.
@@ -504,9 +521,9 @@ fn observe_request(
 pub struct ServerHandle {
     local_addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
+    waker: Waker,
     stats: Arc<ServerStats>,
     event_loop: Option<JoinHandle<()>>,
-    dispatchers: Vec<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -526,7 +543,7 @@ impl ServerHandle {
     pub fn shutdown(self) {
         self.shutdown.store(true, Ordering::SeqCst);
         // Wake the event loop if it is parked in epoll_wait.
-        let _ = TcpStream::connect(self.local_addr);
+        self.waker.wake();
         self.join();
     }
 
@@ -534,25 +551,15 @@ impl ServerHandle {
     /// `shutdown` verb — then joins every thread. This is what
     /// `ddn serve` does after printing the bound address.
     pub fn join(mut self) {
-        // The event loop exits once drained; dropping its work channel
-        // stops the dispatchers, and dropping their shard senders stops
-        // the workers — join in that dependency order.
+        // The event loop exits once drained, and dropping its shard
+        // senders stops the workers — join in that dependency order.
         if let Some(h) = self.event_loop.take() {
-            let _ = h.join();
-        }
-        for h in self.dispatchers.drain(..) {
             let _ = h.join();
         }
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
     }
-}
-
-/// Locks a mutex, shrugging off poisoning: the guarded data here (the
-/// shared work-queue receiver) stays valid even if a holder panicked.
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Fallback epoll timeout: how long the loop waits with no events
@@ -567,26 +574,39 @@ const TOKEN_WAKER: u64 = 1;
 /// First token handed to an accepted connection.
 const TOKEN_CONN0: u64 = 2;
 
-/// One complete request the event loop framed off a connection, headed
-/// for a dispatcher.
-struct WorkItem {
-    conn_id: u64,
-    /// One JSON line (newline stripped) or one complete binary frame,
-    /// magic through crc.
-    payload: Vec<u8>,
-}
-
-/// A finished response headed back to the event loop for writing.
+/// A rendered reply headed back to the event loop for writing.
 struct Completion {
-    conn_id: u64,
+    conn: u64,
     /// The exact bytes to write (response JSON + `\n`).
     bytes: Vec<u8>,
-    /// Close the connection after flushing (the `shutdown` ack).
-    close: bool,
 }
 
-/// Binds `config.addr` and starts the event loop, dispatchers, and
-/// shard workers. Any startup failure — an invalid config (`InvalidInput`),
+/// The way back to the event loop: its completion queue plus the waker
+/// that makes it drain the queue. Neither blocks — the queue is
+/// unbounded, holding at most one reply per in-flight connection, and
+/// the waker is a nonblocking eventfd — so a shard never waits on the
+/// loop.
+#[derive(Clone)]
+struct Outbox {
+    done: Sender<Completion>,
+    waker: Waker,
+}
+
+impl Outbox {
+    /// Queues `resp`, with the echoed `id`, as the reply line for
+    /// `conn`, and wakes the loop.
+    fn reply(&self, conn: u64, id: Option<Json>, resp: Json) {
+        let mut bytes = attach_id(resp, id).to_string().into_bytes();
+        bytes.push(b'\n');
+        // A closed queue means the loop has exited: nobody is waiting.
+        if self.done.send(Completion { conn, bytes }).is_ok() {
+            self.waker.wake();
+        }
+    }
+}
+
+/// Binds `config.addr` and starts the event loop and the shard
+/// workers. Any startup failure — an invalid config (`InvalidInput`),
 /// bind, epoll/eventfd creation, thread spawn under resource exhaustion
 /// — returns an `io::Error` instead of panicking, so `ddn serve` exits 1
 /// with a message.
@@ -598,7 +618,6 @@ pub fn serve(config: &ServeConfig) -> std::io::Result<ServerHandle> {
             "queue capacity must be positive",
         ),
         (config.max_line_bytes == 0, "line cap must be positive"),
-        (config.dispatchers == 0, "need at least one dispatcher"),
         (
             config.max_line_bytes > MAX_FRAME_BYTES,
             "line cap exceeds the WAL frame cap",
@@ -612,6 +631,12 @@ pub fn serve(config: &ServeConfig) -> std::io::Result<ServerHandle> {
     let local_addr = listener.local_addr()?;
     let shutdown = Arc::new(AtomicBool::new(false));
     let stats = Arc::new(ServerStats::default());
+    let waker = Waker::new()?;
+    let (done_tx, done_rx) = channel::<Completion>();
+    let outbox = Outbox {
+        done: done_tx,
+        waker: waker.clone(),
+    };
 
     // Crash-resume happens here, on the caller's thread, before any
     // traffic can arrive: each shard restores its snapshot and replays
@@ -646,14 +671,15 @@ pub fn serve(config: &ServeConfig) -> std::io::Result<ServerHandle> {
         // Resolving the metric handles here (not in the worker) means
         // every shard's metric names are registered before serve()
         // returns, so the `stats` key set does not depend on which
-        // shards happen to receive traffic. (Dispatcher-handled verbs
-        // get the same treatment just below the shard loop.)
+        // shards happen to receive traffic. (Loop-handled verbs get the
+        // same treatment just below the shard loop.)
         let ctx = ShardCtx {
             shard: i,
             trace: config.trace_requests,
             flight_capacity: config.flight_capacity,
             flight_dir: config.data_dir.clone(),
             metrics: ShardMetrics::new(stats.registry(), i),
+            outbox: outbox.clone(),
         };
         let spawned = std::thread::Builder::new()
             .name(format!("ddn-serve-shard-{i}"))
@@ -677,8 +703,8 @@ pub fn serve(config: &ServeConfig) -> std::io::Result<ServerHandle> {
         }
     }
 
-    // Eagerly register the dispatcher-handled verbs too, so an idle
-    // server and a busy one expose the same `stats` key set.
+    // Eagerly register the loop-handled verbs too, so an idle server
+    // and a busy one expose the same `stats` key set.
     for verb in ["health", "stats", "shutdown"] {
         stats.registry().counter(&format!("serve.req.{verb}"));
         stats
@@ -704,92 +730,44 @@ pub fn serve(config: &ServeConfig) -> std::io::Result<ServerHandle> {
         };
     }
     let epoll = try_startup!(Epoll::new());
-    let waker = try_startup!(Waker::new());
     try_startup!(listener.set_nonblocking(true));
     try_startup!(epoll.add(listener.as_raw_fd(), TOKEN_LISTENER, EPOLLIN));
     try_startup!(epoll.add(waker.raw(), TOKEN_WAKER, EPOLLIN));
 
-    let (work_tx, work_rx) = channel::<WorkItem>();
-    let work_rx = Arc::new(Mutex::new(work_rx));
-    let (done_tx, done_rx) = channel::<Completion>();
-
-    let mut dispatchers = Vec::with_capacity(config.dispatchers);
-    for d in 0..config.dispatchers {
-        let work_rx = Arc::clone(&work_rx);
-        let senders_d = senders.clone();
-        let shutdown = Arc::clone(&shutdown);
-        let stats = Arc::clone(&stats);
-        let done_tx_d = done_tx.clone();
-        let waker = waker.clone();
-        let trace = config.trace_requests;
-        let spawned = std::thread::Builder::new()
-            .name(format!("ddn-serve-dispatch-{d}"))
-            .spawn(move || {
-                dispatcher(
-                    work_rx, senders_d, shutdown, stats, local_addr, trace, done_tx_d, waker,
-                )
-            });
-        match spawned {
-            Ok(h) => dispatchers.push(h),
-            Err(e) => {
-                drop(work_tx);
-                drop(done_tx);
-                for h in dispatchers {
-                    let _ = h.join();
-                }
-                return Err(cleanup(
-                    senders,
-                    workers,
-                    std::io::Error::new(e.kind(), format!("cannot spawn dispatcher {d}: {e}")),
-                ));
+    let router = Router {
+        parked: senders.iter().map(|_| VecDeque::new()).collect(),
+        senders,
+        outbox,
+        stats: Arc::clone(&stats),
+        shutdown: Arc::clone(&shutdown),
+        trace: config.trace_requests,
+        max_line_bytes: config.max_line_bytes,
+    };
+    let wrap = config.wrap.clone();
+    let spawned = std::thread::Builder::new()
+        .name("ddn-serve-loop".to_string())
+        .spawn(move || event_loop(listener, epoll, done_rx, router, wrap));
+    let event_loop = match spawned {
+        Ok(h) => h,
+        Err(e) => {
+            // The shard senders died with the failed closure; the
+            // workers unwind through their disconnected channels.
+            for h in workers {
+                let _ = h.join();
             }
-        }
-    }
-    drop(done_tx); // the loop's rx disconnects once every dispatcher exits
-
-    let event_loop = {
-        let shutdown = Arc::clone(&shutdown);
-        let stats = Arc::clone(&stats);
-        let wrap = config.wrap.clone();
-        let max_line_bytes = config.max_line_bytes;
-        let spawned = std::thread::Builder::new()
-            .name("ddn-serve-loop".to_string())
-            .spawn(move || {
-                event_loop(
-                    listener,
-                    epoll,
-                    waker,
-                    work_tx,
-                    done_rx,
-                    shutdown,
-                    stats,
-                    wrap,
-                    max_line_bytes,
-                )
-            });
-        match spawned {
-            Ok(h) => h,
-            Err(e) => {
-                // work_tx died with the failed closure; dispatchers and
-                // workers unwind through their disconnected channels.
-                for h in dispatchers {
-                    let _ = h.join();
-                }
-                return Err(cleanup(
-                    senders,
-                    workers,
-                    std::io::Error::new(e.kind(), format!("cannot spawn event loop: {e}")),
-                ));
-            }
+            return Err(std::io::Error::new(
+                e.kind(),
+                format!("cannot spawn event loop: {e}"),
+            ));
         }
     };
 
     Ok(ServerHandle {
         local_addr,
         shutdown,
+        waker,
         stats,
         event_loop: Some(event_loop),
-        dispatchers,
         workers,
     })
 }
@@ -803,13 +781,15 @@ struct Conn {
     /// Response bytes not yet written, starting at `outpos`.
     outbuf: Vec<u8>,
     outpos: usize,
-    /// A request from this connection is at a dispatcher; stop-and-wait
-    /// means no further framing until its completion arrives.
+    /// A request from this connection is with its shard (queued, parked
+    /// or being handled); stop-and-wait means no further framing until
+    /// its completion arrives.
     in_flight: bool,
     /// The peer closed its write side; drain buffered requests, then
     /// close.
     eof: bool,
-    /// Close once `outbuf` drains (shutdown ack, unframeable input).
+    /// Close once `outbuf` drains (shutdown ack, unframeable input):
+    /// shut the write half, then discard input until the peer's EOF.
     close_after_flush: bool,
     /// Mid-discard of an oversized JSON line (bytes dropped up to the
     /// next newline, then one error response).
@@ -822,7 +802,7 @@ struct Conn {
 enum Extract {
     /// Not enough bytes yet.
     Need,
-    /// A complete request, off to a dispatcher.
+    /// A complete request, to decode and answer or route.
     Item(Vec<u8>),
     /// A whitespace-only line: skipped, no response (keep extracting).
     Skip,
@@ -917,17 +897,14 @@ enum CloseReason {
 }
 
 /// Drives one connection as far as it can go without blocking: flush
-/// pending output, then frame and dispatch requests (stop-and-wait),
-/// then settle the epoll interest. Returns `Some(reason)` when the
-/// connection should be closed and removed.
-#[allow(clippy::too_many_arguments)]
+/// pending output, then frame, decode and answer or route requests
+/// (stop-and-wait), then settle the epoll interest. Returns
+/// `Some(reason)` when the connection should be closed and removed.
 fn pump_conn(
     conn: &mut Conn,
     token: u64,
     epoll: &Epoll,
-    work_tx: &Sender<WorkItem>,
-    stats: &ServerStats,
-    max_line_bytes: usize,
+    router: &mut Router,
     draining: bool,
 ) -> Option<CloseReason> {
     loop {
@@ -947,10 +924,20 @@ fn pump_conn(
         conn.outbuf.clear();
         conn.outpos = 0;
         if conn.close_after_flush {
-            return Some(CloseReason::Clean);
+            if conn.eof || draining {
+                return Some(CloseReason::Clean);
+            }
+            // Closing with unread input would send a reset that can
+            // destroy the reply in flight. Shut the write half instead
+            // (the peer reads the reply, then EOF) and discard input
+            // until the peer closes too.
+            let _ = conn.transport.shutdown_write();
+            conn.inbuf.clear();
+            set_interest(conn, token, epoll, Some(EPOLLIN));
+            return None;
         }
 
-        // 2. Stop-and-wait: while a request is at a dispatcher, this
+        // 2. Stop-and-wait: while a request is with its shard, this
         // connection is deregistered from epoll entirely (a zero
         // interest mask would still surface EPOLLHUP and spin).
         if conn.in_flight {
@@ -959,30 +946,37 @@ fn pump_conn(
         }
 
         // 3. Frame the next request off the input buffer.
-        match extract_request(conn, max_line_bytes) {
+        match extract_request(conn, router.max_line_bytes) {
             Extract::Skip => continue,
             Extract::Item(payload) => {
-                conn.in_flight = true;
-                if work_tx
-                    .send(WorkItem {
-                        conn_id: token,
-                        payload,
-                    })
-                    .is_err()
-                {
-                    // Dispatchers are gone: the server is stopping.
-                    return Some(CloseReason::Clean);
+                // A request that fails decoding (bad JSON, crc mismatch,
+                // malformed frame body) gets an error but keeps the
+                // connection: the framer already found the next request
+                // boundary.
+                let reply = match Request::decode(&payload) {
+                    (Ok(req), id) => router.handle(req, payload, id, token),
+                    (Err(e), id) => Some((attach_id(error_response(&e), id), false)),
+                };
+                match reply {
+                    Some((resp, close)) => {
+                        push_response(conn, &resp);
+                        conn.close_after_flush = close;
+                    }
+                    None => conn.in_flight = true,
                 }
             }
             Extract::OverflowedLine => {
-                stats.fault_conn_errors.inc();
+                router.stats.fault_conn_errors.inc();
                 push_response(
                     conn,
-                    &error_response(&format!("request line exceeds {max_line_bytes} bytes")),
+                    &error_response(&format!(
+                        "request line exceeds {} bytes",
+                        router.max_line_bytes
+                    )),
                 );
             }
             Extract::Unframeable(msg) => {
-                stats.fault_conn_errors.inc();
+                router.stats.fault_conn_errors.inc();
                 push_response(conn, &error_response(&msg));
                 conn.close_after_flush = true;
             }
@@ -1067,23 +1061,21 @@ fn conn_read(conn: &mut Conn) -> Option<CloseReason> {
 }
 
 /// The event loop: owns the listener, the epoll instance, and every
-/// connection. Never blocks on a socket; blocks only in `epoll_wait`.
-#[allow(clippy::too_many_arguments)]
+/// connection. Never blocks on a socket or a shard queue; blocks only
+/// in `epoll_wait` and in the shard round trips of `health` and
+/// `stats {"flight":true}`.
 fn event_loop(
     listener: TcpListener,
     epoll: Epoll,
-    waker: Waker,
-    work_tx: Sender<WorkItem>,
     done_rx: Receiver<Completion>,
-    shutdown: Arc<AtomicBool>,
-    stats: Arc<ServerStats>,
+    mut router: Router,
     wrap: Option<TransportWrap>,
-    max_line_bytes: usize,
 ) {
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut next_token = TOKEN_CONN0;
     let mut events: Vec<Event> = Vec::new();
     let mut draining = false;
+    let stats = Arc::clone(&router.stats);
 
     let close = |conn: &mut Conn, epoll: &Epoll, stats: &ServerStats, reason: CloseReason| {
         if let CloseReason::Fault = reason {
@@ -1102,29 +1094,20 @@ fn event_loop(
         // Apply finished responses first: they free connections to
         // either flush + continue or close.
         while let Ok(done) = done_rx.try_recv() {
-            let Some(conn) = conns.get_mut(&done.conn_id) else {
+            let Some(conn) = conns.get_mut(&done.conn) else {
                 continue; // connection died while its request was in flight
             };
             conn.in_flight = false;
             conn.outbuf.extend_from_slice(&done.bytes);
-            if done.close {
-                conn.close_after_flush = true;
-            }
-            if let Some(reason) = pump_conn(
-                conn,
-                done.conn_id,
-                &epoll,
-                &work_tx,
-                &stats,
-                max_line_bytes,
-                draining,
-            ) {
-                let mut conn = conns.remove(&done.conn_id).expect("conn exists");
+            if let Some(reason) = pump_conn(conn, done.conn, &epoll, &mut router, draining) {
+                let mut conn = conns.remove(&done.conn).expect("conn exists");
                 close(&mut conn, &epoll, &stats, reason);
             }
         }
+        // Those completions freed shard queue slots.
+        router.retry_parked();
 
-        if !draining && shutdown.load(Ordering::SeqCst) {
+        if !draining && router.shutdown.load(Ordering::SeqCst) {
             draining = true;
             // Stop accepting: deregister the listener (a level-triggered
             // backlog would otherwise spin the loop). It closes — RSTing
@@ -1153,13 +1136,13 @@ fn event_loop(
         {
             // epoll itself failing is unrecoverable for the loop; treat
             // it as shutdown so the process can exit cleanly.
-            shutdown.store(true, Ordering::SeqCst);
+            router.shutdown.store(true, Ordering::SeqCst);
             continue;
         }
 
         for ev in &events {
             match ev.token {
-                TOKEN_WAKER => waker.drain(),
+                TOKEN_WAKER => router.outbox.waker.drain(),
                 TOKEN_LISTENER => {
                     if draining {
                         continue;
@@ -1185,17 +1168,8 @@ fn event_loop(
                     } else {
                         None
                     };
-                    let reason = read_err.or_else(|| {
-                        pump_conn(
-                            conn,
-                            token,
-                            &epoll,
-                            &work_tx,
-                            &stats,
-                            max_line_bytes,
-                            draining,
-                        )
-                    });
+                    let reason =
+                        read_err.or_else(|| pump_conn(conn, token, &epoll, &mut router, draining));
                     if let Some(reason) = reason {
                         let mut conn = conns.remove(&token).expect("conn exists");
                         close(&mut conn, &epoll, &stats, reason);
@@ -1204,9 +1178,9 @@ fn event_loop(
             }
         }
     }
-    // Loop exit: dropping work_tx stops the dispatchers, whose shard
-    // senders then drop and stop the workers. The listener, epoll fd,
-    // waker ref, and any remaining sockets close here with their owners.
+    // Loop exit: dropping the router's shard senders stops the workers.
+    // The listener, epoll fd, waker ref, and any remaining sockets close
+    // here with their owners.
 }
 
 /// Accepts every connection currently queued on the (nonblocking)
@@ -1260,51 +1234,6 @@ fn accept_ready(
         conn.interest = Some(EPOLLIN);
         stats.conn_opened();
         conns.insert(token, conn);
-    }
-}
-
-/// A dispatcher thread: pulls framed requests off the shared queue,
-/// decodes them, does the shard round-trip, and hands the response
-/// bytes back to the event loop. A request that fails decoding (bad
-/// JSON, crc mismatch, malformed frame body) gets an error response but
-/// keeps the connection — the framer already located the next request
-/// boundary.
-#[allow(clippy::too_many_arguments)]
-fn dispatcher(
-    work_rx: Arc<Mutex<Receiver<WorkItem>>>,
-    senders: Vec<SyncSender<ShardMsg>>,
-    shutdown: Arc<AtomicBool>,
-    stats: Arc<ServerStats>,
-    local_addr: SocketAddr,
-    trace: bool,
-    done_tx: Sender<Completion>,
-    waker: Waker,
-) {
-    loop {
-        // Hold the lock only for the recv itself, so dispatchers take
-        // work items one at a time without serializing the handling.
-        let item = lock(&work_rx).recv();
-        let Ok(item) = item else {
-            return; // event loop exited and dropped the work channel
-        };
-        let (req, id) = Request::decode(&item.payload);
-        let (resp, close) = match req {
-            Ok(req) => dispatch(req, item.payload, &senders, &shutdown, &stats, local_addr, trace),
-            Err(e) => (error_response(&e), false),
-        };
-        let mut bytes = attach_id(resp, id).to_string().into_bytes();
-        bytes.push(b'\n');
-        if done_tx
-            .send(Completion {
-                conn_id: item.conn_id,
-                bytes,
-                close,
-            })
-            .is_err()
-        {
-            return;
-        }
-        waker.wake();
     }
 }
 
@@ -1369,8 +1298,9 @@ fn shard_worker(
             ShardMsg::Request {
                 req,
                 payload,
+                id,
+                conn,
                 at,
-                reply,
             } => {
                 let started = Instant::now();
                 let (metrics, verb, seq, records) = match &req {
@@ -1416,7 +1346,7 @@ fn shard_worker(
                     // on disk even if the process is killed right after.
                     dump_flight(&ctx, &flight);
                 }
-                let _ = reply.send(resp);
+                ctx.outbox.reply(conn, id, resp);
                 wal_maybe_snapshot(&mut durability, &stats, &engine, &poisoned);
             }
             ShardMsg::Collect(reply) => {
@@ -1453,46 +1383,28 @@ fn shard_of(session: &str, shards: usize) -> usize {
     (h.finish() % shards as u64) as usize
 }
 
-/// Sends to a shard with backpressure accounting: non-blocking first;
-/// on a full queue counts a stall and blocks (stalling only this
-/// dispatcher and, through stop-and-wait, its requesting client).
-fn send_with_backpressure(
-    tx: &SyncSender<ShardMsg>,
-    msg: ShardMsg,
-    stats: &ServerStats,
-) -> Result<(), ()> {
-    stats.queue_inc();
-    match tx.try_send(msg) {
-        Ok(()) => Ok(()),
-        Err(TrySendError::Full(msg)) => {
-            stats.backpressure_stalls.inc();
-            tx.send(msg).map_err(|_| {
-                stats.queue_dec();
-            })
-        }
-        Err(TrySendError::Disconnected(_)) => {
-            stats.queue_dec();
-            Err(())
-        }
-    }
-}
-
-/// Round-trips one message to a shard and waits for the reply; `msg`
-/// wraps the reply channel. The error is the message to answer with.
+/// Round-trips one message to a shard and waits for the answer; `msg`
+/// wraps the reply channel. `None` when the shard is gone. Blocking on
+/// the loop is safe because a shard never waits on the loop (see
+/// [`Outbox`]).
 fn ask<T>(
     tx: &SyncSender<ShardMsg>,
     stats: &ServerStats,
     msg: impl FnOnce(Sender<T>) -> ShardMsg,
-) -> Result<T, &'static str> {
+) -> Option<T> {
     let (reply, rx) = channel();
-    send_with_backpressure(tx, msg(reply), stats).map_err(|()| "server is shutting down")?;
-    rx.recv().map_err(|_| "shard worker unavailable")
+    stats.queue_inc();
+    if tx.send(msg(reply)).is_err() {
+        stats.queue_dec();
+        return None;
+    }
+    rx.recv().ok()
 }
 
-/// Counts (and, when tracing, times) a verb handled on the dispatcher
-/// thread itself — `health`, `stats`, `shutdown`. These are rare, so
-/// the per-call registry lookup is fine; the histogram name carries no
-/// shard suffix because no shard was involved.
+/// Counts (and, when tracing, times) a verb the event loop answers
+/// itself — `health`, `stats`, `shutdown`. These are rare, so the
+/// per-call registry lookup is fine; the histogram name carries no
+/// shard suffix because no shard owns the verb.
 fn record_conn_verb(stats: &ServerStats, verb: &str, trace: bool, started: Instant) {
     let reg = stats.registry();
     reg.counter(&format!("serve.req.{verb}")).inc();
@@ -1502,79 +1414,148 @@ fn record_conn_verb(stats: &ServerStats, verb: &str, trace: bool, started: Insta
     }
 }
 
-/// Routes one decoded request and returns the response to write, plus
-/// whether to close the connection after replying. `payload` is the
-/// bytes the request arrived as; a shard verb carries them to its shard
-/// for the WAL.
-fn dispatch(
-    req: Request,
-    payload: Vec<u8>,
-    senders: &[SyncSender<ShardMsg>],
-    shutdown: &AtomicBool,
-    stats: &ServerStats,
-    local_addr: SocketAddr,
+/// The event loop's side of every decoded request: it answers the verbs
+/// no shard owns and hands the rest to their shard without blocking,
+/// parking those a full shard queue refuses.
+struct Router {
+    senders: Vec<SyncSender<ShardMsg>>,
+    /// Requests waiting for room in their shard's queue, oldest first,
+    /// one FIFO per shard.
+    parked: Vec<VecDeque<ShardMsg>>,
+    /// Answers a request whose shard is gone. Its waker is the one the
+    /// loop drains.
+    outbox: Outbox,
+    stats: Arc<ServerStats>,
+    shutdown: Arc<AtomicBool>,
     trace: bool,
-) -> (Json, bool) {
-    // Enqueue time for shard verbs; handler start for dispatcher verbs.
-    let at = Instant::now();
-    match req {
-        Request::Health => {
-            let mut collectors = vec![stats.collector()];
-            collectors.extend(
-                senders
-                    .iter()
-                    .flat_map(|tx| ask(tx, stats, ShardMsg::Collect)),
-            );
-            let mut snap = TelemetrySnapshot::from_runs(&collectors);
-            snap.set_threads(senders.len());
-            record_conn_verb(stats, "health", trace, at);
-            (
-                ok_response(vec![("telemetry", snap.to_json())]),
-                false,
-            )
-        }
-        Request::Stats { flight } => {
-            // Snapshot the registry BEFORE booking this request, so the
-            // response never counts itself: the first `stats` a client
-            // sends reports zero prior `stats` traffic, and every verb's
-            // histogram-total == counter invariant holds inside the
-            // snapshot (this request's handle_ns is recorded only after
-            // the snapshot is taken, together with its counter).
-            let snapshot = stats.registry().to_json();
-            let mut fields = vec![("stats", snapshot)];
-            if flight {
-                let shards = senders.iter().enumerate().map(|(i, tx)| {
-                    let events = ask(tx, stats, |reply| ShardMsg::Flight { dump: true, reply });
-                    (
-                        format!("shard-{i}"),
-                        events.unwrap_or(Json::Array(Vec::new())),
-                    )
-                });
-                fields.push(("flight", Json::Object(shards.collect())));
+    max_line_bytes: usize,
+}
+
+impl Router {
+    /// Answers `health`, `stats` and `shutdown` here, returning the
+    /// response (its `id` attached) and whether to close the connection
+    /// after it. Routes `init`, `ingest` and `estimate` to the session's
+    /// shard and returns `None`: the shard replies through the
+    /// [`Outbox`]. `payload` is the bytes the request arrived as.
+    fn handle(
+        &mut self,
+        req: Request,
+        payload: Vec<u8>,
+        id: Option<Json>,
+        conn: u64,
+    ) -> Option<(Json, bool)> {
+        // Offer time for shard verbs; handler start for loop verbs.
+        let at = Instant::now();
+        let close = matches!(req, Request::Shutdown);
+        let (verb, resp) = match req {
+            Request::Health => {
+                let mut collectors = vec![self.stats.collector()];
+                collectors.extend(
+                    self.senders
+                        .iter()
+                        .filter_map(|tx| ask(tx, &self.stats, ShardMsg::Collect)),
+                );
+                let mut snap = TelemetrySnapshot::from_runs(&collectors);
+                snap.set_threads(self.senders.len());
+                ("health", ok_response(vec![("telemetry", snap.to_json())]))
             }
-            record_conn_verb(stats, "stats", trace, at);
-            (ok_response(fields), false)
+            Request::Stats { flight } => {
+                // Snapshot the registry BEFORE booking this request, so
+                // the response never counts itself: the first `stats` a
+                // client sends reports zero prior `stats` traffic, and
+                // every verb's histogram-total == counter invariant holds
+                // inside the snapshot (this request's handle_ns is
+                // recorded only after the snapshot is taken, together
+                // with its counter).
+                let snapshot = self.stats.registry().to_json();
+                let mut fields = vec![("stats", snapshot)];
+                if flight {
+                    let shards = self.senders.iter().enumerate().map(|(i, tx)| {
+                        let events = ask(tx, &self.stats, |reply| ShardMsg::Flight {
+                            dump: true,
+                            reply,
+                        });
+                        (
+                            format!("shard-{i}"),
+                            events.unwrap_or(Json::Array(Vec::new())),
+                        )
+                    });
+                    fields.push(("flight", Json::Object(shards.collect())));
+                }
+                ("stats", ok_response(fields))
+            }
+            Request::Shutdown => {
+                // The loop sees the flag at the top of its next turn.
+                self.shutdown.store(true, Ordering::SeqCst);
+                (
+                    "shutdown",
+                    ok_response(vec![("shutting_down", Json::Bool(true))]),
+                )
+            }
+            // init, ingest, estimate: to the session's shard.
+            _ => {
+                let shard = shard_of(req.session().unwrap_or_default(), self.senders.len());
+                self.route(
+                    shard,
+                    ShardMsg::Request {
+                        req,
+                        payload,
+                        id,
+                        conn,
+                        at,
+                    },
+                );
+                return None;
+            }
+        };
+        record_conn_verb(&self.stats, verb, self.trace, at);
+        Some((attach_id(resp, id), close))
+    }
+
+    /// Queues a request on its shard, or parks it behind the full queue
+    /// (and behind requests parked before it), counting a backpressure
+    /// stall. A parked request counts toward the queue depth.
+    fn route(&mut self, shard: usize, msg: ShardMsg) {
+        self.stats.queue_inc();
+        let refused = if self.parked[shard].is_empty() {
+            self.offer(shard, msg)
+        } else {
+            Some(msg)
+        };
+        if let Some(msg) = refused {
+            self.stats.backpressure_stalls.inc();
+            self.parked[shard].push_back(msg);
         }
-        Request::Shutdown => {
-            shutdown.store(true, Ordering::SeqCst);
-            // Wake the event loop so it observes the flag.
-            let _ = TcpStream::connect(local_addr);
-            record_conn_verb(stats, "shutdown", trace, at);
-            (
-                ok_response(vec![("shutting_down", Json::Bool(true))]),
-                true,
-            )
+    }
+
+    /// Offers parked requests again, oldest first, until each shard's
+    /// queue is full. Run after completions drain: each one freed a
+    /// slot.
+    fn retry_parked(&mut self) {
+        for shard in 0..self.senders.len() {
+            while let Some(msg) = self.parked[shard].pop_front() {
+                if let Some(msg) = self.offer(shard, msg) {
+                    self.parked[shard].push_front(msg);
+                    break;
+                }
+            }
         }
-        // init, ingest, estimate: a round trip to the session's shard.
-        _ => {
-            let tx = &senders[shard_of(req.session().unwrap_or_default(), senders.len())];
-            let resp = ask(tx, stats, |reply| ShardMsg::Request {
-                req,
-                payload,
-                at,
-                reply,
-            });
-            (resp.unwrap_or_else(error_response), false)
+    }
+
+    /// One non-blocking send. A full queue hands the message back; a
+    /// gone shard answers its request with an error.
+    fn offer(&self, shard: usize, msg: ShardMsg) -> Option<ShardMsg> {
+        match self.senders[shard].try_send(msg) {
+            Ok(()) => None,
+            Err(TrySendError::Full(msg)) => Some(msg),
+            Err(TrySendError::Disconnected(msg)) => {
+                self.stats.queue_dec();
+                if let ShardMsg::Request { conn, id, .. } = msg {
+                    let resp = error_response("shard worker unavailable");
+                    self.outbox.reply(conn, id, resp);
+                }
+                None
+            }
         }
     }
 }

@@ -17,7 +17,7 @@
 
 use ddn_testkit::{Dir, FaultCursor, IoDecision};
 use std::io::{self, Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -32,6 +32,9 @@ pub trait Transport: Send {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize>;
     /// Flushes buffered bytes to the peer.
     fn flush(&mut self) -> io::Result<()>;
+    /// Shuts the write half: the peer reads every byte written so far,
+    /// then EOF, while this side can still read.
+    fn shutdown_write(&self) -> io::Result<()>;
     /// Sets the blocking-read timeout (`None` = block forever).
     fn set_read_timeout(&self, dur: Option<Duration>) -> io::Result<()>;
     /// Switches the underlying stream between blocking and nonblocking
@@ -79,6 +82,10 @@ impl Transport for TcpTransport {
 
     fn flush(&mut self) -> io::Result<()> {
         self.stream.flush()
+    }
+
+    fn shutdown_write(&self) -> io::Result<()> {
+        self.stream.shutdown(Shutdown::Write)
     }
 
     fn set_read_timeout(&self, dur: Option<Duration>) -> io::Result<()> {
@@ -223,6 +230,10 @@ impl Transport for FaultyTransport {
 
     fn flush(&mut self) -> io::Result<()> {
         self.inner.flush()
+    }
+
+    fn shutdown_write(&self) -> io::Result<()> {
+        self.inner.shutdown_write()
     }
 
     fn set_read_timeout(&self, dur: Option<Duration>) -> io::Result<()> {

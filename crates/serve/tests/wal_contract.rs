@@ -302,10 +302,6 @@ fn serve_refuses_invalid_configs_instead_of_panicking() {
             max_line_bytes: 0,
             ..ServeConfig::default()
         },
-        ServeConfig {
-            dispatchers: 0,
-            ..ServeConfig::default()
-        },
         // A line this long could not be logged as one WAL frame.
         ServeConfig {
             max_line_bytes: MAX_FRAME_BYTES + 1,

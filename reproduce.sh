@@ -279,6 +279,21 @@ if [[ "${1:-}" == "ci" ]]; then
   chaos_out="$(./target/release/ddn chaos --seed 7 --faults 0.01 --duration-records 5000)"
   printf '%s\n' "$chaos_out" | grep -q 'exactly-once: ok'
   printf '%s\n' "$chaos_out" | grep -q 'estimate parity: ok'
+  echo "== ci: parking smoke (one-slot shard queues, faults, exactly-once) =="
+  # With one slot per shard queue, most requests find their queue full
+  # and park on the event loop until a completion frees a slot (DESIGN.md
+  # §14). The run must still count every record exactly once and match
+  # every offline estimate, and it must really have parked requests.
+  park_out="$(./target/release/ddn loadgen --sessions 3000 --shards 2 --queue 1 \
+    --workers 8 --rate 200000 --faults 0.01)"
+  printf '%s\n' "$park_out" | grep -q 'exactly-once: ok'
+  printf '%s\n' "$park_out" | grep -q 'estimate parity: ok'
+  stalls="$(printf '%s\n' "$park_out" | sed -n 's/^server: \([0-9]*\) backpressure stalls.*/\1/p')"
+  [[ "${stalls:-0}" -gt 0 ]] || {
+    echo "FAIL: the one-slot loadgen run parked no request" >&2
+    printf '%s\n' "$park_out" >&2
+    exit 1
+  }
   echo "== ci: perf trajectory (bench smokes + loadgen smoke + bench-diff gate) =="
   # All four CI-sized bench smokes run through run_bench_smokes — the
   # same function bench-pin uses — so every value the gate compares was
@@ -319,7 +334,7 @@ if [[ "${1:-}" == "ci" ]]; then
   # The regression gate proper: every metric pinned in bench_floors.json
   # must sit at or above its floor, or ci fails here.
   ./target/release/ddn bench-diff "$bench_dir" --floors bench_floors.json
-  echo "ci ok: built, tested, servebench-tested, telemetry-smoked, batch-equivalence-checked, serve-smoked, binary-protocol-smoked, crash-resume-smoked, chaos-smoked, loadgen-smoked, and bench-diff-gated with zero external dependencies"
+  echo "ci ok: built, tested, servebench-tested, telemetry-smoked, batch-equivalence-checked, serve-smoked, binary-protocol-smoked, crash-resume-smoked, chaos-smoked, parking-smoked, loadgen-smoked, and bench-diff-gated with zero external dependencies"
   exit 0
 fi
 
