@@ -10,17 +10,32 @@
 //! - `wal/tcp_ingest_wal_on` — the same path with a data dir: every
 //!   batch is write-ahead-logged before it is applied.
 //!
+//! Two unpinned cases follow, on one shard of windowed sessions shaped
+//! like servebench's durable-monitor ones (`ips,snips,dr,adaptive` over
+//! a window of up to 1,024 records, plus the coupling window):
+//!
+//! - `wal/snapshot_rotate_windowed` — one snapshot rotation (encode,
+//!   write, fsync, rename, new WAL), what the shard thread pays every
+//!   `snapshot_every` frames; the `wal` section reports the file's
+//!   `snapshot_bytes`.
+//! - `wal/recover_windowed` — opening that data dir: restore the
+//!   snapshot, then the self-heal rotation.
+//!
 //! `DDN_WAL_RUNS` overrides the record count (CI smoke uses a small
-//! value); `DDN_BENCH_WARMUP` / `DDN_BENCH_ITERS` crank iterations.
+//! value; the windowed cases split it over their sessions);
+//! `DDN_BENCH_WARMUP` / `DDN_BENCH_ITERS` crank iterations.
 
 use ddn_bench::Suite;
 use ddn_policy::{Policy, UniformRandomPolicy};
+use ddn_serve::protocol::ingest_request_json;
+use ddn_serve::snapshot::snapshot_path;
 use ddn_serve::wal::WalWriter;
-use ddn_serve::{serve, ServeClient, ServeConfig};
+use ddn_serve::{serve, Engine, Request, ServeClient, ServeConfig, ShardDurability};
 use ddn_stats::rng::{Rng, Xoshiro256};
 use ddn_stats::Json;
 use ddn_trace::{Context, ContextSchema, DecisionSpace, TraceRecord};
-use std::path::PathBuf;
+use std::collections::HashSet;
+use std::path::{Path, PathBuf};
 
 /// Minimum acceptable sustained ingest rate (records/second) with the
 /// WAL enabled — conservative enough for slow CI disks, tight enough to
@@ -83,6 +98,50 @@ fn tcp_ingest(suite: &mut Suite, name: &str, config: &ServeConfig, recs: &[Trace
     handle.shutdown();
 }
 
+/// Sessions on the windowed shard.
+const WINDOWED_SESSIONS: usize = 8;
+
+/// Opens a shard on `dir` and feeds it `WINDOWED_SESSIONS` windowed
+/// sessions splitting `recs`, through the apply path live traffic
+/// takes. Returns the shard, its engine, and the records its windows
+/// hold.
+fn windowed_shard(dir: &Path, recs: &[TraceRecord]) -> (ShardDurability, Engine, u64) {
+    let mut engine = Engine::new();
+    let mut poisoned = HashSet::new();
+    let (d, _) = ShardDurability::open(dir, 0, u64::MAX, None, &mut engine, &mut poisoned)
+        .expect("open shard");
+    let per = recs.len() / WINDOWED_SESSIONS;
+    let window = per.clamp(1, 1024);
+    let mut apply = |req: Json| {
+        let req = Request::from_json(&req).expect("well-formed request");
+        let (resp, _) = engine.apply(req, &mut poisoned, None, || Ok(()));
+        assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "{resp}");
+    };
+    for (s, session) in recs.chunks(per.max(1)).take(WINDOWED_SESSIONS).enumerate() {
+        let id = format!("win-{s}");
+        apply(Json::object(vec![
+            ("verb", Json::str("init")),
+            ("session", Json::str(id.clone())),
+            ("schema", schema().to_json()),
+            ("space", space().to_json()),
+            (
+                "estimators",
+                Json::Array(["ips", "snips", "dr", "adaptive"].map(Json::str).to_vec()),
+            ),
+            (
+                "policy",
+                Json::object(vec![("kind", Json::str("constant")), ("decision", Json::str("b"))]),
+            ),
+            ("window", Json::Int(window as i64)),
+        ]));
+        for batch in session.chunks(256) {
+            apply(ingest_request_json(&id, batch, None));
+        }
+    }
+    let held = (WINDOWED_SESSIONS * per.min(window)) as u64;
+    (d, engine, held)
+}
+
 fn main() {
     let n: usize = std::env::var("DDN_WAL_RUNS")
         .ok()
@@ -129,6 +188,25 @@ fn main() {
         batch,
     );
 
+    // Unpinned: they run after the pinned cases so they cannot skew them.
+    let win_dir = bench_dir("windowed");
+    let (mut shard, engine, held) = windowed_shard(&win_dir, &recs);
+    let none = HashSet::new();
+    suite.bench_throughput("wal/snapshot_rotate_windowed", held, || {
+        shard.snapshot_now(&engine, &none).expect("snapshot rotation")
+    });
+    let snapshot_bytes = std::fs::metadata(snapshot_path(&win_dir, 0))
+        .expect("snapshot written")
+        .len();
+    drop(shard);
+    suite.bench_throughput("wal/recover_windowed", held, || {
+        let mut fresh = Engine::new();
+        let mut poisoned = HashSet::new();
+        ShardDurability::open(&win_dir, 0, u64::MAX, None, &mut fresh, &mut poisoned)
+            .expect("recover shard");
+        fresh.sessions()
+    });
+
     let append_rps = throughput(&suite, "wal/frame_append", n as u64);
     let off_rps = throughput(&suite, "wal/tcp_ingest_wal_off", n as u64);
     let on_rps = throughput(&suite, "wal/tcp_ingest_wal_on", n as u64);
@@ -158,9 +236,11 @@ fn main() {
                 "meets_floor".into(),
                 Json::Bool(on_rps >= FLOOR_RECORDS_PER_SEC),
             ),
+            ("snapshot_bytes".into(), Json::Int(snapshot_bytes as i64)),
         ]),
     );
     suite.finish();
     let _ = std::fs::remove_dir_all(&append_dir);
     let _ = std::fs::remove_dir_all(&on_dir);
+    let _ = std::fs::remove_dir_all(&win_dir);
 }

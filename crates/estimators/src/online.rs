@@ -1051,6 +1051,12 @@ impl OnlineSeqDr {
 /// window through the inner estimator, so the windowed estimate is exactly
 /// the batch estimate over the window's records. `estimate` therefore
 /// takes `&mut self` here — it is not part of [`OnlineEstimator`].
+///
+/// Each `SlidingWindow` keeps its own copy of the window. A bank of
+/// windowed estimators over one stream would hold every record once per
+/// estimator, so the server (`ddn-serve`'s `Session`) does not use this
+/// type: it keeps one ring per session and replays it through each
+/// estimator the same way.
 pub struct SlidingWindow<E: OnlineEstimator> {
     inner: E,
     window: VecDeque<TraceRecord>,

@@ -5,13 +5,15 @@
 //! (schema and space its records must conform to included), a bank of
 //! online estimators (one per requested protocol name), and a
 //! [`CouplingMonitor`] running §4.3 change-point detection over the live
-//! reward stream. [`Engine::apply`] is the one apply path both live
-//! shard traffic and WAL recovery take.
+//! reward stream. A windowed session also keeps one ring of its most
+//! recent records, which every estimator of the bank replays on
+//! `estimate`. [`Engine::apply`] is the one apply path both live shard
+//! traffic and WAL recovery take.
 
 use crate::protocol::{error_response, ok_response, InitSpec, PolicySpec, Request};
 use ddn_estimators::menu::{self, BoxOnline, MenuConfig};
-use ddn_estimators::online::BoxPolicy;
-use ddn_estimators::{ActionEmbedding, OnlineEstimator, SlidingWindow};
+use ddn_estimators::online::{BoxPolicy, OnlineEstimate};
+use ddn_estimators::{ActionEmbedding, EstimatorError, OnlineEstimator};
 use ddn_models::ConstantModel;
 use ddn_policy::{LookupPolicy, UniformRandomPolicy};
 use ddn_stats::changepoint::{pelt, CostModel, Penalty};
@@ -93,18 +95,19 @@ impl CouplingMonitor {
     /// capacity and minimum segment are compile-time constants the
     /// restoring monitor already carries.
     pub fn state_save(&self) -> Json {
-        Json::object(vec![
-            (
-                "window",
-                Json::Array(
-                    self.window
-                        .iter()
-                        .map(|&r| Json::Int(r.to_bits() as i64))
-                        .collect(),
-                ),
-            ),
-            ("seen", Json::Int(self.seen as i64)),
-        ])
+        self.state_json(true)
+    }
+
+    /// [`CouplingMonitor::state_save`], or without the `"window"` array
+    /// (snapshot v2 stores the rewards as a binary block).
+    fn state_json(&self, inline_window: bool) -> Json {
+        let mut fields = Vec::with_capacity(2);
+        if inline_window {
+            let bits = self.window.iter().map(|&r| Json::Int(r.to_bits() as i64));
+            fields.push(("window", Json::Array(bits.collect())));
+        }
+        fields.push(("seen", Json::Int(self.seen as i64)));
+        Json::object(fields)
     }
 
     /// Restores state saved by [`CouplingMonitor::state_save`]. Atomic:
@@ -114,19 +117,29 @@ impl CouplingMonitor {
             .get("window")
             .and_then(Json::as_array)
             .ok_or("coupling state needs a \"window\" array")?;
-        if raw.len() > self.capacity {
-            return Err(format!(
-                "coupling window of {} exceeds capacity {}",
-                raw.len(),
-                self.capacity
-            ));
-        }
-        let mut window = VecDeque::with_capacity(raw.len());
+        let mut window = VecDeque::with_capacity(raw.len().min(self.capacity));
         for x in raw {
             let bits = x
                 .as_i64()
                 .ok_or("coupling window entries must be bit-pattern integers")?;
             window.push_back(f64::from_bits(bits as u64));
+        }
+        self.restore(window, state)
+    }
+
+    /// Installs a saved window plus the `"seen"` count from `state`,
+    /// holding the window to what a live monitor can hold: at most
+    /// `capacity` finite rewards, no more than were seen. Atomic.
+    fn restore(&mut self, window: VecDeque<f64>, state: &Json) -> Result<(), String> {
+        if window.len() > self.capacity {
+            return Err(format!(
+                "coupling window of {} exceeds capacity {}",
+                window.len(),
+                self.capacity
+            ));
+        }
+        if let Some(r) = window.iter().find(|r| !r.is_finite()) {
+            return Err(format!("coupling window holds a non-finite reward {r}"));
         }
         let seen = state
             .get("seen")
@@ -141,6 +154,11 @@ impl CouplingMonitor {
         self.window = window;
         self.seen = seen;
         Ok(())
+    }
+
+    /// The rewards in the trailing window, oldest first.
+    pub(crate) fn window(&self) -> &VecDeque<f64> {
+        &self.window
     }
 
     /// The report as a JSON object for the `estimate` response.
@@ -159,63 +177,32 @@ impl CouplingMonitor {
     }
 }
 
-/// One estimator slot: either a cumulative online estimator or a
-/// sliding-window wrapper around one.
-enum BankEntry {
-    Plain(BoxOnline),
-    Windowed(SlidingWindow<BoxOnline>),
+/// An estimate (or its error) as the `estimate` response renders it.
+fn estimate_json(est: Result<OnlineEstimate, EstimatorError>) -> Json {
+    match est {
+        Ok(e) => Json::object(vec![
+            ("value", Json::Num(e.value)),
+            ("n", Json::Int(e.n as i64)),
+            ("ess", Json::Num(e.diagnostics.effective_sample_size)),
+            ("max_weight", Json::Num(e.diagnostics.max_weight)),
+        ]),
+        Err(e) => Json::object(vec![("error", Json::str(e.to_string()))]),
+    }
 }
 
-impl BankEntry {
-    fn push(&mut self, rec: &TraceRecord) -> Result<(), ddn_estimators::EstimatorError> {
-        match self {
-            BankEntry::Plain(e) => e.push(rec),
-            BankEntry::Windowed(w) => {
-                w.push(rec);
-                Ok(())
-            }
-        }
+/// A windowed estimate: reset the estimator, replay the ring through
+/// it, estimate — what [`ddn_estimators::SlidingWindow::estimate`] does
+/// with a window of its own, so it equals the batch estimate over the
+/// ring's records.
+fn replay(
+    e: &mut BoxOnline,
+    ring: &VecDeque<TraceRecord>,
+) -> Result<OnlineEstimate, EstimatorError> {
+    e.reset();
+    for rec in ring {
+        e.push(rec)?;
     }
-
-    fn estimate_json(&mut self) -> Json {
-        let est = match self {
-            BankEntry::Plain(e) => e.estimate(),
-            BankEntry::Windowed(w) => w.estimate(),
-        };
-        match est {
-            Ok(e) => Json::object(vec![
-                ("value", Json::Num(e.value)),
-                ("n", Json::Int(e.n as i64)),
-                ("ess", Json::Num(e.diagnostics.effective_sample_size)),
-                ("max_weight", Json::Num(e.diagnostics.max_weight)),
-            ]),
-            Err(e) => Json::object(vec![("error", Json::str(e.to_string()))]),
-        }
-    }
-
-    fn health_metrics(&self) -> Vec<(&'static str, f64)> {
-        match self {
-            BankEntry::Plain(e) => e.health_metrics(),
-            BankEntry::Windowed(w) => vec![
-                ("n", w.len() as f64),
-                ("evicted", w.evicted() as f64),
-            ],
-        }
-    }
-
-    fn state_save(&self) -> Json {
-        match self {
-            BankEntry::Plain(e) => e.state_save(),
-            BankEntry::Windowed(w) => w.state_save(),
-        }
-    }
-
-    fn state_load(&mut self, state: &Json) -> Result<(), ddn_estimators::EstimatorError> {
-        match self {
-            BankEntry::Plain(e) => e.state_load(state),
-            BankEntry::Windowed(w) => w.state_load(state),
-        }
-    }
+    e.estimate()
 }
 
 fn build_policy(spec: &PolicySpec, space: &DecisionSpace) -> Result<BoxPolicy, String> {
@@ -268,7 +255,16 @@ pub struct Session {
     /// as [`InitSpec::to_json`] (see [`Session::from_state`]).
     spec: InitSpec,
     /// One estimator per name in `spec.estimators`, in the same order.
-    bank: Vec<BankEntry>,
+    /// A cumulative session folds every record into each; a windowed
+    /// one replays `ring` through each on `estimate`.
+    bank: Vec<BoxOnline>,
+    /// With `spec.window` set: the most recent records, at most that
+    /// many, kept once for the whole bank. Grown on demand — the
+    /// capacity comes from the client, and memory must follow the
+    /// records actually sent. Empty for a cumulative session.
+    ring: VecDeque<TraceRecord>,
+    /// Records evicted from `ring` so far.
+    evicted: u64,
     needs_propensity: bool,
     coupling: CouplingMonitor,
     last_ts: f64,
@@ -295,16 +291,13 @@ impl Session {
             })?;
             needs_propensity |= row.needs_propensity;
             let model = Box::new(ConstantModel::new(spec.model_value));
-            let inner = (row.online)(spec.space.clone(), policy, model, &spec)?;
-            let entry = match spec.window {
-                Some(cap) => BankEntry::Windowed(SlidingWindow::new(inner, cap)),
-                None => BankEntry::Plain(inner),
-            };
-            bank.push(entry);
+            bank.push((row.online)(spec.space.clone(), policy, model, &spec)?);
         }
         Ok(Session {
             spec,
             bank,
+            ring: VecDeque::new(),
+            evicted: 0,
             needs_propensity,
             coupling: CouplingMonitor::new(COUPLING_WINDOW, COUPLING_MIN_SEGMENT),
             last_ts: f64::NEG_INFINITY,
@@ -312,6 +305,19 @@ impl Session {
             next_seq: 0,
             last_ack: None,
         })
+    }
+
+    /// Checks record `k` as ingest does: it conforms to the session's
+    /// schema and space, its values are finite, its timestamp does not
+    /// go back past `ts` (advanced here), and it carries a propensity
+    /// when the bank reads one.
+    fn check_record(&self, k: usize, rec: &TraceRecord, ts: &mut f64) -> Result<(), String> {
+        Trace::validate_record(k, rec, &self.spec.schema, &self.spec.space, ts)
+            .map_err(|e| e.to_string())?;
+        if self.needs_propensity && rec.propensity.is_none() {
+            return Err("logging propensity required by the session's estimators".into());
+        }
+        Ok(())
     }
 
     /// Validates-then-applies a batch atomically: either every record is
@@ -324,27 +330,26 @@ impl Session {
         // leaves the session untouched.
         let mut ts = self.last_ts;
         for (i, rec) in records.iter().enumerate() {
-            Trace::validate_record(
-                self.accepted + i,
-                rec,
-                &self.spec.schema,
-                &self.spec.space,
-                &mut ts,
-            )
-            .map_err(|e| format!("batch record {i}: {e}"))?;
-            if self.needs_propensity && rec.propensity.is_none() {
-                return Err(format!(
-                    "batch record {i}: logging propensity required by the session's estimators"
-                ));
-            }
+            self.check_record(self.accepted + i, rec, &mut ts)
+                .map_err(|e| format!("batch record {i}: {e}"))?;
         }
         // Apply. The checks above cover every push failure mode, so this
         // phase cannot reject.
         for (i, rec) in records.iter().enumerate() {
-            for (name, entry) in self.spec.estimators.iter().zip(&mut self.bank) {
-                entry
-                    .push(rec)
-                    .map_err(|e| format!("batch record {i}: {name}: {e}"))?;
+            match self.spec.window {
+                Some(capacity) => {
+                    if self.ring.len() == capacity {
+                        self.ring.pop_front();
+                        self.evicted += 1;
+                    }
+                    self.ring.push_back(rec.clone());
+                }
+                None => {
+                    for (name, e) in self.spec.estimators.iter().zip(&mut self.bank) {
+                        e.push(rec)
+                            .map_err(|e| format!("batch record {i}: {name}: {e}"))?;
+                    }
+                }
             }
             self.coupling.push(rec.reward);
             self.accepted += 1;
@@ -358,13 +363,52 @@ impl Session {
         self.accepted
     }
 
+    /// The windowed records, oldest first (empty for a cumulative
+    /// session).
+    pub(crate) fn ring(&self) -> &VecDeque<TraceRecord> {
+        &self.ring
+    }
+
+    /// The session's coupling monitor.
+    pub(crate) fn coupling(&self) -> &CouplingMonitor {
+        &self.coupling
+    }
+
     /// Serializes the full session for a snapshot: the init request that
     /// configures it, every estimator's sufficient statistics, the
     /// coupling monitor, and the exactly-once dedup state (`next_seq`
     /// plus the stored acknowledgement). Timestamps are raw f64 bit
     /// patterns — `last_ts` starts at `NEG_INFINITY`, which JSON text
     /// cannot carry.
+    ///
+    /// This is the snapshot v1 shape: every windowed entry carries the
+    /// ring as a `"window"` array of records next to its `"evicted"`
+    /// count, so the ring appears once per windowed estimator.
     pub fn state_save(&self) -> Json {
+        self.state_json(true)
+    }
+
+    /// [`Session::state_save`], or — without `inline_windows` — the
+    /// same object minus every windowed entry's `"window"` array and the
+    /// coupling `"window"`: the snapshot v2 metadata, whose binary
+    /// blocks carry [`Session::ring`] and the coupling rewards instead.
+    pub(crate) fn state_json(&self, inline_windows: bool) -> Json {
+        let estimators = match self.spec.window {
+            None => self.bank.iter().map(|e| e.state_save()).collect(),
+            Some(_) => {
+                let window = inline_windows
+                    .then(|| Json::Array(self.ring.iter().map(TraceRecord::to_json).collect()));
+                self.bank
+                    .iter()
+                    .map(|e| {
+                        let mut fields = vec![("est", Json::str(e.name()))];
+                        fields.extend(window.clone().map(|w| ("window", w)));
+                        fields.push(("evicted", Json::Int(self.evicted as i64)));
+                        Json::object(fields)
+                    })
+                    .collect()
+            }
+        };
         let last_ack = match &self.last_ack {
             None => Json::Null,
             Some((seq, resp)) => Json::object(vec![
@@ -374,11 +418,8 @@ impl Session {
         };
         Json::object(vec![
             ("init", self.spec.to_json()),
-            (
-                "estimators",
-                Json::Array(self.bank.iter().map(BankEntry::state_save).collect()),
-            ),
-            ("coupling", self.coupling.state_save()),
+            ("estimators", Json::Array(estimators)),
+            ("coupling", self.coupling.state_json(inline_windows)),
             ("last_ts", Json::Int(self.last_ts.to_bits() as i64)),
             ("accepted", Json::Int(self.accepted as i64)),
             ("next_seq", Json::Int(self.next_seq as i64)),
@@ -389,8 +430,39 @@ impl Session {
     /// Rebuilds a session from [`Session::state_save`] output: reads
     /// the stored init request through [`Request::from_json`] (the same
     /// code path a live init takes), then loads estimator, coupling, and
-    /// dedup state on top. Any failure discards the partial session.
+    /// dedup state on top. A windowed session's ring comes from its
+    /// entries' `"window"` arrays, which must all agree. Any failure
+    /// discards the partial session.
     pub fn from_state(state: &Json) -> Result<Session, String> {
+        let mut s = Session::from_meta(state)?;
+        s.coupling
+            .state_load(state.get("coupling").ok_or("session state needs \"coupling\"")?)?;
+        if s.spec.window.is_some() {
+            s.load_ring(inline_ring(estimator_states(state)?)?)?;
+        }
+        Ok(s)
+    }
+
+    /// Rebuilds a session from its snapshot v2 metadata (see
+    /// [`Session::state_json`]) plus the ring and coupling rewards its
+    /// binary blocks held. Atomic, like [`Session::from_state`].
+    pub(crate) fn from_blocks(
+        meta: &Json,
+        ring: VecDeque<TraceRecord>,
+        rewards: VecDeque<f64>,
+    ) -> Result<Session, String> {
+        let mut s = Session::from_meta(meta)?;
+        let coupling = meta.get("coupling").ok_or("session state needs \"coupling\"")?;
+        s.coupling.restore(rewards, coupling)?;
+        s.load_ring(ring)?;
+        Ok(s)
+    }
+
+    /// A session from everything of a snapshot's session object but the
+    /// two windows: init request, cumulative estimators' state, the
+    /// windowed entries' eviction count (which they must agree on), and
+    /// the timestamp, count and dedup state.
+    fn from_meta(state: &Json) -> Result<Session, String> {
         let init = state.get("init").ok_or("session state needs \"init\"")?;
         let spec = match Request::from_json(init) {
             Ok(Request::Init(spec)) => spec,
@@ -398,10 +470,7 @@ impl Session {
             Err(e) => return Err(format!("session state init: {e}")),
         };
         let mut s = Session::new(spec)?;
-        let states = state
-            .get("estimators")
-            .and_then(Json::as_array)
-            .ok_or("session state needs \"estimators\"")?;
+        let states = estimator_states(state)?;
         if states.len() != s.bank.len() {
             return Err(format!(
                 "session state carries {} estimator states for a bank of {}",
@@ -409,11 +478,24 @@ impl Session {
                 s.bank.len()
             ));
         }
-        for ((name, entry), st) in s.spec.estimators.iter().zip(&mut s.bank).zip(states) {
-            entry.state_load(st).map_err(|e| format!("{name}: {e}"))?;
+        let mut evicted = None;
+        for ((name, e), st) in s.spec.estimators.iter().zip(&mut s.bank).zip(states) {
+            if s.spec.window.is_none() {
+                e.state_load(st).map_err(|err| format!("{name}: {err}"))?;
+                continue;
+            }
+            if st.get("est").and_then(Json::as_str) != Some(e.name()) {
+                return Err(format!("{name}: not a windowed {} state", e.name()));
+            }
+            let n = st
+                .get("evicted")
+                .and_then(Json::as_u64)
+                .ok_or_else(|| format!("{name}: windowed state needs \"evicted\""))?;
+            if *evicted.get_or_insert(n) != n {
+                return Err("windowed estimators disagree on the eviction count".into());
+            }
         }
-        s.coupling
-            .state_load(state.get("coupling").ok_or("session state needs \"coupling\"")?)?;
+        s.evicted = evicted.unwrap_or(0);
         let ts_bits = state
             .get("last_ts")
             .and_then(Json::as_i64)
@@ -441,17 +523,49 @@ impl Session {
         Ok(s)
     }
 
+    /// Installs a restored ring, checked as ingest checks records: every
+    /// record valid for the session, timestamps in order and none past
+    /// the session's last one, no more records than the window holds (a
+    /// cumulative session holds none).
+    fn load_ring(&mut self, ring: VecDeque<TraceRecord>) -> Result<(), String> {
+        let capacity = self.spec.window.unwrap_or(0);
+        if ring.len() > capacity {
+            return Err(format!(
+                "window of {} records exceeds capacity {capacity}",
+                ring.len()
+            ));
+        }
+        let mut ts = f64::NEG_INFINITY;
+        for (i, rec) in ring.iter().enumerate() {
+            self.check_record(i, rec, &mut ts)
+                .map_err(|e| format!("window record {i}: {e}"))?;
+        }
+        if ts > self.last_ts {
+            return Err(format!(
+                "window timestamp {ts} is past the session's last one {}",
+                self.last_ts
+            ));
+        }
+        self.ring = ring;
+        Ok(())
+    }
+
     /// The `estimate` response body: one object per estimator (keyed by
     /// its protocol name, request order preserved) plus the coupling
     /// report.
     pub fn estimate_json(&mut self) -> Json {
         let coupling = self.coupling.to_json();
+        let windowed = self.spec.window.is_some();
+        let ring = &self.ring;
         let estimates = Json::Object(
             self.spec
                 .estimators
                 .iter()
                 .zip(&mut self.bank)
-                .map(|(name, entry)| (name.clone(), entry.estimate_json()))
+                .map(|(name, e)| {
+                    let est = if windowed { replay(e, ring) } else { e.estimate() };
+                    (name.clone(), estimate_json(est))
+                })
                 .collect(),
         );
         ok_response(vec![
@@ -460,6 +574,55 @@ impl Session {
             ("coupling", coupling),
         ])
     }
+
+    /// Health metrics per estimator name. A windowed entry reports the
+    /// ring: `n` records held, `evicted` so far.
+    fn health(&self) -> impl Iterator<Item = (&String, Vec<(&'static str, f64)>)> + '_ {
+        self.spec.estimators.iter().zip(&self.bank).map(move |(name, e)| {
+            let metrics = match self.spec.window {
+                None => e.health_metrics(),
+                Some(_) => vec![
+                    ("n", self.ring.len() as f64),
+                    ("evicted", self.evicted as f64),
+                ],
+            };
+            (name, metrics)
+        })
+    }
+}
+
+/// A snapshot session object's `"estimators"` array.
+fn estimator_states(state: &Json) -> Result<&[Json], String> {
+    state
+        .get("estimators")
+        .and_then(Json::as_array)
+        .ok_or_else(|| "session state needs \"estimators\"".into())
+}
+
+/// The ring a v1 session object carries: a copy in each windowed
+/// entry's `"window"` array. The copies must agree record for record,
+/// compared as rendered JSON text (which tells `-0.0` from `0.0`).
+fn inline_ring(states: &[Json]) -> Result<VecDeque<TraceRecord>, String> {
+    let mut windows = states.iter().map(|st| {
+        st.get("window")
+            .and_then(Json::as_array)
+            .ok_or("windowed estimator state needs a \"window\" array")
+    });
+    let Some(first) = windows.next().transpose()? else {
+        return Ok(VecDeque::new());
+    };
+    for w in windows {
+        let w = w?;
+        let same = w.len() == first.len()
+            && w.iter().zip(first).all(|(a, b)| a.to_string() == b.to_string());
+        if !same {
+            return Err("windowed estimators disagree on the window".into());
+        }
+    }
+    first
+        .iter()
+        .map(|r| TraceRecord::from_json(r).map_err(|e| format!("bad window record: {e}")))
+        .collect()
 }
 
 /// How a shard request ended — the `outcome` of its flight-recorder
@@ -660,9 +823,8 @@ impl Engine {
     pub fn collector(&self) -> Collector {
         let mut c = Collector::default();
         for (id, session) in &self.sessions {
-            for (name, entry) in session.spec.estimators.iter().zip(&session.bank) {
-                c.health
-                    .push((format!("serve/{id}/{name}"), entry.health_metrics()));
+            for (name, metrics) in session.health() {
+                c.health.push((format!("serve/{id}/{name}"), metrics));
             }
         }
         c
@@ -673,16 +835,30 @@ impl Engine {
         self.sessions.len()
     }
 
-    /// Every session serialized for a snapshot, keyed by session id and
-    /// sorted so identical state always produces identical bytes.
+    /// Every session serialized for a snapshot ([`Session::state_save`],
+    /// the v1 shape), keyed by session id and sorted so identical state
+    /// always produces identical bytes.
     pub fn state_save(&self) -> Json {
-        let mut ids: Vec<&String> = self.sessions.keys().collect();
-        ids.sort();
+        self.state_json(true)
+    }
+
+    /// [`Engine::state_save`], or with every session's
+    /// [`Session::state_json`] metadata only (snapshot v2).
+    pub(crate) fn state_json(&self, inline_windows: bool) -> Json {
         Json::Object(
-            ids.into_iter()
-                .map(|id| (id.clone(), self.sessions[id].state_save()))
+            self.sorted()
+                .into_iter()
+                .map(|(id, s)| (id.clone(), s.state_json(inline_windows)))
                 .collect(),
         )
+    }
+
+    /// The sessions sorted by id — the order every snapshot writes them
+    /// in.
+    pub(crate) fn sorted(&self) -> Vec<(&String, &Session)> {
+        let mut sessions: Vec<_> = self.sessions.iter().collect();
+        sessions.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        sessions
     }
 
     /// Restores sessions saved by [`Engine::state_save`] into this
@@ -698,11 +874,15 @@ impl Engine {
             let sess = Session::from_state(s).map_err(|e| format!("session {id:?}: {e}"))?;
             restored.push((id.clone(), sess));
         }
-        let n = restored.len();
-        for (id, sess) in restored {
-            self.sessions.insert(id, sess);
-        }
-        Ok(n)
+        Ok(self.install(restored))
+    }
+
+    /// Installs restored sessions, replacing any of the same id.
+    /// Returns how many were installed.
+    pub(crate) fn install(&mut self, sessions: Vec<(String, Session)>) -> usize {
+        let n = sessions.len();
+        self.sessions.extend(sessions);
+        n
     }
 
     /// Drops a session (used by the server to quarantine a session whose
@@ -1003,6 +1183,45 @@ mod tests {
         let policy = LookupPolicy::constant(space(), 1);
         let offline = ddn_estimators::Ips::new().estimate(&tail, &policy).unwrap();
         assert_eq!(online.to_bits(), offline.value.to_bits());
+    }
+
+    #[test]
+    fn restored_windows_are_checked_as_ingest_checks_records() {
+        use ddn_trace::FeatureValue;
+        let mut engine = Engine::new();
+        engine.handle_init(init_spec(r#","estimators":["ips"],"window":4"#));
+        engine.handle_ingest("s", &records(6, 5), None);
+        let s = &engine.sessions["s"];
+        let (meta, ring) = (s.state_json(false), s.ring().clone());
+        let rewards = s.coupling().window().clone();
+        assert!(Session::from_blocks(&meta, ring.clone(), rewards.clone()).is_ok());
+
+        let mut bad_code = ring.clone();
+        bad_code[1].context = Context::from_wire_values(vec![FeatureValue::Cat(7)]);
+        let mut too_long = ring.clone();
+        too_long.push_back(ring[0].clone());
+        let mut from_the_future = ring.clone();
+        from_the_future[3].timestamp = Some(1.0);
+        let mut bare = ring.clone();
+        bare[2].propensity = None;
+        for (case, bad) in [
+            ("categorical code", bad_code),
+            ("capacity", too_long),
+            ("timestamp past last_ts", from_the_future),
+            ("missing propensity", bare),
+        ] {
+            let err = Session::from_blocks(&meta, bad, rewards.clone()).err();
+            assert!(err.is_some(), "{case} restored");
+        }
+        let mut nan = rewards.clone();
+        nan[0] = f64::NAN;
+        assert!(Session::from_blocks(&meta, ring.clone(), nan).is_err());
+
+        // A cumulative session holds no ring at all.
+        let mut plain = Engine::new();
+        plain.handle_init(init_spec(r#","estimators":["ips"]"#));
+        let meta = plain.sessions["s"].state_json(false);
+        assert!(Session::from_blocks(&meta, ring, VecDeque::new()).is_err());
     }
 
     #[test]

@@ -91,8 +91,30 @@ pub fn encode(
     seq: Option<u64>,
     id: Option<u64>,
 ) -> Result<Vec<u8>, String> {
+    let mut out = Vec::new();
+    encode_into(&mut out, session, records, seq, id)?;
+    Ok(out)
+}
+
+/// Appends the frame [`encode`] returns for `records` to `out`, writing
+/// each column straight into it. `records` may be any re-iterable
+/// sequence — a slice, or a range of a ring buffer. On error `out` is
+/// left as it was.
+pub(crate) fn encode_into<'a, R>(
+    out: &mut Vec<u8>,
+    session: &str,
+    records: R,
+    seq: Option<u64>,
+    id: Option<u64>,
+) -> Result<(), String>
+where
+    R: IntoIterator<Item = &'a TraceRecord>,
+    R::IntoIter: Clone + ExactSizeIterator,
+{
+    let records = records.into_iter();
     let n_rows = records.len();
-    let n_features = records.first().map_or(0, |r| r.context.values().len());
+    let first = records.clone().next();
+    let n_features = first.map_or(0, |r| r.context.values().len());
     if n_features > u16::MAX as usize {
         return Err(format!("{n_features} features exceed the frame's u16 limit"));
     }
@@ -105,7 +127,7 @@ pub fn encode(
             session.len()
         ));
     }
-    for (row, r) in records.iter().enumerate() {
+    for (row, r) in records.clone().enumerate() {
         if r.context.values().len() != n_features {
             return Err(format!(
                 "row {row} has {} features, row 0 has {n_features}",
@@ -115,30 +137,29 @@ pub fn encode(
     }
 
     // One kind byte per column, fixed by the first row; reject mixes.
-    let mut kinds = Vec::with_capacity(n_features);
-    for col in 0..n_features {
-        let kind = match records[0].context.values()[col] {
-            FeatureValue::Cat(_) => 0u8,
-            FeatureValue::Num(_) => 1u8,
-        };
-        for (row, r) in records.iter().enumerate() {
-            let got = match r.context.values()[col] {
-                FeatureValue::Cat(_) => 0u8,
-                FeatureValue::Num(_) => 1u8,
-            };
-            if got != kind {
+    let kind_of = |v: &FeatureValue| match v {
+        FeatureValue::Cat(_) => 0u8,
+        FeatureValue::Num(_) => 1u8,
+    };
+    let kinds: Vec<u8> = first
+        .map_or(&[][..], |r| r.context.values())
+        .iter()
+        .map(kind_of)
+        .collect();
+    for (col, &kind) in kinds.iter().enumerate() {
+        for (row, r) in records.clone().enumerate() {
+            if kind_of(&r.context.values()[col]) != kind {
                 return Err(format!(
                     "feature column {col} mixes categorical and numeric \
                      values (row 0 vs row {row}); use the JSON verb"
                 ));
             }
         }
-        kinds.push(kind);
     }
 
-    let has_propensity = records.iter().any(|r| r.propensity.is_some());
-    let has_state = records.iter().any(|r| r.state.is_some());
-    let has_timestamp = records.iter().any(|r| r.timestamp.is_some());
+    let has_propensity = records.clone().any(|r| r.propensity.is_some());
+    let has_state = records.clone().any(|r| r.state.is_some());
+    let has_timestamp = records.clone().any(|r| r.timestamp.is_some());
     let mut flags = 0u16;
     if seq.is_some() {
         flags |= FLAG_SEQ;
@@ -156,68 +177,72 @@ pub fn encode(
         flags |= FLAG_TIMESTAMP;
     }
 
-    let mut body = Vec::with_capacity(
-        16 + n_features
-            + session.len()
-            + n_rows * (8 * n_features + 4 + 8 + 8 + 8 + 4),
-    );
-    body.extend_from_slice(&flags.to_le_bytes());
-    body.extend_from_slice(&(session.len() as u16).to_le_bytes());
-    body.extend_from_slice(&(n_rows as u32).to_le_bytes());
-    body.extend_from_slice(&(n_features as u16).to_le_bytes());
-    body.extend_from_slice(&kinds);
-    body.extend_from_slice(session.as_bytes());
+    // The cap is checked before a byte is written, from the same size
+    // rule `decode` holds headers to.
+    let total = implied_body_len(flags, session.len(), n_rows, n_features)
+        .and_then(|b| b.checked_add(FRAME_PREFIX_BYTES + FRAME_CRC_BYTES));
+    let body_len = match total {
+        Some(t) if t <= MAX_FRAME_BYTES => t - FRAME_PREFIX_BYTES - FRAME_CRC_BYTES,
+        _ => {
+            return Err(format!(
+                "frame of {} bytes exceeds the {MAX_FRAME_BYTES}-byte cap; \
+                 split the batch",
+                total.map_or_else(|| "overflowing".to_string(), |t| t.to_string())
+            ))
+        }
+    };
+    out.reserve(FRAME_PREFIX_BYTES + body_len + FRAME_CRC_BYTES);
+    let start = out.len();
+    out.extend_from_slice(&FRAME_MAGIC);
+    out.extend_from_slice(&(body_len as u32).to_le_bytes());
+    out.extend_from_slice(&flags.to_le_bytes());
+    out.extend_from_slice(&(session.len() as u16).to_le_bytes());
+    out.extend_from_slice(&(n_rows as u32).to_le_bytes());
+    out.extend_from_slice(&(n_features as u16).to_le_bytes());
+    out.extend_from_slice(&kinds);
+    out.extend_from_slice(session.as_bytes());
     if let Some(s) = seq {
-        body.extend_from_slice(&s.to_le_bytes());
+        out.extend_from_slice(&s.to_le_bytes());
     }
     if let Some(i) = id {
-        body.extend_from_slice(&i.to_le_bytes());
+        out.extend_from_slice(&i.to_le_bytes());
     }
     if has_timestamp {
-        for r in records {
-            body.extend_from_slice(&r.timestamp.unwrap_or(f64::NAN).to_le_bytes());
+        for r in records.clone() {
+            out.extend_from_slice(&r.timestamp.unwrap_or(f64::NAN).to_le_bytes());
         }
     }
     for col in 0..n_features {
-        for r in records {
+        for r in records.clone() {
             let x = match r.context.values()[col] {
                 FeatureValue::Cat(c) => f64::from(c),
                 FeatureValue::Num(x) => x,
             };
-            body.extend_from_slice(&x.to_le_bytes());
+            out.extend_from_slice(&x.to_le_bytes());
         }
     }
-    for r in records {
-        body.extend_from_slice(&(r.decision.index() as u32).to_le_bytes());
+    for r in records.clone() {
+        out.extend_from_slice(&(r.decision.index() as u32).to_le_bytes());
     }
-    for r in records {
-        body.extend_from_slice(&r.reward.to_le_bytes());
+    for r in records.clone() {
+        out.extend_from_slice(&r.reward.to_le_bytes());
     }
     if has_propensity {
-        for r in records {
-            body.extend_from_slice(&r.propensity.unwrap_or(f64::NAN).to_le_bytes());
+        for r in records.clone() {
+            out.extend_from_slice(&r.propensity.unwrap_or(f64::NAN).to_le_bytes());
         }
     }
     if has_state {
-        for r in records {
+        for r in records.clone() {
             let s = r.state.map_or(u32::MAX, |StateTag(s)| s);
-            body.extend_from_slice(&s.to_le_bytes());
+            out.extend_from_slice(&s.to_le_bytes());
         }
     }
 
-    let total = FRAME_PREFIX_BYTES + body.len() + FRAME_CRC_BYTES;
-    if total > MAX_FRAME_BYTES {
-        return Err(format!(
-            "frame of {total} bytes exceeds the {MAX_FRAME_BYTES}-byte cap; \
-             split the batch"
-        ));
-    }
-    let mut out = Vec::with_capacity(total);
-    out.extend_from_slice(&FRAME_MAGIC);
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&body);
-    out.extend_from_slice(&fnv1a(&body).to_le_bytes());
-    Ok(out)
+    let crc = fnv1a(&out[start + FRAME_PREFIX_BYTES..]);
+    out.extend_from_slice(&crc.to_le_bytes());
+    debug_assert_eq!(out.len() - start, FRAME_PREFIX_BYTES + body_len + FRAME_CRC_BYTES);
+    Ok(())
 }
 
 /// The body length a header declares: fixed header, kinds, session,

@@ -214,6 +214,7 @@ pub struct ServerStats {
     wal_frames: Arc<Counter>,
     wal_bytes: Arc<Counter>,
     snapshot_writes: Arc<Counter>,
+    snapshot_bytes: Arc<Counter>,
     recover_frames_replayed: Arc<Counter>,
     recover_truncated_frames: Arc<Counter>,
     recover_sessions: Arc<Counter>,
@@ -239,6 +240,7 @@ impl Default for ServerStats {
             wal_frames: registry.counter("serve.wal.frames"),
             wal_bytes: registry.counter("serve.wal.bytes"),
             snapshot_writes: registry.counter("serve.snapshot.writes"),
+            snapshot_bytes: registry.counter("serve.snapshot.bytes"),
             recover_frames_replayed: registry.counter("serve.recover.frames_replayed"),
             recover_truncated_frames: registry.counter("serve.recover.truncated_frames"),
             recover_sessions: registry.counter("serve.recover.sessions"),
@@ -315,6 +317,11 @@ impl ServerStats {
         self.snapshot_writes.get()
     }
 
+    /// Bytes of every snapshot file written, startup ones included.
+    pub fn snapshot_bytes(&self) -> u64 {
+        self.snapshot_bytes.get()
+    }
+
     /// WAL frames replayed during startup recovery.
     pub fn recover_frames_replayed(&self) -> u64 {
         self.recover_frames_replayed.get()
@@ -351,14 +358,22 @@ impl ServerStats {
         self.queue_gauge.set(now as f64);
     }
 
-    /// Folds one shard's startup recovery into the counters. Opening a
-    /// shard's durable state also writes its post-recovery snapshot, so
-    /// this counts one snapshot write.
+    /// Folds one shard's startup recovery into the counters.
     fn record_recovery(&self, report: &RecoverReport) {
         self.recover_sessions.add(report.sessions);
         self.recover_frames_replayed.add(report.frames_replayed);
         self.recover_truncated_frames.add(report.truncated_frames);
+    }
+
+    /// Books the snapshot `d` wrote last — at startup (opening a shard's
+    /// durable state writes its post-recovery snapshot) or at a rotation
+    /// — into the write and byte counters and the shard's `write_ns`
+    /// histogram.
+    fn record_snapshot(&self, write_ns: &Histogram, d: &ShardDurability) {
+        let w = d.last_snapshot();
         self.snapshot_writes.inc();
+        self.snapshot_bytes.add(w.bytes);
+        write_ns.record(w.nanos);
     }
 
     /// The counters as a telemetry collector (merged into `health`
@@ -379,6 +394,8 @@ impl ServerStats {
         c.counts.push(("serve.wal.bytes", self.wal_bytes()));
         c.counts
             .push(("serve.snapshot.writes", self.snapshot_writes()));
+        c.counts
+            .push(("serve.snapshot.bytes", self.snapshot_bytes()));
         c.counts.push((
             "serve.recover.frames_replayed",
             self.recover_frames_replayed(),
@@ -452,6 +469,9 @@ struct ShardMetrics {
     /// most recent logged request (set at log time, not rotation time,
     /// so the value is settled before the request's reply is sent).
     wal_lag: Arc<Gauge>,
+    /// Wall time of each snapshot this shard writes: encode, write,
+    /// fsync and rename, on the shard thread.
+    snapshot_write_ns: Arc<Histogram>,
 }
 
 impl ShardMetrics {
@@ -462,6 +482,7 @@ impl ShardMetrics {
             estimate: ReqMetrics::shard(reg, "estimate", shard),
             sessions: reg.gauge(&format!("serve.sessions.live.s{shard}")),
             wal_lag: reg.gauge(&format!("serve.wal.lag_frames.s{shard}")),
+            snapshot_write_ns: reg.histogram(&format!("serve.snapshot.write_ns.s{shard}")),
         }
     }
 }
@@ -651,6 +672,12 @@ pub fn serve(config: &ServeConfig) -> std::io::Result<ServerHandle> {
         senders.push(tx);
         let stats = Arc::clone(&stats);
         let failpoint = config.failpoint.clone();
+        // Resolving the metric handles here (not in the worker) means
+        // every shard's metric names are registered before serve()
+        // returns, so the `stats` key set does not depend on which
+        // shards happen to receive traffic. (Loop-handled verbs get the
+        // same treatment just below the shard loop.)
+        let metrics = ShardMetrics::new(stats.registry(), i);
         let mut engine = Engine::new();
         let mut poisoned: HashSet<String> = HashSet::new();
         let durability = match &config.data_dir {
@@ -665,20 +692,16 @@ pub fn serve(config: &ServeConfig) -> std::io::Result<ServerHandle> {
                     &mut poisoned,
                 )?;
                 stats.record_recovery(&report);
+                stats.record_snapshot(&metrics.snapshot_write_ns, &d);
                 Some(d)
             }
         };
-        // Resolving the metric handles here (not in the worker) means
-        // every shard's metric names are registered before serve()
-        // returns, so the `stats` key set does not depend on which
-        // shards happen to receive traffic. (Loop-handled verbs get the
-        // same treatment just below the shard loop.)
         let ctx = ShardCtx {
             shard: i,
             trace: config.trace_requests,
             flight_capacity: config.flight_capacity,
             flight_dir: config.data_dir.clone(),
-            metrics: ShardMetrics::new(stats.registry(), i),
+            metrics,
             outbox: outbox.clone(),
         };
         let spawned = std::thread::Builder::new()
@@ -1265,14 +1288,13 @@ fn wal_log(
 fn wal_maybe_snapshot(
     durability: &mut Option<ShardDurability>,
     stats: &ServerStats,
+    write_ns: &Histogram,
     engine: &Engine,
     poisoned: &HashSet<String>,
 ) {
     if let Some(d) = durability {
         match d.maybe_snapshot(engine, poisoned) {
-            Ok(true) => {
-                stats.snapshot_writes.inc();
-            }
+            Ok(true) => stats.record_snapshot(write_ns, d),
             Ok(false) => {}
             Err(e) => eprintln!("ddn-serve: snapshot write failed: {e}"),
         }
@@ -1347,7 +1369,13 @@ fn shard_worker(
                     dump_flight(&ctx, &flight);
                 }
                 ctx.outbox.reply(conn, id, resp);
-                wal_maybe_snapshot(&mut durability, &stats, &engine, &poisoned);
+                wal_maybe_snapshot(
+                    &mut durability,
+                    &stats,
+                    &ctx.metrics.snapshot_write_ns,
+                    &engine,
+                    &poisoned,
+                );
             }
             ShardMsg::Collect(reply) => {
                 let mut c = engine.collector();

@@ -180,11 +180,12 @@ if [[ "${1:-}" == "ci" ]]; then
   printf '%s\n' "$binary_out" | grep -q 'streamed 300 records over binary frames'
   echo "== ci: crash-resume smoke (kill -9, restart, identical estimate) =="
   # The durability contract at the user-facing surface (DESIGN.md §12):
-  # stream a trace into a WAL-backed server, query the estimate, kill the
-  # process with SIGKILL (no graceful shutdown, no final snapshot),
-  # restart on the same data dir, and require `ddn query` to render the
-  # recovered session *identically* — same estimate bits, same record
-  # count, with no re-initialization.
+  # stream a trace into a WAL-backed server — once cumulative, once into
+  # a windowed session — query the estimates, kill the process with
+  # SIGKILL (no graceful shutdown, no final snapshot), restart on the
+  # same data dir, and require `ddn query` to render both recovered
+  # sessions *identically* — same estimate bits, same record count, with
+  # no re-initialization — and every shard's snapshot to be format v2.
   data_dir="$(mktemp -d -t ddn-serve-data-XXXXXX)"
   trap 'rm -f "$telemetry_file" "$serve_trace" "$port_file"; rm -rf "$bench_dir" "$data_dir"' EXIT
   : > "$port_file"
@@ -199,8 +200,12 @@ if [[ "${1:-}" == "ci" ]]; then
   addr="$(cat "$port_file")"
   ./target/release/ddn replay-to "$serve_trace" \
     --addr "$addr" --decision cdn1/br2 --estimator ips > /dev/null
+  ./target/release/ddn replay-to "$serve_trace" --addr "$addr" \
+    --decision cdn1/br2 --estimator ips --session win --window 64 > /dev/null
   before_query="$(./target/release/ddn query --addr "$addr" --session replay)"
   printf '%s\n' "$before_query" | grep -q 'session: replay (300 records)'
+  before_win="$(./target/release/ddn query --addr "$addr" --session win)"
+  printf '%s\n' "$before_win" | grep -q 'session: win (300 records)'
   kill -9 "$serve_pid"
   wait "$serve_pid" 2>/dev/null || true
   : > "$port_file"
@@ -213,6 +218,7 @@ if [[ "${1:-}" == "ci" ]]; then
   done
   test -s "$port_file" || { echo "FAIL: restarted server never wrote its port" >&2; exit 1; }
   addr="$(cat "$port_file")"
+  after_win="$(./target/release/ddn query --addr "$addr" --session win)"
   after_query="$(./target/release/ddn query --addr "$addr" --session replay --shutdown)"
   wait "$serve_pid"
   after_sans_shutdown="$(printf '%s\n' "$after_query" | grep -v '^server shutdown')"
@@ -221,6 +227,17 @@ if [[ "${1:-}" == "ci" ]]; then
     diff <(printf '%s\n' "$before_query") <(printf '%s\n' "$after_sans_shutdown") >&2 || true
     exit 1
   fi
+  if [[ "$before_win" != "$after_win" ]]; then
+    echo "FAIL: windowed estimate after kill -9 + restart differs from before" >&2
+    diff <(printf '%s\n' "$before_win") <(printf '%s\n' "$after_win") >&2 || true
+    exit 1
+  fi
+  for snap in "$data_dir"/shard-*.snap; do
+    if [[ "$(head -c 8 "$snap")" != "DDNSNAP2" ]]; then
+      echo "FAIL: $snap is not a v2 (DDNSNAP2) snapshot" >&2
+      exit 1
+    fi
+  done
   echo "== ci: observability smoke (stats verb, ddn top, flight recorder) =="
   # The live observability plane (DESIGN.md §13) at the user-facing
   # surface: stream a trace into a fresh server, then require `ddn top

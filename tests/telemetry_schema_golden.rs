@@ -244,6 +244,7 @@ const GOLDEN_SERVE_COUNTERS: &[&str] = &[
     "serve.recover.frames_replayed",
     "serve.recover.sessions",
     "serve.recover.truncated_frames",
+    "serve.snapshot.bytes",
     "serve.snapshot.writes",
     "serve.wal.bytes",
     "serve.wal.frames",
@@ -401,6 +402,7 @@ const GOLDEN_STATS_COUNTERS: &[&str] = &[
     "serve.req.init",
     "serve.req.shutdown",
     "serve.req.stats",
+    "serve.snapshot.bytes",
     "serve.snapshot.writes",
     "serve.wal.bytes",
     "serve.wal.frames",
@@ -435,6 +437,8 @@ const GOLDEN_STATS_HISTOGRAMS: &[&str] = &[
     "serve.req.init.queue_ns.s1",
     "serve.req.shutdown.handle_ns",
     "serve.req.stats.handle_ns",
+    "serve.snapshot.write_ns.s0",
+    "serve.snapshot.write_ns.s1",
 ];
 
 #[test]
