@@ -1854,8 +1854,11 @@ fn cmd_loadgen(args: &[String]) -> Result<String, CliError> {
         report.retries, report.reconnects, report.timeouts, report.giveups,
     ));
     out.push_str(&format!(
-        "server: {} backpressure stalls, {} dedup replays, {:.0} live sessions\n",
-        report.backpressure_stalls, report.dedup_replays, report.live_sessions,
+        "server: {} backpressure stalls, {} shard handoffs, {} dedup replays, {:.0} live sessions\n",
+        report.backpressure_stalls,
+        report.shard_handoffs,
+        report.dedup_replays,
+        report.live_sessions,
     ));
     out.push_str(&format!(
         "exactly-once: ok ({} records counted once)\n",

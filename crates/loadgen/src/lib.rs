@@ -243,6 +243,9 @@ pub struct LoadReport {
     pub giveups: u64,
     /// Server backpressure stalls over the run.
     pub backpressure_stalls: u64,
+    /// Server shard handoffs over the run: requests run by a thread
+    /// other than the one that read them, because their shard was busy.
+    pub shard_handoffs: u64,
     /// Server dedup replays (faults > 0 make these likely).
     pub dedup_replays: u64,
     /// Records the server counted (must equal `records`).
@@ -308,6 +311,10 @@ impl LoadReport {
             (
                 "backpressure_stalls".into(),
                 Json::Int(self.backpressure_stalls as i64),
+            ),
+            (
+                "shard_handoffs".into(),
+                Json::Int(self.shard_handoffs as i64),
             ),
             ("dedup_replays".into(), Json::Int(self.dedup_replays as i64)),
             (
@@ -624,7 +631,7 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadReport, LoadgenError> {
 
     // Snapshot counters before the drive so an externally-attached server
     // with prior traffic reports deltas, not lifetime totals.
-    let read_counters = |addr: &str| -> Result<(u64, u64, u64, f64), String> {
+    let read_counters = |addr: &str| -> Result<(u64, u64, u64, f64, u64), String> {
         let mut c = ServeClient::connect(addr).map_err(|e| e.to_string())?;
         let resp = c.server_stats(false).map_err(|e| e.to_string())?;
         let snap = resp
@@ -651,6 +658,7 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadReport, LoadgenError> {
             counter("serve.backpressure.stalls"),
             counter("serve.dedup.replays"),
             live,
+            counter("serve.shard.handoffs"),
         ))
     };
     let before = read_counters(&addr).map_err(LoadgenError::Serve)?;
@@ -746,6 +754,7 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadReport, LoadgenError> {
         timeouts,
         giveups,
         backpressure_stalls: after.1 - before.1,
+        shard_handoffs: after.4 - before.4,
         dedup_replays: after.2 - before.2,
         server_ingested,
         live_sessions: after.3,

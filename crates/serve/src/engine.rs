@@ -661,7 +661,10 @@ fn degraded_response(session: &str) -> Json {
 /// The per-shard engine: session routing plus health reporting.
 #[derive(Default)]
 pub struct Engine {
-    sessions: HashMap<String, Session>,
+    /// Boxed, so a map slot is a key and a pointer (32 B) rather than a
+    /// whole `Session` (~370 B): the map's spare capacity, up to half its
+    /// slots after each doubling, then costs little per session.
+    sessions: HashMap<String, Box<Session>>,
 }
 
 impl Engine {
@@ -675,7 +678,7 @@ impl Engine {
         let id = spec.session.clone();
         match Session::new(spec) {
             Ok(s) => {
-                self.sessions.insert(id.clone(), s);
+                self.sessions.insert(id.clone(), Box::new(s));
                 ok_response(vec![("session", Json::str(id))])
             }
             Err(e) => error_response(&e),
@@ -809,13 +812,18 @@ impl Engine {
             }
             Ok(resp) if resp.get("ok") == Some(&Json::Bool(true)) => (resp, Outcome::Ok),
             Ok(resp) => (resp, Outcome::Error),
-            Err(_) => {
-                self.remove_session(&session);
-                let resp = degraded_response(&session);
-                poisoned.insert(session);
-                (resp, Outcome::Panic)
-            }
+            Err(_) => (self.quarantine(session, poisoned), Outcome::Panic),
         }
+    }
+
+    /// Drops a session whose request panicked (its state may be
+    /// half-applied) and marks it `poisoned` until a re-`init`. Returns
+    /// the `degraded` answer.
+    pub(crate) fn quarantine(&mut self, session: String, poisoned: &mut HashSet<String>) -> Json {
+        self.remove_session(&session);
+        let resp = degraded_response(&session);
+        poisoned.insert(session);
+        resp
     }
 
     /// Estimator health for every session on this shard, as a telemetry
@@ -856,7 +864,7 @@ impl Engine {
     /// The sessions sorted by id — the order every snapshot writes them
     /// in.
     pub(crate) fn sorted(&self) -> Vec<(&String, &Session)> {
-        let mut sessions: Vec<_> = self.sessions.iter().collect();
+        let mut sessions: Vec<_> = self.sessions.iter().map(|(id, s)| (id, &**s)).collect();
         sessions.sort_unstable_by(|a, b| a.0.cmp(b.0));
         sessions
     }
@@ -881,7 +889,8 @@ impl Engine {
     /// Returns how many were installed.
     pub(crate) fn install(&mut self, sessions: Vec<(String, Session)>) -> usize {
         let n = sessions.len();
-        self.sessions.extend(sessions);
+        self.sessions
+            .extend(sessions.into_iter().map(|(id, s)| (id, Box::new(s))));
         n
     }
 

@@ -1,13 +1,14 @@
 //! Zero-dependency readiness notification: epoll + eventfd via raw
 //! syscalls.
 //!
-//! The serving core (DESIGN.md §14) holds every connection in a single
-//! event loop thread instead of a thread per connection, so idle
-//! sessions cost a few hundred bytes of buffer instead of a stack. The
-//! workspace bans external crates, and `std` does not expose epoll, so
-//! this module makes the four required syscalls directly with inline
-//! assembly: `epoll_create1`, `epoll_ctl`, `epoll_pwait`, and
-//! `eventfd2` (plus `read`/`write`/`close` on the resulting fds).
+//! The serving core (DESIGN.md §14) multiplexes every connection over
+//! one epoll set shared by its worker threads instead of a thread per
+//! connection, so idle sessions cost a few hundred bytes of buffer
+//! instead of a stack. The workspace bans external crates, and `std`
+//! does not expose epoll, so this module makes the four required
+//! syscalls directly with inline assembly: `epoll_create1`,
+//! `epoll_ctl`, `epoll_pwait`, and `eventfd2` (plus `read`/`write`/
+//! `close` on the resulting fds).
 //!
 //! This is the only module in the workspace that uses `unsafe`. The
 //! audit surface is deliberately tiny: one `syscall6` function per
@@ -16,9 +17,11 @@
 //! above — [`Epoll`], [`Waker`] — is a safe API.
 //!
 //! Notification is level-triggered (the kernel default): an fd shows up
-//! in every `wait` while it stays ready, so the server must mask or
-//! deregister interest it cannot act on, or the loop spins. See the
-//! interest state machine in `server.rs`.
+//! in every `wait` while it stays ready. With [`EPOLLONESHOT`] an fd is
+//! reported once and then disarmed — `EPOLLERR`/`EPOLLHUP` included —
+//! until [`Epoll::modify`] re-arms it, which is how the server hands each
+//! readiness event to exactly one worker. See the interest state machine
+//! in `server.rs`.
 
 #![allow(unsafe_code)]
 
@@ -42,6 +45,10 @@ pub const EPOLLOUT: u32 = 0x4;
 pub const EPOLLERR: u32 = 0x8;
 /// Readiness flag: peer hung up. Always reported; cannot be masked.
 pub const EPOLLHUP: u32 = 0x10;
+/// Registration flag: report the fd once, then disarm it (no events at
+/// all, not even `EPOLLERR`/`EPOLLHUP`) until [`Epoll::modify`] re-arms
+/// it. One `wait` among several threads gets each event.
+pub const EPOLLONESHOT: u32 = 1 << 30;
 
 const EPOLL_CTL_ADD: usize = 1;
 const EPOLL_CTL_DEL: usize = 2;
@@ -198,7 +205,7 @@ struct EpollEvent {
     data: u64,
 }
 
-/// One readiness notification out of [`Epoll::wait`].
+/// One readiness notification out of [`Epoll::wait_one`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Event {
     /// The token registered with the fd (connection id, listener, waker).
@@ -273,34 +280,32 @@ impl Epoll {
         self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
     }
 
-    /// Blocks up to `timeout_ms` (-1 = forever) and appends ready events
-    /// to `out`. Retries on EINTR. Returns the number of events added.
-    pub fn wait(&self, out: &mut Vec<Event>, timeout_ms: i32) -> io::Result<usize> {
-        const MAX_EVENTS: usize = 256;
-        let mut buf = [EpollEvent { events: 0, data: 0 }; MAX_EVENTS];
+    /// Blocks up to `timeout_ms` (-1 = forever) for one ready event.
+    /// Retries on EINTR. `None` means the wait timed out.
+    ///
+    /// One event per wait is deliberate: several server workers share one
+    /// epoll set, and an event a worker holds while it runs a request is
+    /// an event no idle worker can serve.
+    pub fn wait_one(&self, timeout_ms: i32) -> io::Result<Option<Event>> {
+        let mut slot = EpollEvent { events: 0, data: 0 };
         loop {
             let ret = unsafe {
                 sys::syscall6(
                     sys::nr::EPOLL_PWAIT,
                     self.fd.raw() as usize,
-                    buf.as_mut_ptr() as usize,
-                    MAX_EVENTS,
+                    std::ptr::addr_of_mut!(slot) as usize,
+                    1,
                     timeout_ms as usize,
                     0, // NULL sigmask: plain epoll_wait semantics
                     8, // sigsetsize; ignored with a NULL mask
                 )
             };
             match check(ret) {
-                Ok(n) => {
-                    for slot in &buf[..n] {
-                        // Copy packed fields out by value before use.
-                        let (events, data) = (slot.events, slot.data);
-                        out.push(Event {
-                            token: data,
-                            events,
-                        });
-                    }
-                    return Ok(n);
+                Ok(0) => return Ok(None),
+                Ok(_) => {
+                    // Copy packed fields out by value before use.
+                    let (events, token) = (slot.events, slot.data);
+                    return Ok(Some(Event { token, events }));
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
@@ -311,9 +316,11 @@ impl Epoll {
 
 /// A cross-thread wakeup handle backed by a nonblocking eventfd.
 ///
-/// Shard workers call [`Waker::wake`] after queuing a completion;
-/// the event loop registers the eventfd alongside its sockets and calls
-/// [`Waker::drain`] when it fires. Cloning shares the same eventfd.
+/// Register [`Waker::raw`] with an epoll set; [`Waker::wake`] makes every
+/// `wait` on it report the eventfd until [`Waker::drain`] (level-
+/// triggered). The server's stop signal is woken once and never drained,
+/// so every worker sees it; its baton is registered one-shot and drained
+/// once no passed shard is left. Cloning shares the same eventfd.
 #[derive(Debug, Clone)]
 pub struct Waker {
     fd: Arc<OwnedFd>,
@@ -385,11 +392,8 @@ mod tests {
     #[test]
     fn wait_times_out_with_no_events() {
         let epoll = Epoll::new().unwrap();
-        let mut events = Vec::new();
         let start = Instant::now();
-        let n = epoll.wait(&mut events, 20).unwrap();
-        assert_eq!(n, 0);
-        assert!(events.is_empty());
+        assert_eq!(epoll.wait_one(20).unwrap(), None);
         assert!(start.elapsed() >= Duration::from_millis(15));
     }
 
@@ -400,24 +404,20 @@ mod tests {
         epoll.add(waker.raw(), 7, EPOLLIN).unwrap();
 
         // Not yet woken: a short wait sees nothing.
-        let mut events = Vec::new();
-        assert_eq!(epoll.wait(&mut events, 0).unwrap(), 0);
+        assert_eq!(epoll.wait_one(0).unwrap(), None);
 
         // Wake from another thread (as a shard worker does).
         let w2 = waker.clone();
         let t = std::thread::spawn(move || w2.wake());
-        let n = epoll.wait(&mut events, 2000).unwrap();
+        let ev = epoll.wait_one(2000).unwrap().expect("woken");
         t.join().unwrap();
-        assert_eq!(n, 1);
-        assert_eq!(events[0].token, 7);
-        assert!(events[0].readable());
+        assert_eq!(ev.token, 7);
+        assert!(ev.readable());
 
         // Level-triggered: still readable until drained.
-        events.clear();
-        assert_eq!(epoll.wait(&mut events, 0).unwrap(), 1);
+        assert!(epoll.wait_one(0).unwrap().is_some());
         waker.drain();
-        events.clear();
-        assert_eq!(epoll.wait(&mut events, 0).unwrap(), 0);
+        assert_eq!(epoll.wait_one(0).unwrap(), None);
     }
 
     #[test]
@@ -431,35 +431,30 @@ mod tests {
         epoll.add(rx.as_raw_fd(), 42, EPOLLIN).unwrap();
 
         // Idle socket: no events.
-        let mut events = Vec::new();
-        assert_eq!(epoll.wait(&mut events, 0).unwrap(), 0);
+        assert_eq!(epoll.wait_one(0).unwrap(), None);
 
         // Data arrives: readable under token 42.
         tx.write_all(b"ping").unwrap();
-        let n = epoll.wait(&mut events, 2000).unwrap();
-        assert_eq!(n, 1);
-        assert_eq!(events[0].token, 42);
-        assert!(events[0].readable());
+        let ev = epoll.wait_one(2000).unwrap().expect("readable");
+        assert_eq!(ev.token, 42);
+        assert!(ev.readable());
 
         // Mask readable interest away: silent even with data pending.
         epoll.modify(rx.as_raw_fd(), 42, EPOLLOUT).unwrap();
-        events.clear();
-        let n = epoll.wait(&mut events, 0).unwrap();
         // A healthy connected socket is writable immediately.
-        assert_eq!(n, 1);
-        assert!(events[0].writable());
+        let ev = epoll.wait_one(0).unwrap().expect("writable");
+        assert!(ev.writable());
 
         // Deregister entirely: nothing reported, even peer hangup.
         epoll.del(rx.as_raw_fd()).unwrap();
         drop(tx);
-        events.clear();
-        assert_eq!(epoll.wait(&mut events, 20).unwrap(), 0);
+        assert_eq!(epoll.wait_one(20).unwrap(), None);
     }
 
     #[test]
     fn del_silences_error_and_hangup_events() {
-        // The in_flight state in server.rs depends on EPOLL_CTL_DEL
-        // suppressing EPOLLHUP (a mere interest mask of 0 would not).
+        // EPOLL_CTL_DEL suppresses EPOLLHUP (a mere interest mask of 0
+        // would not).
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let tx = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (rx, _) = listener.accept().unwrap();
@@ -467,7 +462,47 @@ mod tests {
         epoll.add(rx.as_raw_fd(), 1, EPOLLIN).unwrap();
         epoll.del(rx.as_raw_fd()).unwrap();
         drop(tx);
-        let mut events = Vec::new();
-        assert_eq!(epoll.wait(&mut events, 20).unwrap(), 0);
+        assert_eq!(epoll.wait_one(20).unwrap(), None);
+    }
+
+    #[test]
+    fn oneshot_reports_once_until_modify_rearms() {
+        // server.rs hands each connection event to one worker this way:
+        // after the event the fd stays silent, even through unread data
+        // and a peer hangup, until the owner re-arms it.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut tx = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (rx, _) = listener.accept().unwrap();
+        let epoll = Epoll::new().unwrap();
+        epoll
+            .add(rx.as_raw_fd(), 9, EPOLLIN | EPOLLONESHOT)
+            .unwrap();
+        tx.write_all(b"ping").unwrap();
+        assert_eq!(epoll.wait_one(2000).unwrap().map(|ev| ev.token), Some(9));
+
+        drop(tx);
+        assert_eq!(epoll.wait_one(20).unwrap(), None);
+
+        epoll
+            .modify(rx.as_raw_fd(), 9, EPOLLIN | EPOLLONESHOT)
+            .unwrap();
+        assert!(epoll.wait_one(2000).unwrap().expect("re-armed").readable());
+        assert_eq!(epoll.wait_one(20).unwrap(), None);
+    }
+
+    #[test]
+    fn wait_one_leaves_the_other_ready_events_queued() {
+        let epoll = Epoll::new().unwrap();
+        let (a, b) = (Waker::new().unwrap(), Waker::new().unwrap());
+        epoll.add(a.raw(), 1, EPOLLIN | EPOLLONESHOT).unwrap();
+        epoll.add(b.raw(), 2, EPOLLIN | EPOLLONESHOT).unwrap();
+        a.wake();
+        b.wake();
+        let mut tokens: Vec<u64> = (0..2)
+            .map(|_| epoll.wait_one(2000).unwrap().expect("ready").token)
+            .collect();
+        tokens.sort_unstable();
+        assert_eq!(tokens, [1, 2]);
+        assert_eq!(epoll.wait_one(20).unwrap(), None);
     }
 }

@@ -18,10 +18,11 @@
 //!   `ddn_estimators::menu` registry, the online [`CouplingMonitor`],
 //!   and [`Engine::apply`], the apply path live traffic and recovery
 //!   share; transport-independent and directly testable.
-//! - [`server`] — the readiness-driven TCP front end: one epoll event
-//!   loop that owns every connection, decodes every request and routes
-//!   it to its shard; sharded bounded queues whose overflow parks on
-//!   the loop; graceful shutdown.
+//! - [`server`] — the readiness-driven TCP front end: `shards + 1`
+//!   worker threads share one epoll set, and each reads, decodes and
+//!   runs requests on their shard when it is idle; a request for a busy
+//!   shard waits in that shard's FIFO for the thread holding it; graceful
+//!   shutdown.
 //! - [`eventloop`] — the zero-dependency epoll/eventfd layer (raw
 //!   syscalls; the only module in the workspace allowed `unsafe`).
 //! - [`client`] — a blocking client for `ddn replay-to` and tests, with
@@ -42,7 +43,7 @@
 //! (WAL format, snapshot cadence, recovery invariants, fsync policy),
 //! and §13 for the observability plane (request ids, the `stats` verb,
 //! metric naming, flight recorder, `ddn top`), and §14 for the
-//! readiness-driven event loop and the binary frame byte layout.
+//! readiness-driven serving threads and the binary frame byte layout.
 
 // `unsafe` is denied everywhere except `eventloop`, which needs raw
 // epoll/eventfd syscalls and carries its own file-level allow + audit.

@@ -1,46 +1,71 @@
-//! The TCP transport: one readiness-driven event loop and the sharded
-//! worker pool.
+//! The TCP transport: `shards + 1` worker threads, each both an I/O
+//! thread and an executor, over sharded session state.
 //!
 //! ## Threading model (DESIGN.md §14)
 //!
 //! ```text
-//! event loop (one thread)                  shard workers (own the sessions)
-//!   epoll over listener, every               log payload, Engine::apply,
-//!   connection and a completion waker        book metrics, render the reply
-//!   accept / read / frame / write                 ▲                  │
-//!   Request::decode(payload)                      │                  │
-//!   answer health / stats / shutdown              │                  │
-//!   hash(session) → shard ── try_send ────────────┘                  │
-//!        ▲                   (bounded; a full queue parks)           │
-//!        └──────────── Completion {conn, bytes} + waker ◀────────────┘
+//! every worker (one per shard, plus a standby)
+//!   epoll_wait on the one shared set ──▶ one ready connection (one-shot)
+//!   read / frame / Request::decode
+//!   answer stats / shutdown on the spot
+//!   hash(session) → shard k ──▶ idle: claim it and run the request here:
+//!                               log, Engine::apply, book, render, write
+//!                               the reply, rotate a snapshot when due
+//!                          └──▶ busy: leave it in shard k's FIFO; the
+//!                               thread holding the shard runs it
+//!   re-arm the connection (one epoll_ctl MOD)
 //! ```
 //!
-//! The event loop owns every socket: it accepts, reads, splits the byte
-//! stream into requests (newline-delimited JSON or length-prefixed
-//! binary frames), decodes each with [`Request::decode`], and writes
-//! responses — all nonblocking, so one thread holds ~100k idle
-//! connections at a few hundred bytes each instead of a stack per
-//! connection. It answers `health`, `stats` and `shutdown` itself and
-//! hands `init`, `ingest` and `estimate` straight to the session's
-//! shard, which renders the reply bytes and queues them back to the
-//! loop through an eventfd waker: a request crosses two threads.
+//! Every worker waits on one epoll set. Connections are registered
+//! `EPOLLIN | EPOLLONESHOT`, so a readiness event goes to exactly one
+//! worker, which takes the connection out of the token table and owns it
+//! until it re-arms it. Nonblocking sockets let a few threads hold
+//! ~100k idle connections at a few hundred bytes each instead of a
+//! stack per connection. The worker reads, splits the byte stream into
+//! requests (newline-delimited JSON or length-prefixed binary frames),
+//! and decodes each with [`Request::decode`]. It answers `stats` and
+//! `shutdown` itself.
 //!
-//! A shard verb reaches its shard as the decoded request plus the bytes
-//! it arrived as. With durability on, the worker logs an `init` or
-//! `ingest` payload verbatim before applying it; without, it drops the
-//! bytes. Live requests and WAL recovery both apply through
-//! [`Engine::apply`], so the two cannot drift apart.
+//! `init`, `ingest` and `estimate` belong to the session's shard. A
+//! worker that finds the shard idle claims it and runs the request to
+//! completion, writing the reply itself: no thread wake, no queue, no
+//! eventfd. A request whose shard is busy waits in that shard's FIFO,
+//! carrying its connection, and the thread already holding the shard
+//! runs it (a `serve.shard.handoffs` event). No worker ever waits for a
+//! busy shard, and a thread holds at most one shard at a time, so with
+//! one worker more than shards some worker is always free to accept,
+//! read, and answer `stats` and `shutdown`: a slow shard delays only its
+//! own clients. The extra worker is a standby that never sleeps in
+//! epoll: every 5 ms it takes whatever is ready, because each worker
+//! asleep in `epoll_wait` is one more to wake per request, and it only
+//! finds work while every other worker is busy.
+//!
+//! `health` and `stats {"flight":true}` visit every shard through the
+//! same FIFOs; the thread that adds the last shard's part writes the
+//! reply. The reading thread claims each idle shard only for its part:
+//! if requests queued meanwhile it passes the shard on (it stays claimed,
+//! and the worker that takes the baton eventfd's one-shot event runs
+//! them), so no shard's traffic delays another shard's part.
+//!
+//! A shard verb travels with the bytes it arrived as. With durability
+//! on, `init` and `ingest` payloads are logged verbatim before they are
+//! applied; without, the bytes are dropped. Live requests and WAL
+//! recovery both apply through [`Engine::apply`], so the two cannot
+//! drift apart.
 //!
 //! Each connection is stop-and-wait: one request in flight at a time,
 //! responses written in request order. Pipelined bytes wait in the
-//! connection's input buffer. While a request is in flight the socket
-//! is deregistered from epoll entirely (a mere zero interest mask would
-//! still report `EPOLLHUP` and spin a level-triggered loop).
+//! connection's input buffer. A connection whose next request is already
+//! buffered is pumped by the thread that answered it once that thread
+//! releases the shard; while the thread goes on running the shard, the
+//! connection is armed for output instead, which is ready at once, and a
+//! free worker pumps it. A connection is read only after epoll reported
+//! it readable (an output event pumps buffered input without reading).
 //!
-//! Each session lives on exactly one shard (chosen by hashing its id), so
-//! session state needs no synchronization and requests for one session
-//! are processed in arrival order — an `estimate` sent after an `ingest`
-//! on the same connection always sees the ingested records.
+//! Each session lives on exactly one shard (chosen by hashing its id),
+//! and a shard runs on one thread at a time, in the order its requests
+//! arrived — an `estimate` sent after an `ingest` on the same connection
+//! always sees the ingested records.
 //!
 //! All socket I/O goes through the [`Transport`] abstraction; chaos tests
 //! install a [`ServeConfig::wrap`] hook to interpose a deterministic
@@ -48,37 +73,31 @@
 //!
 //! ## Backpressure
 //!
-//! Shard queues are bounded ([`ServeConfig::queue_capacity`] messages
-//! per shard), and the loop never blocks on one. It offers each request
-//! with a non-blocking send; when the shard's queue is full, or requests
-//! for that shard are already parked, it counts a
-//! `serve.backpressure.stalls` event and parks the request, oldest
-//! first per shard. Parked requests are offered again on every loop
-//! turn, after completions drain: a full queue holds requests whose
-//! completions wake the loop. The client that sent a parked request
-//! waits (stop-and-wait); connections served by other shards keep
-//! flowing.
-//!
-//! `health` and `stats {"flight":true}` ask every shard in turn from the
-//! loop, a blocking send and receive. That cannot deadlock: a shard
-//! never waits on the loop, because the completion queue is unbounded
-//! (one reply per in-flight connection) and the waker is nonblocking.
+//! A request that finds [`ServeConfig::queue_capacity`] requests already
+//! waiting for its shard counts a `serve.backpressure.stalls` event and
+//! waits too; `serve.queue.depth` counts waiting requests. The client
+//! that sent a waiting request waits (stop-and-wait), so a shard's FIFO
+//! holds at most one request per connection. Connections served by
+//! other shards keep flowing.
 //!
 //! ## Fault isolation
 //!
 //! A connection that sends junk bytes, a torn line or frame, or an
 //! oversized line gets an error response (or is dropped at EOF) without
 //! affecting other connections; such events count
-//! `serve.fault.conn_errors`. A shard worker that panics mid-request is
-//! caught ([`std::panic::catch_unwind`] inside [`Engine::apply`]), the
-//! session whose request panicked is quarantined (its state may be
-//! half-applied), and the worker keeps serving its other sessions — the
+//! `serve.fault.conn_errors`. A panic while running a request — inside
+//! [`Engine::apply`] or anywhere else in logging, booking or rendering
+//! it — is caught, the session whose request panicked is quarantined
+//! (its state may be half-applied), and the thread keeps serving — the
 //! panic costs one session, not the server. Quarantined sessions answer
 //! every request with a `degraded` error (re-`init` lifts the
 //! quarantine) and show up in `health` under `serve/<session>/degraded`.
+//! A panic that escapes even that guard is caught around the whole
+//! shard job: its connection is dropped, the thread keeps serving, and
+//! the shard's poisoned lock answers `shard worker unavailable`.
 //!
 //! A reply that ends its connection (an unframeable frame, the
-//! `shutdown` ack) is flushed, then the loop shuts the write half and
+//! `shutdown` ack) is flushed, then the worker shuts the write half and
 //! discards input until the peer's EOF. Closing a socket with unread
 //! input makes the kernel send a reset, which can destroy the reply
 //! before the peer reads it.
@@ -86,16 +105,17 @@
 //! ## Shutdown contract
 //!
 //! A `shutdown` verb (the SIGTERM-equivalent for this zero-dependency
-//! server) or [`ServerHandle::shutdown`] sets a flag; the handle also
-//! wakes the event loop. The loop stops accepting, closes idle
-//! connections (at once, even half-closed ones whose peer never closes),
-//! lets in-flight and parked requests finish and flush, then exits;
-//! dropping its shard senders stops the workers. [`ServerHandle::shutdown`]
-//! joins every thread — loop and workers — so when it returns the
+//! server) or [`ServerHandle::shutdown`] sets a flag and makes the stop
+//! eventfd readable; it is registered level-triggered and never drained,
+//! so every worker sees it. The first worker to see it stops accepting
+//! and closes idle connections (at once, even half-closed ones whose
+//! peer never closes). In-flight and waiting requests finish and flush,
+//! their connections close, and the workers exit once none is left.
+//! [`ServerHandle::shutdown`] joins every worker, so when it returns the
 //! process holds no server state and no thread or fd has leaked.
 
 use crate::engine::{Engine, Outcome};
-use crate::eventloop::{Epoll, Event, Waker, EPOLLIN, EPOLLOUT};
+use crate::eventloop::{Epoll, Waker, EPOLLIN, EPOLLONESHOT, EPOLLOUT};
 use crate::flightrec::{flightrec_path, FlightRecorder};
 use crate::frame::{self, FRAME_MAGIC, FRAME_PREFIX_BYTES};
 use crate::protocol::{attach_id, error_response, ok_response, Request};
@@ -110,10 +130,10 @@ use std::hash::{Hash, Hasher};
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener};
 use std::os::fd::AsRawFd;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TrySendError};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -126,9 +146,11 @@ pub type TransportWrap = Arc<dyn Fn(Box<dyn Transport>) -> Box<dyn Transport> + 
 pub struct ServeConfig {
     /// Address to bind; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Number of shard workers (each owns a disjoint set of sessions).
+    /// Number of shards (each owns a disjoint set of sessions), and of
+    /// worker threads.
     pub shards: usize,
-    /// Bounded queue capacity per shard, in messages.
+    /// Requests that may wait for a busy shard before each further one
+    /// counts a backpressure stall.
     pub queue_capacity: usize,
     /// Hard cap on one request line, in bytes; longer lines get an error
     /// response and are discarded without buffering (anti-DoS). Binary
@@ -152,7 +174,8 @@ pub struct ServeConfig {
     /// without [`ServeConfig::data_dir`].
     pub snapshot_every: u64,
     /// Per-shard flight-recorder capacity in events (the post-mortem
-    /// ring dumped on worker panic and served by `stats {"flight":true}`).
+    /// ring dumped when a request panics and served by
+    /// `stats {"flight":true}`).
     pub flight_capacity: usize,
     /// Record per-request trace metrics (queue-wait and handler-time
     /// histograms, flight-recorder events). On by default; the observe
@@ -208,6 +231,7 @@ pub struct ServerStats {
     registry: Arc<Registry>,
     ingest_records: Arc<Counter>,
     backpressure_stalls: Arc<Counter>,
+    shard_handoffs: Arc<Counter>,
     dedup_replays: Arc<Counter>,
     fault_conn_errors: Arc<Counter>,
     fault_worker_restarts: Arc<Counter>,
@@ -234,6 +258,7 @@ impl Default for ServerStats {
         Self {
             ingest_records: registry.counter("serve.ingest.records"),
             backpressure_stalls: registry.counter("serve.backpressure.stalls"),
+            shard_handoffs: registry.counter("serve.shard.handoffs"),
             dedup_replays: registry.counter("serve.dedup.replays"),
             fault_conn_errors: registry.counter("serve.fault.conn_errors"),
             fault_worker_restarts: registry.counter("serve.fault.worker_restarts"),
@@ -272,13 +297,20 @@ impl ServerStats {
         self.conn_active.load(Ordering::Relaxed)
     }
 
-    /// Requests the event loop parked because their shard queue was full
-    /// (or held parked requests already).
+    /// Requests that found [`ServeConfig::queue_capacity`] requests
+    /// already waiting for their busy shard (they wait too).
     pub fn backpressure_stalls(&self) -> u64 {
         self.backpressure_stalls.get()
     }
 
-    /// Messages currently queued across all shards.
+    /// Requests run by a thread other than the one that read them,
+    /// because their shard was busy: they waited in its FIFO for the
+    /// thread holding it.
+    pub fn shard_handoffs(&self) -> u64 {
+        self.shard_handoffs.get()
+    }
+
+    /// Requests currently waiting for a busy shard, across all shards.
     pub fn queue_depth(&self) -> u64 {
         self.queue_depth.load(Ordering::Relaxed)
     }
@@ -380,11 +412,14 @@ impl ServerStats {
     /// snapshots alongside per-shard estimator health).
     pub fn collector(&self) -> Collector {
         let mut c = Collector::default();
-        c.counts.push(("serve.ingest.records", self.ingest_records()));
+        c.counts
+            .push(("serve.ingest.records", self.ingest_records()));
         c.counts.push(("serve.queue.depth", self.queue_depth()));
         c.counts.push(("serve.conn.active", self.conn_active()));
         c.counts
             .push(("serve.backpressure.stalls", self.backpressure_stalls()));
+        c.counts
+            .push(("serve.shard.handoffs", self.shard_handoffs()));
         c.counts.push(("serve.dedup.replays", self.dedup_replays()));
         c.counts
             .push(("serve.fault.conn_errors", self.fault_conn_errors()));
@@ -410,32 +445,6 @@ impl ServerStats {
     }
 }
 
-/// Messages the event loop sends to a shard worker.
-enum ShardMsg {
-    /// One `init`, `ingest` or `estimate` for a session on this shard.
-    /// The worker answers through the loop's [`Outbox`].
-    Request {
-        req: Request,
-        /// The bytes the request arrived as (JSON line without its
-        /// newline, or binary frame): the WAL payload (DESIGN.md §12).
-        payload: Vec<u8>,
-        /// The `"id"` the reply echoes.
-        id: Option<Json>,
-        /// The connection the reply goes to.
-        conn: u64,
-        /// When the loop first offered the request, for the queue-wait
-        /// histogram: time parked on the loop counts as queue wait.
-        at: Instant,
-    },
-    /// Health probe: the shard answers with its estimator-health
-    /// collector.
-    Collect(Sender<Collector>),
-    /// Flight-recorder read: the shard answers with its ring as a JSON
-    /// array (oldest first) and, when `dump` is set and durability is
-    /// configured, also rewrites `flightrec-<shard>.jsonl`.
-    Flight { dump: bool, reply: Sender<Json> },
-}
-
 /// Per-verb request metrics: the shared request counter plus this
 /// shard's latency histograms (queue wait and handler wall time, both
 /// in nanoseconds).
@@ -455,10 +464,10 @@ impl ReqMetrics {
     }
 }
 
-/// One shard worker's metric handles, resolved once before the worker
-/// spawns — the hot loop never touches the registry mutex, and every
-/// shard's metric names exist in the registry before any traffic
-/// arrives (so the `stats` key set is workload-independent).
+/// One shard's metric handles, resolved once at startup — the request
+/// path never touches the registry mutex, and every shard's metric names
+/// exist in the registry before any traffic arrives (so the `stats` key
+/// set is workload-independent).
 struct ShardMetrics {
     init: ReqMetrics,
     ingest: ReqMetrics,
@@ -470,7 +479,7 @@ struct ShardMetrics {
     /// so the value is settled before the request's reply is sent).
     wal_lag: Arc<Gauge>,
     /// Wall time of each snapshot this shard writes: encode, write,
-    /// fsync and rename, on the shard thread.
+    /// fsync and rename, on the thread holding the shard.
     snapshot_write_ns: Arc<Histogram>,
 }
 
@@ -487,19 +496,6 @@ impl ShardMetrics {
     }
 }
 
-/// Everything a shard worker needs besides its sessions — its
-/// observability handles and the way back to the event loop — bundled
-/// so the worker signature stays readable.
-struct ShardCtx {
-    shard: usize,
-    trace: bool,
-    flight_capacity: usize,
-    /// Where panic dumps and on-demand dumps go (the durability dir).
-    flight_dir: Option<PathBuf>,
-    metrics: ShardMetrics,
-    outbox: Outbox,
-}
-
 /// Saturating nanosecond count of a duration.
 fn duration_ns(d: Duration) -> u64 {
     d.as_nanos().min(u64::MAX as u128) as u64
@@ -513,7 +509,7 @@ fn duration_ns(d: Duration) -> u64 {
 /// moment.
 #[allow(clippy::too_many_arguments)]
 fn observe_request(
-    ctx: &ShardCtx,
+    trace: bool,
     flight: &mut FlightRecorder,
     metrics: &ReqMetrics,
     verb: &'static str,
@@ -525,7 +521,7 @@ fn observe_request(
     started: Instant,
 ) {
     metrics.count.inc();
-    let dur_ns = if ctx.trace {
+    let dur_ns = if trace {
         let wait_ns = duration_ns(started.duration_since(at));
         let dur_ns = duration_ns(started.elapsed());
         metrics.queue_ns.record(wait_ns);
@@ -542,9 +538,8 @@ fn observe_request(
 pub struct ServerHandle {
     local_addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    waker: Waker,
+    stop: Waker,
     stats: Arc<ServerStats>,
-    event_loop: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -563,74 +558,47 @@ impl ServerHandle {
     /// with a client-sent `shutdown` verb (both paths set the same flag).
     pub fn shutdown(self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        // Wake the event loop if it is parked in epoll_wait.
-        self.waker.wake();
+        self.stop.wake();
         self.join();
     }
 
     /// Blocks until the server stops — i.e. until some client sends the
-    /// `shutdown` verb — then joins every thread. This is what
+    /// `shutdown` verb — then joins every worker. This is what
     /// `ddn serve` does after printing the bound address.
-    pub fn join(mut self) {
-        // The event loop exits once drained, and dropping its shard
-        // senders stops the workers — join in that dependency order.
-        if let Some(h) = self.event_loop.take() {
-            let _ = h.join();
-        }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
+    pub fn join(self) {
+        for h in self.workers {
+            if h.join().is_err() {
+                eprintln!("ddn-serve: a worker thread panicked");
+            }
         }
     }
 }
 
-/// Fallback epoll timeout: how long the loop waits with no events
-/// before re-checking the shutdown flag (belt-and-braces — shutdown
-/// paths also wake the loop explicitly).
-const POLL_INTERVAL: Duration = Duration::from_millis(100);
+/// While the server drains, the stop eventfd is always readable, so a
+/// worker with nothing else to do sleeps this long between checks for
+/// the last connection closing instead of spinning.
+const DRAIN_POLL: Duration = Duration::from_millis(1);
+
+/// How long the standby worker sleeps between looks for readiness that
+/// no other worker is free to take. It bounds how long `stats`, a new
+/// connection or a request for an idle shard waits while every shard is
+/// busy.
+const STANDBY_POLL: Duration = Duration::from_millis(5);
 
 /// Epoll token of the listening socket.
 const TOKEN_LISTENER: u64 = 0;
-/// Epoll token of the completion waker eventfd.
-const TOKEN_WAKER: u64 = 1;
+/// Epoll token of the stop eventfd.
+const TOKEN_STOP: u64 = 1;
+/// Epoll token of the baton eventfd (see [`Server::pass`]).
+const TOKEN_BATON: u64 = 2;
 /// First token handed to an accepted connection.
-const TOKEN_CONN0: u64 = 2;
+const TOKEN_CONN0: u64 = 3;
 
-/// A rendered reply headed back to the event loop for writing.
-struct Completion {
-    conn: u64,
-    /// The exact bytes to write (response JSON + `\n`).
-    bytes: Vec<u8>,
-}
-
-/// The way back to the event loop: its completion queue plus the waker
-/// that makes it drain the queue. Neither blocks — the queue is
-/// unbounded, holding at most one reply per in-flight connection, and
-/// the waker is a nonblocking eventfd — so a shard never waits on the
-/// loop.
-#[derive(Clone)]
-struct Outbox {
-    done: Sender<Completion>,
-    waker: Waker,
-}
-
-impl Outbox {
-    /// Queues `resp`, with the echoed `id`, as the reply line for
-    /// `conn`, and wakes the loop.
-    fn reply(&self, conn: u64, id: Option<Json>, resp: Json) {
-        let mut bytes = attach_id(resp, id).to_string().into_bytes();
-        bytes.push(b'\n');
-        // A closed queue means the loop has exited: nobody is waiting.
-        if self.done.send(Completion { conn, bytes }).is_ok() {
-            self.waker.wake();
-        }
-    }
-}
-
-/// Binds `config.addr` and starts the event loop and the shard
-/// workers. Any startup failure — an invalid config (`InvalidInput`),
-/// bind, epoll/eventfd creation, thread spawn under resource exhaustion
-/// — returns an `io::Error` instead of panicking, so `ddn serve` exits 1
-/// with a message.
+/// Binds `config.addr`, recovers every shard's durable state, and starts
+/// the workers. Any startup failure — an invalid config
+/// (`InvalidInput`), bind, recovery, epoll/eventfd creation, thread
+/// spawn under resource exhaustion — returns an `io::Error` instead of
+/// panicking, so `ddn serve` exits 1 with a message.
 pub fn serve(config: &ServeConfig) -> std::io::Result<ServerHandle> {
     for (bad, msg) in [
         (config.shards == 0, "need at least one shard"),
@@ -650,14 +618,7 @@ pub fn serve(config: &ServeConfig) -> std::io::Result<ServerHandle> {
     }
     let listener = TcpListener::bind(&config.addr)?;
     let local_addr = listener.local_addr()?;
-    let shutdown = Arc::new(AtomicBool::new(false));
     let stats = Arc::new(ServerStats::default());
-    let waker = Waker::new()?;
-    let (done_tx, done_rx) = channel::<Completion>();
-    let outbox = Outbox {
-        done: done_tx,
-        waker: waker.clone(),
-    };
 
     // Crash-resume happens here, on the caller's thread, before any
     // traffic can arrive: each shard restores its snapshot and replays
@@ -665,18 +626,11 @@ pub fn serve(config: &ServeConfig) -> std::io::Result<ServerHandle> {
     if let Some(dir) = &config.data_dir {
         check_meta(dir, config.shards)?;
     }
-    let mut senders = Vec::with_capacity(config.shards);
-    let mut workers = Vec::with_capacity(config.shards);
+    let mut shards = Vec::with_capacity(config.shards);
     for i in 0..config.shards {
-        let (tx, rx) = sync_channel::<ShardMsg>(config.queue_capacity);
-        senders.push(tx);
-        let stats = Arc::clone(&stats);
-        let failpoint = config.failpoint.clone();
-        // Resolving the metric handles here (not in the worker) means
-        // every shard's metric names are registered before serve()
-        // returns, so the `stats` key set does not depend on which
-        // shards happen to receive traffic. (Loop-handled verbs get the
-        // same treatment just below the shard loop.)
+        // Resolving the metric handles here means every shard's metric
+        // names are registered before serve() returns, so the `stats`
+        // key set does not depend on which shards receive traffic.
         let metrics = ShardMetrics::new(stats.registry(), i);
         let mut engine = Engine::new();
         let mut poisoned: HashSet<String> = HashSet::new();
@@ -687,7 +641,7 @@ pub fn serve(config: &ServeConfig) -> std::io::Result<ServerHandle> {
                     dir,
                     i,
                     config.snapshot_every,
-                    failpoint.as_deref(),
+                    config.failpoint.as_deref(),
                     &mut engine,
                     &mut poisoned,
                 )?;
@@ -696,37 +650,19 @@ pub fn serve(config: &ServeConfig) -> std::io::Result<ServerHandle> {
                 Some(d)
             }
         };
-        let ctx = ShardCtx {
-            shard: i,
-            trace: config.trace_requests,
-            flight_capacity: config.flight_capacity,
-            flight_dir: config.data_dir.clone(),
+        shards.push(Shard {
+            state: Mutex::new(ShardState {
+                engine,
+                poisoned,
+                durability,
+                flight: FlightRecorder::new(config.flight_capacity),
+            }),
+            fifo: Mutex::default(),
             metrics,
-            outbox: outbox.clone(),
-        };
-        let spawned = std::thread::Builder::new()
-            .name(format!("ddn-serve-shard-{i}"))
-            .spawn(move || {
-                shard_worker(rx, stats, failpoint, engine, poisoned, durability, ctx)
-            });
-        match spawned {
-            Ok(h) => workers.push(h),
-            Err(e) => {
-                // Dropping `senders` disconnects the already-spawned
-                // workers' receive loops; they exit on their own.
-                drop(senders);
-                for h in workers {
-                    let _ = h.join();
-                }
-                return Err(std::io::Error::new(
-                    e.kind(),
-                    format!("cannot spawn shard worker {i}: {e}"),
-                ));
-            }
-        }
+        });
     }
 
-    // Eagerly register the loop-handled verbs too, so an idle server
+    // Eagerly register the verbs no shard owns too, so an idle server
     // and a busy one expose the same `stats` key set.
     for verb in ["health", "stats", "shutdown"] {
         stats.registry().counter(&format!("serve.req.{verb}"));
@@ -735,79 +671,243 @@ pub fn serve(config: &ServeConfig) -> std::io::Result<ServerHandle> {
             .histogram(&format!("serve.req.{verb}.handle_ns"));
     }
 
-    // All event-loop resources are created here, on the caller's
-    // thread, so their failures surface as io::Error from serve().
-    let cleanup = |senders: Vec<SyncSender<ShardMsg>>, workers: Vec<JoinHandle<()>>, e: std::io::Error| {
-        drop(senders);
-        for h in workers {
-            let _ = h.join();
-        }
-        e
-    };
-    macro_rules! try_startup {
-        ($expr:expr) => {
-            match $expr {
-                Ok(v) => v,
-                Err(e) => return Err(cleanup(senders, workers, e)),
-            }
-        };
-    }
-    let epoll = try_startup!(Epoll::new());
-    try_startup!(listener.set_nonblocking(true));
-    try_startup!(epoll.add(listener.as_raw_fd(), TOKEN_LISTENER, EPOLLIN));
-    try_startup!(epoll.add(waker.raw(), TOKEN_WAKER, EPOLLIN));
-
-    let router = Router {
-        parked: senders.iter().map(|_| VecDeque::new()).collect(),
-        senders,
-        outbox,
-        stats: Arc::clone(&stats),
+    let epoll = Epoll::new()?;
+    let stop = Waker::new()?;
+    let baton = Waker::new()?;
+    listener.set_nonblocking(true)?;
+    epoll.add(listener.as_raw_fd(), TOKEN_LISTENER, EPOLLIN | EPOLLONESHOT)?;
+    // Level-triggered and never drained: once woken, every worker's
+    // wait reports it.
+    epoll.add(stop.raw(), TOKEN_STOP, EPOLLIN)?;
+    epoll.add(baton.raw(), TOKEN_BATON, EPOLLIN | EPOLLONESHOT)?;
+    let shutdown = Arc::new(AtomicBool::new(false));
+    let server = Arc::new(Server {
+        epoll,
+        listener,
+        stop: stop.clone(),
         shutdown: Arc::clone(&shutdown),
-        trace: config.trace_requests,
-        max_line_bytes: config.max_line_bytes,
-    };
-    let wrap = config.wrap.clone();
-    let spawned = std::thread::Builder::new()
-        .name("ddn-serve-loop".to_string())
-        .spawn(move || event_loop(listener, epoll, done_rx, router, wrap));
-    let event_loop = match spawned {
-        Ok(h) => h,
-        Err(e) => {
-            // The shard senders died with the failed closure; the
-            // workers unwind through their disconnected channels.
-            for h in workers {
-                let _ = h.join();
-            }
-            return Err(std::io::Error::new(
-                e.kind(),
-                format!("cannot spawn event loop: {e}"),
-            ));
-        }
-    };
+        draining: AtomicBool::new(false),
+        passed: Mutex::default(),
+        baton,
+        conns: Mutex::default(),
+        next_token: AtomicU64::new(TOKEN_CONN0),
+        shards,
+        stats: Arc::clone(&stats),
+        config: config.clone(),
+    });
 
+    // One worker per shard, plus a standby: a thread holds at most one
+    // shard at a time, so some worker is always free to accept, read, and
+    // answer `stats` and `shutdown`, however many shards are busy. The
+    // standby polls instead of sleeping in epoll, because every worker
+    // asleep there is one more to wake per request.
+    let mut workers = Vec::with_capacity(config.shards + 1);
+    for i in 0..=config.shards {
+        let server = Arc::clone(&server);
+        let standby = i == config.shards;
+        let spawned = std::thread::Builder::new()
+            .name(format!("ddn-serve-{i}"))
+            .spawn(move || server.worker(standby));
+        match spawned {
+            Ok(h) => workers.push(h),
+            Err(e) => {
+                // No connection exists yet, so the started workers see
+                // the flag and exit at once.
+                ServerHandle {
+                    local_addr,
+                    shutdown,
+                    stop,
+                    stats,
+                    workers,
+                }
+                .shutdown();
+                return Err(std::io::Error::new(
+                    e.kind(),
+                    format!("cannot spawn worker {i}: {e}"),
+                ));
+            }
+        }
+    }
     Ok(ServerHandle {
         local_addr,
         shutdown,
-        waker,
+        stop,
         stats,
-        event_loop: Some(event_loop),
         workers,
     })
 }
 
-/// Per-connection state owned by the event loop.
+/// Locks a mutex whose every update leaves its data valid (a table
+/// insert or remove, a queue push or pop, a part filled in), so a panic
+/// elsewhere while it was held cannot have left it half-changed.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// State shared by every worker thread.
+struct Server {
+    epoll: Epoll,
+    listener: TcpListener,
+    /// Made readable at shutdown and never drained.
+    stop: Waker,
+    shutdown: Arc<AtomicBool>,
+    /// Set once, by the first worker to see `shutdown`, which then stops
+    /// accepting and closes idle connections.
+    draining: AtomicBool,
+    /// Shards passed on with requests waiting ([`Server::pass`]).
+    passed: Mutex<Vec<usize>>,
+    /// Readable while `passed` is non-empty. Registered one-shot, so one
+    /// worker takes each event and re-arms it.
+    baton: Waker,
+    /// Connections armed in epoll, by token. A worker takes one out on
+    /// its (one-shot) event and owns it until it re-arms it.
+    conns: Mutex<HashMap<u64, Conn>>,
+    next_token: AtomicU64,
+    shards: Vec<Shard>,
+    stats: Arc<ServerStats>,
+    config: ServeConfig,
+}
+
+/// One shard: its sessions behind a lock, and the requests waiting for
+/// whichever thread holds it.
+struct Shard {
+    /// Locked only by the thread that set [`Fifo::held`], so taking it
+    /// never waits.
+    state: Mutex<ShardState>,
+    fifo: Mutex<Fifo>,
+    metrics: ShardMetrics,
+}
+
+/// Everything a request running on a shard may change.
+struct ShardState {
+    engine: Engine,
+    /// Sessions whose request panicked: their state is untrustworthy, so
+    /// they answer `degraded` until a client re-inits them. Recovery
+    /// pre-populates this from the snapshot.
+    poisoned: HashSet<String>,
+    durability: Option<ShardDurability>,
+    flight: FlightRecorder,
+}
+
+/// The shard's claim and its waiting requests, under one small lock.
+#[derive(Default)]
+struct Fifo {
+    /// Some thread is running this shard's requests, or will once it
+    /// takes the baton the last holder passed. It is set by a worker that
+    /// finds it clear, and cleared only by the holder when it finds `jobs`
+    /// empty: a request left here always has a thread that will run it.
+    held: bool,
+    jobs: VecDeque<Job>,
+}
+
+/// Work for one shard.
+enum Job {
+    /// An `init`, `ingest` or `estimate`, with the connection its reply
+    /// goes to.
+    Request(Box<Pending>),
+    /// This shard's part of a `health` or `stats {"flight":true}`.
+    Gather(Arc<Gather>),
+}
+
+/// A decoded shard request in flight.
+struct Pending {
+    req: Request,
+    /// The bytes the request arrived as (JSON line without its newline,
+    /// or binary frame): the WAL payload (DESIGN.md §12).
+    payload: Vec<u8>,
+    /// The `"id"` the reply echoes.
+    id: Option<Json>,
+    conn: Conn,
+    /// When it was decoded: its queue wait runs from here to the start
+    /// of apply.
+    at: Instant,
+}
+
+/// A `health` or `stats {"flight":true}` collecting one part from each
+/// shard through the shard FIFOs, so a busy shard delays only this
+/// reply. Whichever thread adds the last part writes it.
+struct Gather {
+    /// Taken when the request was decoded: for `health` the server
+    /// counters, for `stats` the registry snapshot (which therefore never
+    /// counts the request itself).
+    server: Part,
+    id: Option<Json>,
+    at: Instant,
+    parts: Mutex<GatherParts>,
+}
+
+struct GatherParts {
+    /// Taken by the thread that adds the last part.
+    conn: Option<Conn>,
+    /// By shard; `None` until the shard's part arrives, and for good from
+    /// a shard that cannot answer.
+    shards: Vec<Option<Part>>,
+    missing: usize,
+}
+
+/// One contribution to a [`Gather`].
+enum Part {
+    Health(Collector),
+    Flight(Json),
+}
+
+impl Gather {
+    /// Adds shard `k`'s part (`None`: the shard cannot answer). The last
+    /// part renders and books the reply and returns it with its
+    /// connection.
+    fn add(&self, k: usize, part: Option<Part>, server: &Server) -> Option<(Conn, Json)> {
+        let (conn, shards) = {
+            let mut p = lock(&self.parts);
+            p.shards[k] = part;
+            p.missing -= 1;
+            if p.missing > 0 {
+                return None;
+            }
+            (p.conn.take()?, std::mem::take(&mut p.shards))
+        };
+        let (verb, resp) = match &self.server {
+            Part::Health(counters) => {
+                let mut collectors = vec![counters.clone()];
+                collectors.extend(shards.into_iter().flatten().filter_map(|part| match part {
+                    Part::Health(c) => Some(c),
+                    Part::Flight(_) => None,
+                }));
+                let mut snap = TelemetrySnapshot::from_runs(&collectors);
+                snap.set_threads(server.shards.len());
+                ("health", ok_response(vec![("telemetry", snap.to_json())]))
+            }
+            Part::Flight(stats) => {
+                let rings = shards.into_iter().enumerate().map(|(i, part)| {
+                    let events = match part {
+                        Some(Part::Flight(events)) => events,
+                        _ => Json::Array(Vec::new()),
+                    };
+                    (format!("shard-{i}"), events)
+                });
+                let fields = vec![
+                    ("stats", stats.clone()),
+                    ("flight", Json::Object(rings.collect())),
+                ];
+                ("stats", ok_response(fields))
+            }
+        };
+        record_conn_verb(&server.stats, verb, server.config.trace_requests, self.at);
+        Some((conn, attach_id(resp, self.id.clone())))
+    }
+}
+
+/// Per-connection state. Owned by one worker at a time, travelling with
+/// its request while the request waits for a shard, and in
+/// [`Server::conns`] while it waits for readiness.
 struct Conn {
     transport: Box<dyn Transport>,
     fd: i32,
+    token: u64,
     /// Bytes read but not yet framed into a request.
     inbuf: Vec<u8>,
     /// Response bytes not yet written, starting at `outpos`.
     outbuf: Vec<u8>,
     outpos: usize,
-    /// A request from this connection is with its shard (queued, parked
-    /// or being handled); stop-and-wait means no further framing until
-    /// its completion arrives.
-    in_flight: bool,
     /// The peer closed its write side; drain buffered requests, then
     /// close.
     eof: bool,
@@ -817,8 +917,703 @@ struct Conn {
     /// Mid-discard of an oversized JSON line (bytes dropped up to the
     /// next newline, then one error response).
     overflow: bool,
-    /// Current epoll interest, `None` when deregistered (in flight).
-    interest: Option<u32>,
+    /// What it was last armed for: `EPOLLIN` (waiting for a request, or
+    /// for the peer's EOF after a closing reply) or `EPOLLOUT` (a reply
+    /// the socket could not take yet).
+    interest: u32,
+    /// Counts the connection closed when it is dropped, however that
+    /// happens, so the drain's wait for `conn_active` to reach 0 ends.
+    stats: Arc<ServerStats>,
+}
+
+impl Drop for Conn {
+    fn drop(&mut self) {
+        self.stats.conn_closed();
+    }
+}
+
+impl Server {
+    /// One worker thread: waits on the shared epoll set and serves
+    /// whatever readiness it is handed, until the server has drained. The
+    /// `standby` worker never sleeps in epoll: every [`STANDBY_POLL`] it
+    /// takes what is ready, which is anything only while every other
+    /// worker is busy.
+    fn worker(&self, standby: bool) {
+        let mut ready: Vec<Conn> = Vec::new();
+        let mut scratch = vec![0u8; 16 * 1024];
+        loop {
+            if self.shutdown.load(Ordering::SeqCst) {
+                if !self.draining.swap(true, Ordering::SeqCst) {
+                    self.start_drain();
+                }
+                if self.stats.conn_active() == 0 {
+                    return;
+                }
+            }
+            // The others wait with no timeout: shutdown makes the stop
+            // eventfd readable for every worker, and an armed timer costs
+            // each sleep two reprograms.
+            let ev = match self.epoll.wait_one(if standby { 0 } else { -1 }) {
+                Ok(Some(ev)) => ev,
+                Ok(None) => {
+                    std::thread::sleep(STANDBY_POLL);
+                    continue;
+                }
+                Err(_) => {
+                    // epoll itself failing is unrecoverable; treat it as
+                    // shutdown so the process can exit cleanly.
+                    self.shutdown.store(true, Ordering::SeqCst);
+                    continue;
+                }
+            };
+            match ev.token {
+                TOKEN_LISTENER => self.accept_ready(),
+                TOKEN_STOP => {
+                    if self.draining.load(Ordering::SeqCst) {
+                        std::thread::sleep(DRAIN_POLL);
+                    }
+                }
+                TOKEN_BATON => self.take_baton(&mut ready),
+                token => {
+                    let Some(mut conn) = lock(&self.conns).remove(&token) else {
+                        continue; // closed by the drain sweep
+                    };
+                    // Reading only when armed for input keeps the fault
+                    // injector's byte-offset cursor aligned with the
+                    // request stream.
+                    if conn.interest == EPOLLIN {
+                        if let Some(reason) = conn_read(&mut conn, &mut scratch) {
+                            self.close(conn, reason);
+                            continue;
+                        }
+                    }
+                    ready.push(conn);
+                }
+            }
+            while let Some(conn) = ready.pop() {
+                self.pump(conn, &mut ready);
+            }
+        }
+    }
+
+    /// Drives one connection this worker owns as far as it can go:
+    /// flush pending output, then frame, decode and answer or submit
+    /// requests (stop-and-wait), until it must wait for readiness, its
+    /// request went to a shard, or it closed. Never called while holding
+    /// a shard; connections a shard run leaves with work come back
+    /// through `ready` when the run ends, or through epoll when it goes
+    /// on.
+    fn pump(&self, mut conn: Conn, ready: &mut Vec<Conn>) {
+        loop {
+            conn = match self.flush(conn) {
+                Some(conn) => conn,
+                None => return,
+            };
+            match extract_request(&mut conn, self.config.max_line_bytes) {
+                Extract::Skip => {}
+                Extract::Item(payload) => {
+                    // A request that fails decoding (bad JSON, crc
+                    // mismatch, malformed frame body) gets an error but
+                    // keeps the connection: the framer already found the
+                    // next request boundary.
+                    match Request::decode(&payload) {
+                        (Ok(req), id) => match self.dispatch(req, payload, id, conn, ready) {
+                            Some(back) => conn = back,
+                            None => return,
+                        },
+                        (Err(e), id) => {
+                            push_response(&mut conn, &attach_id(error_response(&e), id))
+                        }
+                    }
+                }
+                Extract::OverflowedLine => {
+                    self.stats.fault_conn_errors.inc();
+                    let msg = format!("request line exceeds {} bytes", self.config.max_line_bytes);
+                    push_response(&mut conn, &error_response(&msg));
+                }
+                Extract::Unframeable(msg) => {
+                    self.stats.fault_conn_errors.inc();
+                    push_response(&mut conn, &error_response(&msg));
+                    conn.close_after_flush = true;
+                }
+                Extract::Need => {
+                    if conn.eof {
+                        // The peer died mid-line or mid-frame; the partial
+                        // request is dropped (it was never acknowledged).
+                        let reason = if !conn.inbuf.is_empty() || conn.overflow {
+                            CloseReason::Fault
+                        } else {
+                            CloseReason::Clean
+                        };
+                        self.close(conn, reason);
+                    } else {
+                        self.park(conn, EPOLLIN);
+                    }
+                    return;
+                }
+            }
+        }
+    }
+
+    /// Writes a connection's pending output. Returns the connection once
+    /// everything is written, unless that reply ends it; otherwise it is
+    /// parked until writable, or closed.
+    fn flush(&self, mut conn: Conn) -> Option<Conn> {
+        while conn.outpos < conn.outbuf.len() {
+            match conn.transport.write(&conn.outbuf[conn.outpos..]) {
+                Ok(0) => {
+                    self.close(conn, CloseReason::Fault);
+                    return None;
+                }
+                Ok(n) => conn.outpos += n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    self.park(conn, EPOLLOUT);
+                    return None;
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => {
+                    self.close(conn, CloseReason::Fault);
+                    return None;
+                }
+            }
+        }
+        conn.outbuf.clear();
+        conn.outpos = 0;
+        if !conn.close_after_flush {
+            return Some(conn);
+        }
+        if conn.eof || self.draining.load(Ordering::SeqCst) {
+            self.close(conn, CloseReason::Clean);
+        } else {
+            // Closing with unread input would send a reset that can
+            // destroy the reply in flight. Shut the write half instead
+            // (the peer reads the reply, then EOF) and discard input
+            // until the peer closes too.
+            let _ = conn.transport.shutdown_write();
+            conn.inbuf.clear();
+            self.park(conn, EPOLLIN);
+        }
+        None
+    }
+
+    /// Hands a connection back to epoll, armed one-shot for `interest`:
+    /// the worker that gets its next event owns it. While the server
+    /// drains, a connection that would wait for input is closed instead.
+    fn park(&self, conn: Conn, interest: u32) {
+        self.park_with(conn, interest, Epoll::modify);
+    }
+
+    /// [`Server::park`] with the epoll operation to arm it by (`add` for
+    /// a new connection).
+    fn park_with(
+        &self,
+        mut conn: Conn,
+        interest: u32,
+        arm: fn(&Epoll, i32, u64, u32) -> std::io::Result<()>,
+    ) {
+        let (token, fd) = (conn.token, conn.fd);
+        conn.interest = interest;
+        {
+            let mut conns = lock(&self.conns);
+            // Read under the table lock: `start_drain` sets the flag
+            // before it sweeps the table, so an idle connection is either
+            // swept or sees the flag here.
+            if interest != EPOLLIN || !self.draining.load(Ordering::SeqCst) {
+                // In the table before it is armed, so its event finds it.
+                conns.insert(token, conn);
+                drop(conns);
+                if arm(&self.epoll, fd, token, interest | EPOLLONESHOT).is_err() {
+                    // Not armed, so no event can take it (the drain sweep
+                    // may have).
+                    if let Some(conn) = lock(&self.conns).remove(&token) {
+                        self.close(conn, CloseReason::Fault);
+                    }
+                }
+                return;
+            }
+        }
+        self.close(conn, CloseReason::Clean);
+    }
+
+    /// Closes a connection this worker owns. It is not armed, so no event
+    /// can name it; dropping it closes the socket.
+    fn close(&self, conn: Conn, reason: CloseReason) {
+        if let CloseReason::Fault = reason {
+            self.stats.fault_conn_errors.inc();
+        }
+        drop(conn);
+    }
+
+    /// Accepts every connection queued on the (nonblocking) listener,
+    /// registers each, then re-arms the one-shot listener.
+    fn accept_ready(&self) {
+        loop {
+            let stream = match self.listener.accept() {
+                Ok((stream, _)) => stream,
+                // WouldBlock: the backlog is empty. Anything else is a
+                // transient per-connection failure (e.g. the peer aborted
+                // while queued); re-arming re-reports any backlog left.
+                Err(_) => break,
+            };
+            let mut transport: Box<dyn Transport> = Box::new(TcpTransport::new(stream));
+            if let Some(wrap) = &self.config.wrap {
+                transport = wrap(transport);
+            }
+            if transport.set_nonblocking(true).is_err() {
+                continue;
+            }
+            // A transport without an fd cannot be readiness-driven; no
+            // production or test transport is fd-less, so just drop it.
+            let Some(fd) = transport.raw_fd() else {
+                continue;
+            };
+            let conn = Conn {
+                transport,
+                fd,
+                token: self.next_token.fetch_add(1, Ordering::Relaxed),
+                inbuf: Vec::new(),
+                outbuf: Vec::new(),
+                outpos: 0,
+                eof: false,
+                close_after_flush: false,
+                overflow: false,
+                interest: EPOLLIN,
+                stats: Arc::clone(&self.stats),
+            };
+            self.stats.conn_opened();
+            self.park_with(conn, EPOLLIN, Epoll::add);
+        }
+        if !self.draining.load(Ordering::SeqCst) {
+            // A drain deregisters the listener, after which this fails.
+            let _ = self.epoll.modify(
+                self.listener.as_raw_fd(),
+                TOKEN_LISTENER,
+                EPOLLIN | EPOLLONESHOT,
+            );
+        }
+    }
+
+    /// The first step of shutdown: stop accepting and close every idle
+    /// connection. Connections with a request in flight or a reply
+    /// waiting to be written close once it is out.
+    fn start_drain(&self) {
+        // The listener itself closes, resetting queued connects, when the
+        // last worker drops the server.
+        let _ = self.epoll.del(self.listener.as_raw_fd());
+        let idle: Vec<Conn> = {
+            let mut conns = lock(&self.conns);
+            let (idle, flushing): (Vec<_>, Vec<_>) = std::mem::take(&mut *conns)
+                .into_iter()
+                .partition(|(_, c)| c.interest == EPOLLIN);
+            conns.extend(flushing);
+            idle.into_iter().map(|(_, c)| c).collect()
+        };
+        for conn in idle {
+            self.close(conn, CloseReason::Clean);
+        }
+    }
+
+    /// Answers `stats` and `shutdown` on the spot, returning the
+    /// connection to pump on. Sends `init`, `ingest` and `estimate` to
+    /// the session's shard, and `health` and `stats {"flight":true}` to
+    /// every shard; the connection travels with the request, and `None`
+    /// comes back. A gather claims idle shards one at a time and passes
+    /// each on after its part, so no shard's run delays the next shard's
+    /// part.
+    fn dispatch(
+        &self,
+        req: Request,
+        payload: Vec<u8>,
+        id: Option<Json>,
+        mut conn: Conn,
+        ready: &mut Vec<Conn>,
+    ) -> Option<Conn> {
+        let at = Instant::now();
+        let (verb, resp) = match req {
+            Request::Stats { flight: false } => {
+                // Snapshot the registry BEFORE booking this request, so
+                // the response never counts itself: the first `stats` a
+                // client sends reports zero prior `stats` traffic, and
+                // every verb's histogram-total == counter invariant holds
+                // inside the snapshot.
+                let snapshot = self.stats.registry().to_json();
+                ("stats", ok_response(vec![("stats", snapshot)]))
+            }
+            Request::Shutdown => {
+                self.shutdown.store(true, Ordering::SeqCst);
+                self.stop.wake();
+                conn.close_after_flush = true;
+                (
+                    "shutdown",
+                    ok_response(vec![("shutting_down", Json::Bool(true))]),
+                )
+            }
+            Request::Health | Request::Stats { .. } => {
+                let server = match req {
+                    Request::Health => Part::Health(self.stats.collector()),
+                    _ => Part::Flight(self.stats.registry().to_json()),
+                };
+                let n = self.shards.len();
+                let gather = Arc::new(Gather {
+                    server,
+                    id,
+                    at,
+                    parts: Mutex::new(GatherParts {
+                        conn: Some(conn),
+                        shards: (0..n).map(|_| None).collect(),
+                        missing: n,
+                    }),
+                });
+                for k in 0..n {
+                    self.submit(k, Job::Gather(Arc::clone(&gather)), ready, false);
+                }
+                return None;
+            }
+            _ => {
+                let k = shard_of(req.session().unwrap_or_default(), self.shards.len());
+                let pending = Pending {
+                    req,
+                    payload,
+                    id,
+                    conn,
+                    at,
+                };
+                self.submit(k, Job::Request(Box::new(pending)), ready, true);
+                return None;
+            }
+        };
+        record_conn_verb(&self.stats, verb, self.config.trace_requests, at);
+        push_response(&mut conn, &attach_id(resp, id));
+        Some(conn)
+    }
+
+    /// Runs `job` on shard `k` now when the shard is idle, and with
+    /// `keep` every job that queues behind it too (see
+    /// [`Server::run_shard`]). When another thread holds the shard, leaves
+    /// the job in its FIFO for that thread (a handoff), counting a
+    /// backpressure stall when `queue_capacity` jobs already wait there.
+    /// Never waits for a shard.
+    fn submit(&self, k: usize, job: Job, ready: &mut Vec<Conn>, keep: bool) {
+        {
+            let mut fifo = lock(&self.shards[k].fifo);
+            if fifo.held {
+                if fifo.jobs.len() >= self.config.queue_capacity {
+                    self.stats.backpressure_stalls.inc();
+                }
+                fifo.jobs.push_back(job);
+                self.stats.queue_inc();
+                self.stats.shard_handoffs.inc();
+                return;
+            }
+            fifo.held = true;
+        }
+        self.run_shard(k, job, ready, keep);
+    }
+
+    /// Gives up this thread's claim on shard `k` while jobs wait for it:
+    /// the shard stays claimed, and the worker that takes the baton event
+    /// runs them.
+    fn pass(&self, k: usize) {
+        let mut passed = lock(&self.passed);
+        passed.push(k);
+        // Under the lock, so `take_baton` cannot drain a wake whose shard
+        // it did not see.
+        self.baton.wake();
+    }
+
+    /// Claims one shard another thread passed on and runs its jobs.
+    fn take_baton(&self, ready: &mut Vec<Conn>) {
+        let k = {
+            let mut passed = lock(&self.passed);
+            let k = passed.pop();
+            if passed.is_empty() {
+                self.baton.drain();
+            }
+            k
+        };
+        // Re-armed after the drain, so it reports again at once while
+        // more shards wait.
+        let _ = self
+            .epoll
+            .modify(self.baton.raw(), TOKEN_BATON, EPOLLIN | EPOLLONESHOT);
+        let Some(k) = k else { return };
+        let job = {
+            let mut fifo = lock(&self.shards[k].fifo);
+            let job = fifo.jobs.pop_front();
+            fifo.held = job.is_some();
+            job
+        };
+        if let Some(job) = job {
+            self.stats.queue_dec();
+            self.run_shard(k, job, ready, true);
+        }
+    }
+
+    /// Runs `job` on shard `k`, which the caller has claimed, then, with
+    /// `keep`, every job that queues behind it, and releases the shard
+    /// once its FIFO is empty. Without `keep` the caller has more to do
+    /// than this shard's traffic, so it passes the shard on after `job`
+    /// if others wait.
+    ///
+    /// Answered connections with nothing buffered are re-armed only after
+    /// each job, so a connection's next request never finds its shard
+    /// still held by the thread that answered the last one. Connections
+    /// with buffered input go to `ready`, for the caller to pump once the
+    /// shard is released; while this thread goes on running the shard,
+    /// they are armed for output instead (ready at once), so any free
+    /// worker pumps them.
+    fn run_shard(&self, k: usize, mut job: Job, ready: &mut Vec<Conn>, keep: bool) {
+        let shard = &self.shards[k];
+        let mut idle = Vec::new();
+        loop {
+            let ran = catch_unwind(AssertUnwindSafe(|| {
+                let mut state = shard.state.lock().ok();
+                match job {
+                    Job::Request(p) => match state.as_deref_mut() {
+                        Some(st) => self.run_request(k, st, p, &mut idle, ready),
+                        None => {
+                            // A panic escaped a request while it held
+                            // this shard: its state is not trusted.
+                            let mut conn = p.conn;
+                            let resp = error_response("shard worker unavailable");
+                            push_response(&mut conn, &attach_id(resp, p.id));
+                            self.replied(conn, &mut idle, ready);
+                        }
+                    },
+                    Job::Gather(g) => {
+                        self.run_gather(k, state.as_deref_mut(), &g, &mut idle, ready)
+                    }
+                }
+            }));
+            if ran.is_err() {
+                // Past every guard inside: the job's connection is gone
+                // and the state lock poisoned. The shard is released as
+                // usual, so the requests behind it are answered.
+                eprintln!("ddn-serve: a panic escaped a request on shard {k}");
+            }
+            let (held, next) = {
+                let mut fifo = lock(&shard.fifo);
+                fifo.held = !fifo.jobs.is_empty();
+                let next = if keep { fifo.jobs.pop_front() } else { None };
+                (fifo.held, next)
+            };
+            for conn in idle.drain(..) {
+                self.park(conn, EPOLLIN);
+            }
+            match next {
+                Some(next) => {
+                    self.stats.queue_dec();
+                    self.hand_off(ready);
+                    job = next;
+                }
+                None => {
+                    if held {
+                        self.pass(k);
+                    }
+                    return;
+                }
+            }
+        }
+    }
+
+    /// Arms connections with buffered input for output, which is ready at
+    /// once, so a free worker pumps them while this thread runs a shard.
+    fn hand_off(&self, ready: &mut Vec<Conn>) {
+        for conn in ready.drain(..) {
+            self.park(conn, EPOLLOUT);
+        }
+    }
+
+    /// Writes the reply just appended to `conn` and sorts the connection:
+    /// into `idle` when it only needs re-arming for its next request,
+    /// into `ready` when it has buffered input or reached EOF.
+    fn replied(&self, conn: Conn, idle: &mut Vec<Conn>, ready: &mut Vec<Conn>) {
+        if let Some(conn) = self.flush(conn) {
+            if conn.inbuf.is_empty() && !conn.eof {
+                idle.push(conn);
+            } else {
+                ready.push(conn);
+            }
+        }
+    }
+
+    /// Runs one `init`, `ingest` or `estimate` on shard `k`: log, apply,
+    /// book and render it, write the reply, then rotate a snapshot when
+    /// one is due. A panic anywhere in that — not only inside
+    /// [`Engine::apply`]'s own guard — costs only the request's session.
+    /// The connection stays outside the guarded step, so a panic cannot
+    /// lose it.
+    fn run_request(
+        &self,
+        k: usize,
+        st: &mut ShardState,
+        p: Box<Pending>,
+        idle: &mut Vec<Conn>,
+        ready: &mut Vec<Conn>,
+    ) {
+        let Pending {
+            req,
+            payload,
+            id,
+            mut conn,
+            at,
+        } = *p;
+        let session = req.session().unwrap_or_default().to_string();
+        let step = catch_unwind(AssertUnwindSafe(|| {
+            let resp = self.apply(k, st, req, &session, &payload, at);
+            let mut bytes = attach_id(resp, id.clone()).to_string().into_bytes();
+            bytes.push(b'\n');
+            bytes
+        }));
+        match step {
+            Ok(bytes) => conn.outbuf.extend_from_slice(&bytes),
+            Err(_) => {
+                self.stats.fault_worker_restarts.inc();
+                let resp = st.engine.quarantine(session, &mut st.poisoned);
+                self.dump_flight(k, &st.flight);
+                push_response(&mut conn, &attach_id(resp, id));
+            }
+        }
+        self.replied(conn, idle, ready);
+        if st
+            .durability
+            .as_ref()
+            .is_some_and(ShardDurability::snapshot_due)
+        {
+            // The answered clients need not wait for the rotation.
+            for conn in idle.drain(..) {
+                self.park(conn, EPOLLIN);
+            }
+            self.hand_off(ready);
+            if catch_unwind(AssertUnwindSafe(|| self.rotate(k, st))).is_err() {
+                eprintln!(
+                    "ddn-serve: snapshot rotation panicked; the WAL still holds every request"
+                );
+            }
+        }
+    }
+
+    /// Logs, applies and books one shard request; returns its response.
+    fn apply(
+        &self,
+        k: usize,
+        st: &mut ShardState,
+        req: Request,
+        session: &str,
+        payload: &[u8],
+        at: Instant,
+    ) -> Json {
+        let metrics = &self.shards[k].metrics;
+        let started = Instant::now();
+        let (req_metrics, verb, seq, records) = match &req {
+            Request::Init(_) => (&metrics.init, "init", None, 0),
+            Request::Ingest { records, seq, .. } => {
+                (&metrics.ingest, "ingest", *seq, records.len() as u64)
+            }
+            _ => (&metrics.estimate, "estimate", None, 0),
+        };
+        let ShardState {
+            engine,
+            poisoned,
+            durability,
+            flight,
+        } = st;
+        // Write-ahead of the verdict, whatever it turns out to be: even a
+        // rejected sequenced batch consumes its sequence number, so
+        // replay must reproduce the rejection.
+        let (resp, outcome) = engine.apply(req, poisoned, self.config.failpoint.as_deref(), || {
+            wal_log(durability, &self.stats, &metrics.wal_lag, payload)
+        });
+        match outcome {
+            Outcome::Duplicate => self.stats.dedup_replays.inc(),
+            Outcome::Panic => self.stats.fault_worker_restarts.inc(),
+            Outcome::Ok | Outcome::Error => {
+                if let Some(accepted) = resp.get("accepted").and_then(Json::as_u64) {
+                    self.stats.ingest_records.add(accepted);
+                }
+            }
+        }
+        metrics.sessions.set(engine.sessions() as f64);
+        observe_request(
+            self.config.trace_requests,
+            flight,
+            req_metrics,
+            verb,
+            session,
+            seq,
+            records,
+            outcome,
+            at,
+            started,
+        );
+        if outcome == Outcome::Panic {
+            // Post-mortem: dump the ring — ending with the request that
+            // panicked — before answering, so the evidence is on disk even
+            // if the process is killed right after.
+            self.dump_flight(k, flight);
+        }
+        resp
+    }
+
+    /// Adds shard `k`'s part to a `health` or `stats {"flight":true}`
+    /// (nothing when the shard's state is not trusted), writing the reply
+    /// when it is the last part.
+    fn run_gather(
+        &self,
+        k: usize,
+        st: Option<&mut ShardState>,
+        g: &Gather,
+        idle: &mut Vec<Conn>,
+        ready: &mut Vec<Conn>,
+    ) {
+        let part = st.and_then(|st| {
+            catch_unwind(AssertUnwindSafe(|| match g.server {
+                Part::Health(_) => {
+                    let mut c = st.engine.collector();
+                    for session in &st.poisoned {
+                        c.health
+                            .push((format!("serve/{session}/degraded"), vec![("poisoned", 1.0)]));
+                    }
+                    Part::Health(c)
+                }
+                Part::Flight(_) => {
+                    self.dump_flight(k, &st.flight);
+                    Part::Flight(st.flight.to_json_array())
+                }
+            }))
+            .ok()
+        });
+        if let Some((mut conn, resp)) = g.add(k, part, self) {
+            push_response(&mut conn, &resp);
+            self.replied(conn, idle, ready);
+        }
+    }
+
+    /// Rotates shard `k` to a fresh snapshot. Snapshot I/O failures are
+    /// deliberately non-fatal: the WAL already holds every acknowledged
+    /// request, so losing a rotation costs replay time at the next
+    /// startup, not state.
+    fn rotate(&self, k: usize, st: &mut ShardState) {
+        if let Some(d) = &mut st.durability {
+            match d.maybe_snapshot(&st.engine, &st.poisoned) {
+                Ok(true) => self
+                    .stats
+                    .record_snapshot(&self.shards[k].metrics.snapshot_write_ns, d),
+                Ok(false) => {}
+                Err(e) => eprintln!("ddn-serve: snapshot write failed: {e}"),
+            }
+        }
+    }
+
+    /// Rewrites shard `k`'s `flightrec-<shard>.jsonl` when durability is
+    /// configured (a failed dump is reported, never fatal).
+    fn dump_flight(&self, k: usize, flight: &FlightRecorder) {
+        if let Some(dir) = &self.config.data_dir {
+            if let Err(e) = flight.dump(&flightrec_path(dir, k)) {
+                eprintln!("ddn-serve: flight-recorder dump failed: {e}");
+            }
+        }
+    }
 }
 
 /// What `extract_request` found at the head of a connection's input.
@@ -919,112 +1714,6 @@ enum CloseReason {
     Fault,
 }
 
-/// Drives one connection as far as it can go without blocking: flush
-/// pending output, then frame, decode and answer or route requests
-/// (stop-and-wait), then settle the epoll interest. Returns
-/// `Some(reason)` when the connection should be closed and removed.
-fn pump_conn(
-    conn: &mut Conn,
-    token: u64,
-    epoll: &Epoll,
-    router: &mut Router,
-    draining: bool,
-) -> Option<CloseReason> {
-    loop {
-        // 1. Flush whatever output is pending.
-        while conn.outpos < conn.outbuf.len() {
-            match conn.transport.write(&conn.outbuf[conn.outpos..]) {
-                Ok(0) => return Some(CloseReason::Fault),
-                Ok(n) => conn.outpos += n,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    set_interest(conn, token, epoll, Some(EPOLLOUT));
-                    return None;
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => return Some(CloseReason::Fault),
-            }
-        }
-        conn.outbuf.clear();
-        conn.outpos = 0;
-        if conn.close_after_flush {
-            if conn.eof || draining {
-                return Some(CloseReason::Clean);
-            }
-            // Closing with unread input would send a reset that can
-            // destroy the reply in flight. Shut the write half instead
-            // (the peer reads the reply, then EOF) and discard input
-            // until the peer closes too.
-            let _ = conn.transport.shutdown_write();
-            conn.inbuf.clear();
-            set_interest(conn, token, epoll, Some(EPOLLIN));
-            return None;
-        }
-
-        // 2. Stop-and-wait: while a request is with its shard, this
-        // connection is deregistered from epoll entirely (a zero
-        // interest mask would still surface EPOLLHUP and spin).
-        if conn.in_flight {
-            set_interest(conn, token, epoll, None);
-            return None;
-        }
-
-        // 3. Frame the next request off the input buffer.
-        match extract_request(conn, router.max_line_bytes) {
-            Extract::Skip => continue,
-            Extract::Item(payload) => {
-                // A request that fails decoding (bad JSON, crc mismatch,
-                // malformed frame body) gets an error but keeps the
-                // connection: the framer already found the next request
-                // boundary.
-                let reply = match Request::decode(&payload) {
-                    (Ok(req), id) => router.handle(req, payload, id, token),
-                    (Err(e), id) => Some((attach_id(error_response(&e), id), false)),
-                };
-                match reply {
-                    Some((resp, close)) => {
-                        push_response(conn, &resp);
-                        conn.close_after_flush = close;
-                    }
-                    None => conn.in_flight = true,
-                }
-            }
-            Extract::OverflowedLine => {
-                router.stats.fault_conn_errors.inc();
-                push_response(
-                    conn,
-                    &error_response(&format!(
-                        "request line exceeds {} bytes",
-                        router.max_line_bytes
-                    )),
-                );
-            }
-            Extract::Unframeable(msg) => {
-                router.stats.fault_conn_errors.inc();
-                push_response(conn, &error_response(&msg));
-                conn.close_after_flush = true;
-            }
-            Extract::Need => {
-                if conn.eof {
-                    // The peer died mid-line or mid-frame; the partial
-                    // request is dropped (it was never acknowledged).
-                    return Some(if !conn.inbuf.is_empty() || conn.overflow {
-                        CloseReason::Fault
-                    } else {
-                        CloseReason::Clean
-                    });
-                }
-                if draining {
-                    // Shutdown: idle connections close now instead of
-                    // waiting for more requests.
-                    return Some(CloseReason::Clean);
-                }
-                set_interest(conn, token, epoll, Some(EPOLLIN));
-                return None;
-            }
-        }
-    }
-}
-
 /// Appends one response (JSON + newline) to a connection's output
 /// buffer — the exact byte stream `writeln!` produced in the
 /// thread-per-connection server, which chaos byte-offset plans pin.
@@ -1033,36 +1722,13 @@ fn push_response(conn: &mut Conn, resp: &Json) {
     conn.outbuf.push(b'\n');
 }
 
-/// Reconciles a connection's epoll registration with the interest it
-/// needs right now (`None` = deregistered).
-fn set_interest(conn: &mut Conn, token: u64, epoll: &Epoll, want: Option<u32>) {
-    match (conn.interest, want) {
-        (None, None) => {}
-        (Some(cur), Some(ev)) if cur == ev => {}
-        (None, Some(ev)) => {
-            if epoll.add(conn.fd, token, ev).is_ok() {
-                conn.interest = Some(ev);
-            }
-        }
-        (Some(_), Some(ev)) => {
-            if epoll.modify(conn.fd, token, ev).is_ok() {
-                conn.interest = Some(ev);
-            }
-        }
-        (Some(_), None) => {
-            let _ = epoll.del(conn.fd);
-            conn.interest = None;
-        }
-    }
-}
-
-/// Reads everything currently available on a connection. Returns
-/// `Some(CloseReason::Fault)` on a socket error; EOF is recorded on the
-/// conn (buffered requests still get served) rather than returned.
-fn conn_read(conn: &mut Conn) -> Option<CloseReason> {
-    let mut buf = [0u8; 16 * 1024];
+/// Reads everything currently available on a connection, through the
+/// worker's `buf`. Returns `Some(CloseReason::Fault)` on a socket error;
+/// EOF is recorded on the conn (buffered requests still get served)
+/// rather than returned.
+fn conn_read(conn: &mut Conn, buf: &mut [u8]) -> Option<CloseReason> {
     loop {
-        match conn.transport.read(&mut buf) {
+        match conn.transport.read(buf) {
             Ok(0) => {
                 conn.eof = true;
                 return None;
@@ -1080,183 +1746,6 @@ fn conn_read(conn: &mut Conn) -> Option<CloseReason> {
             // is over, the server is not.
             Err(_) => return Some(CloseReason::Fault),
         }
-    }
-}
-
-/// The event loop: owns the listener, the epoll instance, and every
-/// connection. Never blocks on a socket or a shard queue; blocks only
-/// in `epoll_wait` and in the shard round trips of `health` and
-/// `stats {"flight":true}`.
-fn event_loop(
-    listener: TcpListener,
-    epoll: Epoll,
-    done_rx: Receiver<Completion>,
-    mut router: Router,
-    wrap: Option<TransportWrap>,
-) {
-    let mut conns: HashMap<u64, Conn> = HashMap::new();
-    let mut next_token = TOKEN_CONN0;
-    let mut events: Vec<Event> = Vec::new();
-    let mut draining = false;
-    let stats = Arc::clone(&router.stats);
-
-    let close = |conn: &mut Conn, epoll: &Epoll, stats: &ServerStats, reason: CloseReason| {
-        if let CloseReason::Fault = reason {
-            stats.fault_conn_errors.inc();
-        }
-        if conn.interest.is_some() {
-            let _ = epoll.del(conn.fd);
-            conn.interest = None;
-        }
-        stats.conn_closed();
-        // Dropping the transport (by the caller removing the conn)
-        // closes the socket fd.
-    };
-
-    loop {
-        // Apply finished responses first: they free connections to
-        // either flush + continue or close.
-        while let Ok(done) = done_rx.try_recv() {
-            let Some(conn) = conns.get_mut(&done.conn) else {
-                continue; // connection died while its request was in flight
-            };
-            conn.in_flight = false;
-            conn.outbuf.extend_from_slice(&done.bytes);
-            if let Some(reason) = pump_conn(conn, done.conn, &epoll, &mut router, draining) {
-                let mut conn = conns.remove(&done.conn).expect("conn exists");
-                close(&mut conn, &epoll, &stats, reason);
-            }
-        }
-        // Those completions freed shard queue slots.
-        router.retry_parked();
-
-        if !draining && router.shutdown.load(Ordering::SeqCst) {
-            draining = true;
-            // Stop accepting: deregister the listener (a level-triggered
-            // backlog would otherwise spin the loop). It closes — RSTing
-            // any queued connects — when the loop exits and drops it.
-            let _ = epoll.del(listener.as_raw_fd());
-            // Close every idle connection now; in-flight ones finish
-            // their response first (pump_conn closes them via `draining`).
-            let idle: Vec<u64> = conns
-                .iter()
-                .filter(|(_, c)| !c.in_flight && c.outpos >= c.outbuf.len())
-                .map(|(t, _)| *t)
-                .collect();
-            for token in idle {
-                let mut conn = conns.remove(&token).expect("conn exists");
-                close(&mut conn, &epoll, &stats, CloseReason::Clean);
-            }
-        }
-        if draining && conns.is_empty() {
-            break;
-        }
-
-        events.clear();
-        if epoll
-            .wait(&mut events, POLL_INTERVAL.as_millis() as i32)
-            .is_err()
-        {
-            // epoll itself failing is unrecoverable for the loop; treat
-            // it as shutdown so the process can exit cleanly.
-            router.shutdown.store(true, Ordering::SeqCst);
-            continue;
-        }
-
-        for ev in &events {
-            match ev.token {
-                TOKEN_WAKER => router.outbox.waker.drain(),
-                TOKEN_LISTENER => {
-                    if draining {
-                        continue;
-                    }
-                    accept_ready(
-                        &listener,
-                        &wrap,
-                        &epoll,
-                        &mut conns,
-                        &mut next_token,
-                        &stats,
-                    );
-                }
-                token => {
-                    let Some(conn) = conns.get_mut(&token) else {
-                        continue; // stale event for a closed conn
-                    };
-                    // Reading only when read-interested keeps the fault
-                    // injector's byte-offset cursor aligned with the
-                    // request stream.
-                    let read_err = if conn.interest == Some(EPOLLIN) {
-                        conn_read(conn)
-                    } else {
-                        None
-                    };
-                    let reason =
-                        read_err.or_else(|| pump_conn(conn, token, &epoll, &mut router, draining));
-                    if let Some(reason) = reason {
-                        let mut conn = conns.remove(&token).expect("conn exists");
-                        close(&mut conn, &epoll, &stats, reason);
-                    }
-                }
-            }
-        }
-    }
-    // Loop exit: dropping the router's shard senders stops the workers.
-    // The listener, epoll fd, waker ref, and any remaining sockets close
-    // here with their owners.
-}
-
-/// Accepts every connection currently queued on the (nonblocking)
-/// listener and registers each with the event loop.
-fn accept_ready(
-    listener: &TcpListener,
-    wrap: &Option<TransportWrap>,
-    epoll: &Epoll,
-    conns: &mut HashMap<u64, Conn>,
-    next_token: &mut u64,
-    stats: &ServerStats,
-) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(e) if e.kind() == ErrorKind::WouldBlock => return,
-            // Transient per-connection accept failures (e.g. the peer
-            // aborted while queued): the listener stays healthy, and
-            // level-triggered epoll re-reports any remaining backlog.
-            Err(_) => return,
-        };
-        let mut transport: Box<dyn Transport> = Box::new(TcpTransport::new(stream));
-        if let Some(wrap) = wrap {
-            transport = wrap(transport);
-        }
-        if transport.set_nonblocking(true).is_err() {
-            continue;
-        }
-        // A transport without an fd cannot be readiness-driven; no
-        // production or test transport is fd-less, so just drop it.
-        let Some(fd) = transport.raw_fd() else {
-            continue;
-        };
-        let token = *next_token;
-        *next_token += 1;
-        let mut conn = Conn {
-            transport,
-            fd,
-            inbuf: Vec::new(),
-            outbuf: Vec::new(),
-            outpos: 0,
-            in_flight: false,
-            eof: false,
-            close_after_flush: false,
-            overflow: false,
-            interest: None,
-        };
-        if epoll.add(fd, token, EPOLLIN).is_err() {
-            continue;
-        }
-        conn.interest = Some(EPOLLIN);
-        stats.conn_opened();
-        conns.insert(token, conn);
     }
 }
 
@@ -1281,156 +1770,14 @@ fn wal_log(
     Ok(())
 }
 
-/// Rotates to a fresh snapshot when the cadence says so. Snapshot I/O
-/// failures are deliberately non-fatal: the WAL already holds every
-/// acknowledged request, so losing a rotation costs replay time at the
-/// next startup, not state.
-fn wal_maybe_snapshot(
-    durability: &mut Option<ShardDurability>,
-    stats: &ServerStats,
-    write_ns: &Histogram,
-    engine: &Engine,
-    poisoned: &HashSet<String>,
-) {
-    if let Some(d) = durability {
-        match d.maybe_snapshot(engine, poisoned) {
-            Ok(true) => stats.record_snapshot(write_ns, d),
-            Ok(false) => {}
-            Err(e) => eprintln!("ddn-serve: snapshot write failed: {e}"),
-        }
-    }
-}
-
-fn shard_worker(
-    rx: Receiver<ShardMsg>,
-    stats: Arc<ServerStats>,
-    failpoint: Option<String>,
-    mut engine: Engine,
-    // Sessions whose request panicked: their state is untrustworthy, so
-    // they answer `degraded` until a client re-inits them. Recovery
-    // pre-populates this from the snapshot.
-    mut poisoned: HashSet<String>,
-    mut durability: Option<ShardDurability>,
-    ctx: ShardCtx,
-) {
-    let mut flight = FlightRecorder::new(ctx.flight_capacity);
-    while let Ok(msg) = rx.recv() {
-        stats.queue_dec();
-        match msg {
-            ShardMsg::Request {
-                req,
-                payload,
-                id,
-                conn,
-                at,
-            } => {
-                let started = Instant::now();
-                let (metrics, verb, seq, records) = match &req {
-                    Request::Init(_) => (&ctx.metrics.init, "init", None, 0),
-                    Request::Ingest { records, seq, .. } => {
-                        (&ctx.metrics.ingest, "ingest", *seq, records.len() as u64)
-                    }
-                    _ => (&ctx.metrics.estimate, "estimate", None, 0),
-                };
-                let session = req.session().unwrap_or_default().to_string();
-                // Write-ahead of the verdict, whatever it turns out to be:
-                // even a rejected sequenced batch consumes its sequence
-                // number, so replay must reproduce the rejection.
-                let (resp, outcome) =
-                    engine.apply(req, &mut poisoned, failpoint.as_deref(), || {
-                        wal_log(&mut durability, &stats, &ctx.metrics.wal_lag, &payload)
-                    });
-                match outcome {
-                    Outcome::Duplicate => stats.dedup_replays.inc(),
-                    Outcome::Panic => stats.fault_worker_restarts.inc(),
-                    Outcome::Ok | Outcome::Error => {
-                        if let Some(accepted) = resp.get("accepted").and_then(Json::as_u64) {
-                            stats.ingest_records.add(accepted);
-                        }
-                    }
-                }
-                ctx.metrics.sessions.set(engine.sessions() as f64);
-                observe_request(
-                    &ctx,
-                    &mut flight,
-                    metrics,
-                    verb,
-                    &session,
-                    seq,
-                    records,
-                    outcome,
-                    at,
-                    started,
-                );
-                if outcome == Outcome::Panic {
-                    // Post-mortem: dump the ring — ending with the request
-                    // that panicked — before answering, so the evidence is
-                    // on disk even if the process is killed right after.
-                    dump_flight(&ctx, &flight);
-                }
-                ctx.outbox.reply(conn, id, resp);
-                wal_maybe_snapshot(
-                    &mut durability,
-                    &stats,
-                    &ctx.metrics.snapshot_write_ns,
-                    &engine,
-                    &poisoned,
-                );
-            }
-            ShardMsg::Collect(reply) => {
-                let mut c = engine.collector();
-                for session in &poisoned {
-                    c.health
-                        .push((format!("serve/{session}/degraded"), vec![("poisoned", 1.0)]));
-                }
-                let _ = reply.send(c);
-            }
-            ShardMsg::Flight { dump, reply } => {
-                if dump {
-                    dump_flight(&ctx, &flight);
-                }
-                let _ = reply.send(flight.to_json_array());
-            }
-        }
-    }
-}
-
-/// Rewrites this shard's `flightrec-<shard>.jsonl` when durability is
-/// configured (a failed dump is reported, never fatal).
-fn dump_flight(ctx: &ShardCtx, flight: &FlightRecorder) {
-    if let Some(dir) = &ctx.flight_dir {
-        if let Err(e) = flight.dump(&flightrec_path(dir, ctx.shard)) {
-            eprintln!("ddn-serve: flight-recorder dump failed: {e}");
-        }
-    }
-}
-
 fn shard_of(session: &str, shards: usize) -> usize {
     let mut h = DefaultHasher::new();
     session.hash(&mut h);
     (h.finish() % shards as u64) as usize
 }
 
-/// Round-trips one message to a shard and waits for the answer; `msg`
-/// wraps the reply channel. `None` when the shard is gone. Blocking on
-/// the loop is safe because a shard never waits on the loop (see
-/// [`Outbox`]).
-fn ask<T>(
-    tx: &SyncSender<ShardMsg>,
-    stats: &ServerStats,
-    msg: impl FnOnce(Sender<T>) -> ShardMsg,
-) -> Option<T> {
-    let (reply, rx) = channel();
-    stats.queue_inc();
-    if tx.send(msg(reply)).is_err() {
-        stats.queue_dec();
-        return None;
-    }
-    rx.recv().ok()
-}
-
-/// Counts (and, when tracing, times) a verb the event loop answers
-/// itself — `health`, `stats`, `shutdown`. These are rare, so the
+/// Counts (and, when tracing, times) a verb no shard owns — `health`,
+/// `stats`, `shutdown`. These are rare, so the
 /// per-call registry lookup is fine; the histogram name carries no
 /// shard suffix because no shard owns the verb.
 fn record_conn_verb(stats: &ServerStats, verb: &str, trace: bool, started: Instant) {
@@ -1439,151 +1786,5 @@ fn record_conn_verb(stats: &ServerStats, verb: &str, trace: bool, started: Insta
     if trace {
         reg.histogram(&format!("serve.req.{verb}.handle_ns"))
             .record(duration_ns(started.elapsed()));
-    }
-}
-
-/// The event loop's side of every decoded request: it answers the verbs
-/// no shard owns and hands the rest to their shard without blocking,
-/// parking those a full shard queue refuses.
-struct Router {
-    senders: Vec<SyncSender<ShardMsg>>,
-    /// Requests waiting for room in their shard's queue, oldest first,
-    /// one FIFO per shard.
-    parked: Vec<VecDeque<ShardMsg>>,
-    /// Answers a request whose shard is gone. Its waker is the one the
-    /// loop drains.
-    outbox: Outbox,
-    stats: Arc<ServerStats>,
-    shutdown: Arc<AtomicBool>,
-    trace: bool,
-    max_line_bytes: usize,
-}
-
-impl Router {
-    /// Answers `health`, `stats` and `shutdown` here, returning the
-    /// response (its `id` attached) and whether to close the connection
-    /// after it. Routes `init`, `ingest` and `estimate` to the session's
-    /// shard and returns `None`: the shard replies through the
-    /// [`Outbox`]. `payload` is the bytes the request arrived as.
-    fn handle(
-        &mut self,
-        req: Request,
-        payload: Vec<u8>,
-        id: Option<Json>,
-        conn: u64,
-    ) -> Option<(Json, bool)> {
-        // Offer time for shard verbs; handler start for loop verbs.
-        let at = Instant::now();
-        let close = matches!(req, Request::Shutdown);
-        let (verb, resp) = match req {
-            Request::Health => {
-                let mut collectors = vec![self.stats.collector()];
-                collectors.extend(
-                    self.senders
-                        .iter()
-                        .filter_map(|tx| ask(tx, &self.stats, ShardMsg::Collect)),
-                );
-                let mut snap = TelemetrySnapshot::from_runs(&collectors);
-                snap.set_threads(self.senders.len());
-                ("health", ok_response(vec![("telemetry", snap.to_json())]))
-            }
-            Request::Stats { flight } => {
-                // Snapshot the registry BEFORE booking this request, so
-                // the response never counts itself: the first `stats` a
-                // client sends reports zero prior `stats` traffic, and
-                // every verb's histogram-total == counter invariant holds
-                // inside the snapshot (this request's handle_ns is
-                // recorded only after the snapshot is taken, together
-                // with its counter).
-                let snapshot = self.stats.registry().to_json();
-                let mut fields = vec![("stats", snapshot)];
-                if flight {
-                    let shards = self.senders.iter().enumerate().map(|(i, tx)| {
-                        let events = ask(tx, &self.stats, |reply| ShardMsg::Flight {
-                            dump: true,
-                            reply,
-                        });
-                        (
-                            format!("shard-{i}"),
-                            events.unwrap_or(Json::Array(Vec::new())),
-                        )
-                    });
-                    fields.push(("flight", Json::Object(shards.collect())));
-                }
-                ("stats", ok_response(fields))
-            }
-            Request::Shutdown => {
-                // The loop sees the flag at the top of its next turn.
-                self.shutdown.store(true, Ordering::SeqCst);
-                (
-                    "shutdown",
-                    ok_response(vec![("shutting_down", Json::Bool(true))]),
-                )
-            }
-            // init, ingest, estimate: to the session's shard.
-            _ => {
-                let shard = shard_of(req.session().unwrap_or_default(), self.senders.len());
-                self.route(
-                    shard,
-                    ShardMsg::Request {
-                        req,
-                        payload,
-                        id,
-                        conn,
-                        at,
-                    },
-                );
-                return None;
-            }
-        };
-        record_conn_verb(&self.stats, verb, self.trace, at);
-        Some((attach_id(resp, id), close))
-    }
-
-    /// Queues a request on its shard, or parks it behind the full queue
-    /// (and behind requests parked before it), counting a backpressure
-    /// stall. A parked request counts toward the queue depth.
-    fn route(&mut self, shard: usize, msg: ShardMsg) {
-        self.stats.queue_inc();
-        let refused = if self.parked[shard].is_empty() {
-            self.offer(shard, msg)
-        } else {
-            Some(msg)
-        };
-        if let Some(msg) = refused {
-            self.stats.backpressure_stalls.inc();
-            self.parked[shard].push_back(msg);
-        }
-    }
-
-    /// Offers parked requests again, oldest first, until each shard's
-    /// queue is full. Run after completions drain: each one freed a
-    /// slot.
-    fn retry_parked(&mut self) {
-        for shard in 0..self.senders.len() {
-            while let Some(msg) = self.parked[shard].pop_front() {
-                if let Some(msg) = self.offer(shard, msg) {
-                    self.parked[shard].push_front(msg);
-                    break;
-                }
-            }
-        }
-    }
-
-    /// One non-blocking send. A full queue hands the message back; a
-    /// gone shard answers its request with an error.
-    fn offer(&self, shard: usize, msg: ShardMsg) -> Option<ShardMsg> {
-        match self.senders[shard].try_send(msg) {
-            Ok(()) => None,
-            Err(TrySendError::Full(msg)) => Some(msg),
-            Err(TrySendError::Disconnected(msg)) => {
-                self.stats.queue_dec();
-                if let ShardMsg::Request { conn, id, .. } = msg {
-                    let resp = error_response("shard worker unavailable");
-                    self.outbox.reply(conn, id, resp);
-                }
-                None
-            }
-        }
     }
 }

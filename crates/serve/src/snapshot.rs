@@ -618,6 +618,12 @@ impl ShardDurability {
         Ok((self.wal.bytes_written() - before) as usize)
     }
 
+    /// Whether `snapshot_every` frames have been logged since the last
+    /// snapshot, so the next [`ShardDurability::maybe_snapshot`] rotates.
+    pub fn snapshot_due(&self) -> bool {
+        self.frames_since_snapshot >= self.snapshot_every
+    }
+
     /// Rotates to a fresh snapshot once `snapshot_every` frames have been
     /// logged since the last one. Returns whether a snapshot was written.
     pub fn maybe_snapshot(
@@ -625,7 +631,7 @@ impl ShardDurability {
         engine: &Engine,
         poisoned: &HashSet<String>,
     ) -> io::Result<bool> {
-        if self.frames_since_snapshot < self.snapshot_every {
+        if !self.snapshot_due() {
             return Ok(false);
         }
         self.snapshot_now(engine, poisoned)?;

@@ -244,6 +244,7 @@ const GOLDEN_SERVE_COUNTERS: &[&str] = &[
     "serve.recover.frames_replayed",
     "serve.recover.sessions",
     "serve.recover.truncated_frames",
+    "serve.shard.handoffs",
     "serve.snapshot.bytes",
     "serve.snapshot.writes",
     "serve.wal.bytes",
@@ -402,6 +403,7 @@ const GOLDEN_STATS_COUNTERS: &[&str] = &[
     "serve.req.init",
     "serve.req.shutdown",
     "serve.req.stats",
+    "serve.shard.handoffs",
     "serve.snapshot.bytes",
     "serve.snapshot.writes",
     "serve.wal.bytes",
