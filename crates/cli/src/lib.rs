@@ -129,9 +129,8 @@ USAGE:
   ddn selftest [--runs 16] [--telemetry <out.json>]
   ddn telemetry-check <telemetry.json>   (expects a full-menu snapshot,
                                           i.e. one written by selftest)
-  ddn serve    [--addr 127.0.0.1:0] [--shards 4] [--queue 256]
-               [--port-file <path>] [--data-dir <dir>] [--snapshot-every 256]
-               [--failpoint <marker>]
+  ddn serve    [--addr 127.0.0.1:0] [--shards 4] [--port-file <path>]
+               [--data-dir <dir>] [--snapshot-every 256] [--failpoint <marker>]
   ddn replay-to <trace.jsonl> --addr <host:port> --decision <name>
                [--estimator <name>] [--session replay]
                [--batch 256] [--model-value 0] [--window <n>] [--binary]
@@ -144,7 +143,7 @@ USAGE:
   ddn chaos    [--seed 7] [--faults 0.01] [--duration-records 20000]
                [--batch 256] [--shards 4]
   ddn loadgen  [--sessions 100000] [--records 3] [--batch 2] [--workers 0]
-               [--shards 4] [--queue 256] [--seed 7]
+               [--shards 4] [--seed 7]
                [--rate 25000] [--profile constant|diurnal] [--framing mixed]
                [--faults 0] [--timescale 1] [--open-loop] [--smoke]
                [--addr <host:port>] [--bench-json <out.json>]
@@ -252,13 +251,20 @@ struct Flags {
 }
 
 impl Flags {
-    fn parse(args: &[String]) -> Result<Self, CliError> {
+    /// Splits `args` into positional arguments, `--name value` pairs and
+    /// switches. `accepted` names every flag the subcommand reads; any
+    /// other is a usage error, so a mistyped or retired flag never runs
+    /// as if it were absent.
+    fn parse(args: &[String], accepted: &[&str]) -> Result<Self, CliError> {
         let mut positional = Vec::new();
         let mut pairs = Vec::new();
         let mut switches = Vec::new();
         let mut it = args.iter();
         while let Some(a) = it.next() {
             if let Some(name) = a.strip_prefix("--") {
+                if !accepted.contains(&name) {
+                    return Err(CliError::Usage(format!("unknown flag --{name}\n\n{USAGE}")));
+                }
                 if BOOL_FLAGS.contains(&name) {
                     switches.push(name.to_string());
                     continue;
@@ -352,7 +358,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_stats(args: &[String]) -> Result<String, CliError> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, &[])?;
     let [path] = flags.positional.as_slice() else {
         return Err(CliError::Usage(format!(
             "stats needs exactly one trace path\n\n{USAGE}"
@@ -378,7 +384,10 @@ fn cmd_stats(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_evaluate(args: &[String]) -> Result<String, CliError> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(
+        args,
+        &["decision", "estimator", "model", "confidence", "telemetry"],
+    )?;
     let [path] = flags.positional.as_slice() else {
         return Err(CliError::Usage(format!(
             "evaluate needs exactly one trace path\n\n{USAGE}"
@@ -433,7 +442,7 @@ fn cmd_evaluate(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_compare(args: &[String]) -> Result<String, CliError> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, &["estimator", "model"])?;
     let [path] = flags.positional.as_slice() else {
         return Err(CliError::Usage(format!(
             "compare needs exactly one trace path\n\n{USAGE}"
@@ -476,7 +485,7 @@ fn cmd_compare(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_overlap(args: &[String]) -> Result<String, CliError> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, &["decision"])?;
     let [path] = flags.positional.as_slice() else {
         return Err(CliError::Usage(format!(
             "overlap needs exactly one trace path\n\n{USAGE}"
@@ -498,7 +507,7 @@ fn cmd_overlap(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_repair(args: &[String]) -> Result<String, CliError> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, &["smoothing"])?;
     let [input, output] = flags.positional.as_slice() else {
         return Err(CliError::Usage(format!(
             "repair needs input and output paths\n\n{USAGE}"
@@ -545,7 +554,7 @@ fn cmd_repair(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_generate(args: &[String]) -> Result<String, CliError> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, &["world", "n", "seed"])?;
     let [output] = flags.positional.as_slice() else {
         return Err(CliError::Usage(format!(
             "generate needs an output path\n\n{USAGE}"
@@ -678,7 +687,7 @@ fn run_panel(
 }
 
 fn cmd_figure7(args: &[String]) -> Result<String, CliError> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, &["panel", "runs", "no-batch", "telemetry"])?;
     // The panel can arrive positionally (`ddn figure7 menu`) or as a
     // flag (`ddn figure7 --panel menu`); the flag wins if both appear.
     let panel = flags
@@ -745,7 +754,7 @@ fn cmd_figure7(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_selftest(args: &[String]) -> Result<String, CliError> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, &["runs", "telemetry"])?;
     let runs: usize = flags
         .get("runs")
         .unwrap_or("16")
@@ -801,7 +810,7 @@ const REQUIRED_HEALTH: &[(&str, &str)] = &[
 ];
 
 fn cmd_telemetry_check(args: &[String]) -> Result<String, CliError> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, &[])?;
     let [path] = flags.positional.as_slice() else {
         return Err(CliError::Usage(format!(
             "telemetry-check needs exactly one telemetry JSON path\n\n{USAGE}"
@@ -845,7 +854,17 @@ fn cmd_telemetry_check(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_serve(args: &[String]) -> Result<String, CliError> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(
+        args,
+        &[
+            "addr",
+            "shards",
+            "port-file",
+            "data-dir",
+            "snapshot-every",
+            "failpoint",
+        ],
+    )?;
     if !flags.positional.is_empty() {
         return Err(CliError::Usage(format!(
             "serve takes no positional arguments\n\n{USAGE}"
@@ -861,13 +880,6 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
             .ok()
             .filter(|&s: &usize| s > 0)
             .ok_or_else(|| CliError::Usage("shards must be a positive integer".into()))?;
-    }
-    if let Some(queue) = flags.get("queue") {
-        config.queue_capacity = queue
-            .parse()
-            .ok()
-            .filter(|&q: &usize| q > 0)
-            .ok_or_else(|| CliError::Usage("queue must be a positive integer".into()))?;
     }
     if let Some(dir) = flags.get("data-dir") {
         config.data_dir = Some(std::path::PathBuf::from(dir));
@@ -903,7 +915,20 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_replay_to(args: &[String]) -> Result<String, CliError> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(
+        args,
+        &[
+            "addr",
+            "decision",
+            "estimator",
+            "session",
+            "batch",
+            "model-value",
+            "window",
+            "binary",
+            "shutdown",
+        ],
+    )?;
     let [path] = flags.positional.as_slice() else {
         return Err(CliError::Usage(format!(
             "replay-to needs exactly one trace path\n\n{USAGE}"
@@ -1031,7 +1056,7 @@ fn cmd_replay_to(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_query(args: &[String]) -> Result<String, CliError> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, &["addr", "session", "estimator", "shutdown"])?;
     if !flags.positional.is_empty() {
         return Err(CliError::Usage(format!(
             "query takes no positional arguments\n\n{USAGE}"
@@ -1189,13 +1214,13 @@ fn top_rows(snap: &Json) -> Vec<TopRow> {
     rows
 }
 
+/// Request counts of one `ddn top` poll, by (verb, shard) row.
+type RowCounts = std::collections::HashMap<(String, String), u64>;
+
 /// Renders one `ddn top` frame from a `stats` snapshot. `prev` is the
 /// previous poll's per-row counts plus the seconds since it, for the
 /// rate column. Returns the rendered table and this poll's counts.
-fn render_top_table(
-    snap: &Json,
-    prev: Option<(&std::collections::HashMap<(String, String), u64>, f64)>,
-) -> (String, std::collections::HashMap<(String, String), u64>) {
+fn render_top_table(snap: &Json, prev: Option<(&RowCounts, f64)>) -> (String, RowCounts) {
     let rows = top_rows(snap);
     let mut out = format!(
         "{:<10} {:>6} {:>8} {:>8} {:>10} {:>10} {:>10} {:>10}\n",
@@ -1290,7 +1315,18 @@ fn render_top_table(
 fn cmd_top(args: &[String]) -> Result<String, CliError> {
     use std::time::{Duration, Instant};
 
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(
+        args,
+        &[
+            "addr",
+            "once",
+            "json",
+            "flight",
+            "interval-ms",
+            "count",
+            "shutdown",
+        ],
+    )?;
     if !flags.positional.is_empty() {
         return Err(CliError::Usage(format!(
             "top takes no positional arguments\n\n{USAGE}"
@@ -1324,7 +1360,7 @@ fn cmd_top(args: &[String]) -> Result<String, CliError> {
     let serve_err = |e: ddn_serve::ClientError| CliError::Serve(e.to_string());
     let mut client = ddn_serve::ServeClient::connect(addr).map_err(serve_err)?;
     let mut out = String::new();
-    let mut prev: Option<(std::collections::HashMap<(String, String), u64>, Instant)> = None;
+    let mut prev: Option<(RowCounts, Instant)> = None;
     let mut polled = 0u64;
     while polled < count {
         if polled > 0 {
@@ -1333,7 +1369,7 @@ fn cmd_top(args: &[String]) -> Result<String, CliError> {
         let resp = client.server_stats(flight).map_err(serve_err)?;
         let now = Instant::now();
         let rendered = if json {
-            format!("{}\n", resp.to_string())
+            format!("{resp}\n")
         } else {
             let snap = resp.get("stats").ok_or_else(|| {
                 CliError::Serve(format!("stats response lacks \"stats\": {resp}"))
@@ -1367,7 +1403,7 @@ fn cmd_top(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_flight(args: &[String]) -> Result<String, CliError> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, &[])?;
     let [path] = flags.positional.as_slice() else {
         return Err(CliError::Usage(format!(
             "flight needs exactly one dump path\n\n{USAGE}"
@@ -1442,7 +1478,10 @@ fn cmd_chaos(args: &[String]) -> Result<String, CliError> {
     use ddn_trace::{Context, ContextSchema, Decision, DecisionSpace, TraceRecord};
     use std::time::{Duration, Instant};
 
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(
+        args,
+        &["seed", "faults", "duration-records", "batch", "shards"],
+    )?;
     if !flags.positional.is_empty() {
         return Err(CliError::Usage(format!(
             "chaos takes no positional arguments\n\n{USAGE}"
@@ -1685,7 +1724,28 @@ fn cmd_chaos(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_loadgen(args: &[String]) -> Result<String, CliError> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(
+        args,
+        &[
+            "sessions",
+            "records",
+            "batch",
+            "workers",
+            "shards",
+            "seed",
+            "rate",
+            "profile",
+            "framing",
+            "faults",
+            "timescale",
+            "open-loop",
+            "smoke",
+            "addr",
+            "bench-json",
+            "health-every",
+            "stats-every",
+        ],
+    )?;
     if !flags.positional.is_empty() {
         return Err(CliError::Usage(format!(
             "loadgen takes no positional arguments\n\n{USAGE}"
@@ -1762,7 +1822,6 @@ fn cmd_loadgen(args: &[String]) -> Result<String, CliError> {
             addr: flags.get("addr").map(str::to_string),
             serve: ddn_serve::ServeConfig {
                 shards: parse_usize("shards", 4, 1)?,
-                queue_capacity: parse_usize("queue", 256, 1)?,
                 ..ddn_serve::ServeConfig::default()
             },
             health_every: parse_usize("health-every", 512, 0)?,
@@ -1924,7 +1983,7 @@ fn lookup_metric(doc: &Json, path: &str) -> Option<f64> {
 }
 
 fn cmd_bench_diff(args: &[String]) -> Result<String, CliError> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, &["floors", "pin"])?;
     let [bench_dir] = flags.positional.as_slice() else {
         return Err(CliError::Usage(format!(
             "bench-diff needs exactly one bench directory\n\n{USAGE}"

@@ -25,6 +25,12 @@ fn usage_errors_exit_2_with_stderr_only() {
         &["figure7", "7z"][..],
         &["telemetry-check"][..],
         &["selftest", "--runs", "zero"][..],
+        // Flags a subcommand does not read: a typo, or the retired
+        // shard-queue knob.
+        &["figure7", "7c", "--runs", "1", "--bogus", "3"][..],
+        &["serve", "--shard", "2"][..],
+        &["serve", "--queue", "1"][..],
+        &["loadgen", "--queue", "1"][..],
     ] {
         let out = ddn(args);
         assert_eq!(out.status.code(), Some(2), "args {args:?}");

@@ -185,7 +185,7 @@ impl BatchEstimator for AdaptiveIps {
         batch.check_trace(trace);
         let weights = batch.weights()?;
         note_reuse(self.name(), trace.len() as u64, 0);
-        let hs = stabilizers(&weights, self.mode);
+        let hs = stabilizers(weights, self.mode);
         let gammas: Vec<f64> = weights
             .iter()
             .zip(batch.rewards())
@@ -274,7 +274,7 @@ impl<M: RewardModel> BatchEstimator for AdaptiveDr<M> {
     ) -> Result<Estimate, EstimatorError> {
         batch.check_trace(trace);
         let weights = batch.weights()?;
-        let hs = stabilizers(&weights, self.mode);
+        let hs = stabilizers(weights, self.mode);
         let (gammas, abs_residual_sum) =
             dr_contributions_batch(self.name(), trace, batch, &self.model, weights);
         let (per_record, hsum) = stabilized_contributions(&gammas, &hs)?;
@@ -371,7 +371,7 @@ mod tests {
         let b = a_ips.estimate_batch(&t, &batch).unwrap();
         assert_eq!(s.value.to_bits(), b.value.to_bits());
         assert_eq!(s.diagnostics, b.diagnostics);
-        let a_dr = AdaptiveDr::new(model.clone(), AdaptiveWeights::Stabilized);
+        let a_dr = AdaptiveDr::new(model, AdaptiveWeights::Stabilized);
         let s = a_dr.estimate(&t, &newp).unwrap();
         let b = a_dr.estimate_batch(&t, &batch).unwrap();
         assert_eq!(s.value.to_bits(), b.value.to_bits());

@@ -7,7 +7,7 @@ use ddn_stats::ttest::{paired_t_test, TTest};
 use ddn_telemetry::{Collector, TelemetrySnapshot};
 
 /// One run's raw output: the ground truth and named estimates.
-type RunOutput = (f64, Vec<(String, f64)>);
+pub type RunOutput = (f64, Vec<(String, f64)>);
 
 /// Aggregates run outputs (in seed order) into an [`ErrorTable`].
 ///
@@ -277,7 +277,7 @@ impl ExperimentRunner {
     where
         F: Fn(u64) -> (f64, Vec<(String, f64)>) + Sync,
     {
-        let outputs = self.fan_out(threads, |seed| run(seed));
+        let outputs = self.fan_out(threads, run);
         tabulate(outputs, self.runs)
     }
 

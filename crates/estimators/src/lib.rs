@@ -106,7 +106,7 @@ pub use crossfit::CrossFitDr;
 pub use dm::DirectMethod;
 pub use dr::{DoublyRobust, SwitchDr};
 pub use estimate::{Estimate, Estimator, EstimatorError, WeightDiagnostics};
-pub use experiment::{relative_error, ErrorTable, ExperimentRunner};
+pub use experiment::{relative_error, ErrorTable, ExperimentRunner, RunOutput};
 pub use ips::{ClippedIps, Ips, SelfNormalizedIps};
 pub use marginalized::{ActionEmbedding, MarginalizedDr};
 pub use matching::MatchingEstimator;

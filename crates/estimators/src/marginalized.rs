@@ -316,7 +316,7 @@ mod tests {
         let (t, logger) = logged_trace(400, 32);
         let newp = LookupPolicy::constant(composite_space(), 4);
         let model = ConstantModel::new(1.0);
-        let mdr = MarginalizedDr::new(model.clone(), cdn_embedding(), Box::new(logger));
+        let mdr = MarginalizedDr::new(model, cdn_embedding(), Box::new(logger));
         let batch = EvalBatch::with_model(&t, &newp, &model).unwrap();
         let s = mdr.estimate(&t, &newp).unwrap();
         let b = mdr.estimate_batch(&t, &batch).unwrap();

@@ -258,7 +258,7 @@ mod tests {
         let t = session_trace(60, 5, 42);
         let newp = LookupPolicy::constant(space(), 1);
         let model = ConstantModel::new(2.5);
-        let seq = SeqDr::new(model.clone(), 5);
+        let seq = SeqDr::new(model, 5);
         let with_model = EvalBatch::with_model(&t, &newp, &model).unwrap();
         let bare = EvalBatch::build(&t, &newp).unwrap();
         let s = seq.estimate(&t, &newp).unwrap();

@@ -243,7 +243,7 @@ fn composite_work(n: usize) -> impl Fn(u64) -> (f64, Vec<(String, f64)>) + Sync 
         let grand_mean = trace.records().iter().map(|r| r.reward).sum::<f64>() / trace.len() as f64;
         let model = ConstantModel::new(grand_mean);
         let ips = Ips::new().estimate(&trace, &target).expect("IPS").value;
-        let dr = DoublyRobust::new(model.clone())
+        let dr = DoublyRobust::new(model)
             .estimate(&trace, &target)
             .expect("DR")
             .value;

@@ -18,7 +18,7 @@
 use ddn_cdn::wise::{WiseConfig, WiseWorld};
 use ddn_estimators::{
     BatchEstimator, DirectMethod, DoublyRobust, ErrorTable, Estimator, EvalBatch,
-    ExperimentRunner, Ips,
+    ExperimentRunner, Ips, RunOutput,
 };
 use ddn_models::cbn::{CausalBayesNet, CbnConfig};
 use ddn_telemetry::TelemetrySnapshot;
@@ -65,12 +65,7 @@ impl Default for Figure7aConfig {
 /// constructed once, each seed logs its own skewed trace, fits the CBN,
 /// and runs the three estimators. The phase spans are inert unless a
 /// telemetry collector is installed.
-fn prepared(
-    config: &Figure7aConfig,
-) -> (
-    ExperimentRunner,
-    impl Fn(u64) -> (f64, Vec<(String, f64)>) + Sync,
-) {
+fn prepared(config: &Figure7aConfig) -> (ExperimentRunner, impl Fn(u64) -> RunOutput + Sync) {
     let world = WiseWorld::new(config.world.clone());
     let population = world.population();
     let old_policy = world.old_policy();

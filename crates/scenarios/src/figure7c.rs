@@ -12,7 +12,7 @@
 use ddn_cdn::cfa::{CfaConfig, CfaWorld};
 use ddn_estimators::{
     BatchEstimator, DirectMethod, DoublyRobust, ErrorTable, Estimator, EvalBatch,
-    ExperimentRunner, MatchingEstimator,
+    ExperimentRunner, MatchingEstimator, RunOutput,
 };
 use ddn_models::{KnnConfig, KnnRegressor};
 use ddn_policy::UniformRandomPolicy;
@@ -68,12 +68,7 @@ impl Default for Figure7cConfig {
 
 /// Builds the shared per-seed work for Figure 7c. The phase spans are
 /// inert unless a telemetry collector is installed.
-fn prepared(
-    cfg: &Figure7cConfig,
-) -> (
-    ExperimentRunner,
-    impl Fn(u64) -> (f64, Vec<(String, f64)>) + Sync + '_,
-) {
+fn prepared(cfg: &Figure7cConfig) -> (ExperimentRunner, impl Fn(u64) -> RunOutput + Sync + '_) {
     let world = CfaWorld::new(cfg.world.clone(), cfg.world_seed);
     let old_policy = UniformRandomPolicy::new(world.space().clone());
     let new_policy = world.greedy_policy();

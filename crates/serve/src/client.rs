@@ -323,7 +323,7 @@ impl ServeClient {
             req.clone()
         };
         let id = request_id(&req);
-        let wire = format!("{}\n", req.to_string()).into_bytes();
+        let wire = format!("{req}\n").into_bytes();
         self.request_raw(&wire, id.as_ref())
     }
 

@@ -921,8 +921,8 @@ mod tests {
     fn init_line(extra: &str) -> String {
         format!(
             r#"{{"verb":"init","session":"s","schema":{},"space":{}{extra}}}"#,
-            schema().to_json().to_string(),
-            space().to_json().to_string(),
+            schema().to_json(),
+            space().to_json(),
         )
     }
 
@@ -1010,12 +1010,12 @@ mod tests {
             .estimate(&trace, &policy)
             .unwrap()
             .value;
-        let offline_adaptive_dr = AdaptiveDr::new(model.clone(), AdaptiveWeights::Stabilized)
+        let offline_adaptive_dr = AdaptiveDr::new(model, AdaptiveWeights::Stabilized)
             .estimate(&trace, &policy)
             .unwrap()
             .value;
         let offline_mdr = MarginalizedDr::new(
-            model.clone(),
+            model,
             ActionEmbedding::from_groups(vec![0, 0]),
             Box::new(UniformRandomPolicy::new(space())),
         )

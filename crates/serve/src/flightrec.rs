@@ -153,7 +153,7 @@ impl FlightRecorder {
     pub fn dump(&self, path: &Path) -> std::io::Result<()> {
         let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
         for event in &self.ring {
-            writeln!(out, "{}", event.to_json().to_string())?;
+            writeln!(out, "{}", event.to_json())?;
         }
         out.flush()
     }

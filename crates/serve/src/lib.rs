@@ -23,6 +23,9 @@
 //!   runs requests on their shard when it is idle; a request for a busy
 //!   shard waits in that shard's FIFO for the thread holding it; graceful
 //!   shutdown.
+//! - [`claim`] — the shard-claim protocol as pure transitions: who runs
+//!   each shard's jobs, how an answered connection waits, when the
+//!   drain ends. The server carries out what they decide.
 //! - [`eventloop`] — the zero-dependency epoll/eventfd layer (raw
 //!   syscalls; the only module in the workspace allowed `unsafe`).
 //! - [`client`] — a blocking client for `ddn replay-to` and tests, with
@@ -50,6 +53,7 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod claim;
 pub mod client;
 pub mod engine;
 pub mod eventloop;

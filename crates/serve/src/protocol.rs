@@ -28,12 +28,12 @@
 //! index, `V` is an optional constant reward-model value (default 0) for
 //! `dm`/`dr`, `W` an optional clip threshold (default 10) for `clipped`,
 //! and `N` an optional sliding-window capacity (omitted = cumulative).
-//! The menu extensions add `T`, an optional trajectory horizon (default
-//! 1) for `seqdr`; `[G,...]`, an optional per-arm group assignment for
-//! `mdr` (omitted = identity embedding, one group per arm); and
-//! `"logging"`, an optional policy object giving `mdr` its marginal
-//! denominators (omitted = uniform — `mdr` never reads per-record
-//! propensities).
+//! The menu extensions add `T`, an optional trajectory horizon
+//! (default 1) for `seqdr`; `[G,...]`, an optional per-arm group
+//! assignment for `mdr` (omitted = identity embedding, one group per
+//! arm); and `"logging"`, an optional policy object giving `mdr` its
+//! marginal denominators (omitted = uniform — `mdr` never reads
+//! per-record propensities).
 //!
 //! `stats` returns a point-in-time snapshot of the server's live metric
 //! [`ddn_telemetry::Registry`] (counters, gauges, log2 histogram
@@ -587,7 +587,7 @@ mod tests {
             .with_propensity(0.5);
         let line = format!(
             r#"{{"verb":"ingest","session":"s","records":[{}]}}"#,
-            rec.to_json().to_string()
+            rec.to_json()
         );
         let Request::Ingest {
             session,

@@ -47,6 +47,13 @@
 //! and the worker that takes the baton eventfd's one-shot event runs
 //! them), so no shard's traffic delays another shard's part.
 //!
+//! Every one of these rules (claim or queue, keep, release or pass a
+//! shard, take a passed one, complete a gather, park an answered
+//! connection, end the drain) is a transition in [`crate::claim`], where
+//! a model checks them under every interleaving. This module is the
+//! shell: it takes the lock each transition's state lives under, calls
+//! it, and carries out the action it returns.
+//!
 //! A shard verb travels with the bytes it arrived as. With durability
 //! on, `init` and `ingest` payloads are logged verbatim before they are
 //! applied; without, the bytes are dropped. Live requests and WAL
@@ -73,12 +80,12 @@
 //!
 //! ## Backpressure
 //!
-//! A request that finds [`ServeConfig::queue_capacity`] requests already
-//! waiting for its shard counts a `serve.backpressure.stalls` event and
-//! waits too; `serve.queue.depth` counts waiting requests. The client
-//! that sent a waiting request waits (stop-and-wait), so a shard's FIFO
-//! holds at most one request per connection. Connections served by
-//! other shards keep flowing.
+//! A request that finds another request already waiting for its shard
+//! is a stall (`serve.backpressure.stalls`) and waits too;
+//! `serve.queue.depth` counts waiting requests. The client that sent a
+//! waiting request waits (stop-and-wait), so a shard's FIFO holds at
+//! most one request per connection. Connections served by other shards
+//! keep flowing.
 //!
 //! ## Fault isolation
 //!
@@ -114,6 +121,7 @@
 //! [`ServerHandle::shutdown`] joins every worker, so when it returns the
 //! process holds no server state and no thread or fd has leaked.
 
+use crate::claim::{self, After, Baton, Claim, Fifo, Park, Parts};
 use crate::engine::{Engine, Outcome};
 use crate::eventloop::{Epoll, Waker, EPOLLIN, EPOLLONESHOT, EPOLLOUT};
 use crate::flightrec::{flightrec_path, FlightRecorder};
@@ -125,7 +133,7 @@ use crate::wal::MAX_FRAME_BYTES;
 use ddn_stats::Json;
 use ddn_telemetry::{Collector, Counter, Gauge, Histogram, Registry, TelemetrySnapshot};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener};
@@ -146,12 +154,9 @@ pub type TransportWrap = Arc<dyn Fn(Box<dyn Transport>) -> Box<dyn Transport> + 
 pub struct ServeConfig {
     /// Address to bind; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Number of shards (each owns a disjoint set of sessions), and of
-    /// worker threads.
+    /// Number of shards (each owns a disjoint set of sessions); one
+    /// more worker thread than shards serves them.
     pub shards: usize,
-    /// Requests that may wait for a busy shard before each further one
-    /// counts a backpressure stall.
-    pub queue_capacity: usize,
     /// Hard cap on one request line, in bytes; longer lines get an error
     /// response and are discarded without buffering (anti-DoS). Binary
     /// frames are capped separately at the WAL frame limit (64 MiB,
@@ -188,7 +193,6 @@ impl std::fmt::Debug for ServeConfig {
         f.debug_struct("ServeConfig")
             .field("addr", &self.addr)
             .field("shards", &self.shards)
-            .field("queue_capacity", &self.queue_capacity)
             .field("max_line_bytes", &self.max_line_bytes)
             .field("wrap", &self.wrap.as_ref().map(|_| "<hook>"))
             .field("failpoint", &self.failpoint)
@@ -205,7 +209,6 @@ impl Default for ServeConfig {
         Self {
             addr: "127.0.0.1:0".to_string(),
             shards: 4,
-            queue_capacity: 256,
             max_line_bytes: 1 << 20,
             wrap: None,
             failpoint: None,
@@ -297,8 +300,8 @@ impl ServerStats {
         self.conn_active.load(Ordering::Relaxed)
     }
 
-    /// Requests that found [`ServeConfig::queue_capacity`] requests
-    /// already waiting for their busy shard (they wait too).
+    /// Requests that found another request already waiting for their
+    /// busy shard (a stall; they wait too).
     pub fn backpressure_stalls(&self) -> u64 {
         self.backpressure_stalls.get()
     }
@@ -602,10 +605,6 @@ const TOKEN_CONN0: u64 = 3;
 pub fn serve(config: &ServeConfig) -> std::io::Result<ServerHandle> {
     for (bad, msg) in [
         (config.shards == 0, "need at least one shard"),
-        (
-            config.queue_capacity == 0,
-            "queue capacity must be positive",
-        ),
         (config.max_line_bytes == 0, "line cap must be positive"),
         (
             config.max_line_bytes > MAX_FRAME_BYTES,
@@ -701,10 +700,11 @@ pub fn serve(config: &ServeConfig) -> std::io::Result<ServerHandle> {
     // answer `stats` and `shutdown`, however many shards are busy. The
     // standby polls instead of sleeping in epoll, because every worker
     // asleep there is one more to wake per request.
-    let mut workers = Vec::with_capacity(config.shards + 1);
-    for i in 0..=config.shards {
+    let n = claim::workers(config.shards);
+    let mut workers = Vec::with_capacity(n);
+    for i in 0..n {
         let server = Arc::clone(&server);
-        let standby = i == config.shards;
+        let standby = i == n - 1;
         let spawned = std::thread::Builder::new()
             .name(format!("ddn-serve-{i}"))
             .spawn(move || server.worker(standby));
@@ -755,7 +755,7 @@ struct Server {
     /// accepting and closes idle connections.
     draining: AtomicBool,
     /// Shards passed on with requests waiting ([`Server::pass`]).
-    passed: Mutex<Vec<usize>>,
+    passed: Mutex<Baton>,
     /// Readable while `passed` is non-empty. Registered one-shot, so one
     /// worker takes each event and re-arms it.
     baton: Waker,
@@ -774,7 +774,7 @@ struct Shard {
     /// Locked only by the thread that set [`Fifo::held`], so taking it
     /// never waits.
     state: Mutex<ShardState>,
-    fifo: Mutex<Fifo>,
+    fifo: Mutex<Fifo<Job>>,
     metrics: ShardMetrics,
 }
 
@@ -787,17 +787,6 @@ struct ShardState {
     poisoned: HashSet<String>,
     durability: Option<ShardDurability>,
     flight: FlightRecorder,
-}
-
-/// The shard's claim and its waiting requests, under one small lock.
-#[derive(Default)]
-struct Fifo {
-    /// Some thread is running this shard's requests, or will once it
-    /// takes the baton the last holder passed. It is set by a worker that
-    /// finds it clear, and cleared only by the holder when it finds `jobs`
-    /// empty: a request left here always has a thread that will run it.
-    held: bool,
-    jobs: VecDeque<Job>,
 }
 
 /// Work for one shard.
@@ -833,67 +822,13 @@ struct Gather {
     server: Part,
     id: Option<Json>,
     at: Instant,
-    parts: Mutex<GatherParts>,
-}
-
-struct GatherParts {
-    /// Taken by the thread that adds the last part.
-    conn: Option<Conn>,
-    /// By shard; `None` until the shard's part arrives, and for good from
-    /// a shard that cannot answer.
-    shards: Vec<Option<Part>>,
-    missing: usize,
+    parts: Mutex<Parts<Part, Conn>>,
 }
 
 /// One contribution to a [`Gather`].
 enum Part {
     Health(Collector),
     Flight(Json),
-}
-
-impl Gather {
-    /// Adds shard `k`'s part (`None`: the shard cannot answer). The last
-    /// part renders and books the reply and returns it with its
-    /// connection.
-    fn add(&self, k: usize, part: Option<Part>, server: &Server) -> Option<(Conn, Json)> {
-        let (conn, shards) = {
-            let mut p = lock(&self.parts);
-            p.shards[k] = part;
-            p.missing -= 1;
-            if p.missing > 0 {
-                return None;
-            }
-            (p.conn.take()?, std::mem::take(&mut p.shards))
-        };
-        let (verb, resp) = match &self.server {
-            Part::Health(counters) => {
-                let mut collectors = vec![counters.clone()];
-                collectors.extend(shards.into_iter().flatten().filter_map(|part| match part {
-                    Part::Health(c) => Some(c),
-                    Part::Flight(_) => None,
-                }));
-                let mut snap = TelemetrySnapshot::from_runs(&collectors);
-                snap.set_threads(server.shards.len());
-                ("health", ok_response(vec![("telemetry", snap.to_json())]))
-            }
-            Part::Flight(stats) => {
-                let rings = shards.into_iter().enumerate().map(|(i, part)| {
-                    let events = match part {
-                        Some(Part::Flight(events)) => events,
-                        _ => Json::Array(Vec::new()),
-                    };
-                    (format!("shard-{i}"), events)
-                });
-                let fields = vec![
-                    ("stats", stats.clone()),
-                    ("flight", Json::Object(rings.collect())),
-                ];
-                ("stats", ok_response(fields))
-            }
-        };
-        record_conn_verb(&server.stats, verb, server.config.trace_requests, self.at);
-        Some((conn, attach_id(resp, self.id.clone())))
-    }
 }
 
 /// Per-connection state. Owned by one worker at a time, travelling with
@@ -919,7 +854,8 @@ struct Conn {
     overflow: bool,
     /// What it was last armed for: `EPOLLIN` (waiting for a request, or
     /// for the peer's EOF after a closing reply) or `EPOLLOUT` (a reply
-    /// the socket could not take yet).
+    /// the socket could not take yet, or buffered requests to pump); 0
+    /// until it is first registered.
     interest: u32,
     /// Counts the connection closed when it is dropped, however that
     /// happens, so the drain's wait for `conn_active` to reach 0 ends.
@@ -942,13 +878,12 @@ impl Server {
         let mut ready: Vec<Conn> = Vec::new();
         let mut scratch = vec![0u8; 16 * 1024];
         loop {
-            if self.shutdown.load(Ordering::SeqCst) {
-                if !self.draining.swap(true, Ordering::SeqCst) {
-                    self.start_drain();
-                }
-                if self.stats.conn_active() == 0 {
-                    return;
-                }
+            let shutdown = self.shutdown.load(Ordering::SeqCst);
+            if shutdown && !self.draining.swap(true, Ordering::SeqCst) {
+                self.start_drain();
+            }
+            if claim::drain_ends(shutdown, self.stats.conn_active()) {
+                return;
             }
             // The others wait with no timeout: shutdown makes the stop
             // eventfd readable for every worker, and an armed timer costs
@@ -981,11 +916,9 @@ impl Server {
                     // Reading only when armed for input keeps the fault
                     // injector's byte-offset cursor aligned with the
                     // request stream.
-                    if conn.interest == EPOLLIN {
-                        if let Some(reason) = conn_read(&mut conn, &mut scratch) {
-                            self.close(conn, reason);
-                            continue;
-                        }
+                    if conn.interest == EPOLLIN && conn_read(&mut conn, &mut scratch).is_err() {
+                        self.fault(conn);
+                        continue;
                     }
                     ready.push(conn);
                 }
@@ -1040,12 +973,9 @@ impl Server {
                     if conn.eof {
                         // The peer died mid-line or mid-frame; the partial
                         // request is dropped (it was never acknowledged).
-                        let reason = if !conn.inbuf.is_empty() || conn.overflow {
-                            CloseReason::Fault
-                        } else {
-                            CloseReason::Clean
-                        };
-                        self.close(conn, reason);
+                        if !conn.inbuf.is_empty() || conn.overflow {
+                            self.fault(conn);
+                        }
                     } else {
                         self.park(conn, EPOLLIN);
                     }
@@ -1062,7 +992,7 @@ impl Server {
         while conn.outpos < conn.outbuf.len() {
             match conn.transport.write(&conn.outbuf[conn.outpos..]) {
                 Ok(0) => {
-                    self.close(conn, CloseReason::Fault);
+                    self.fault(conn);
                     return None;
                 }
                 Ok(n) => conn.outpos += n,
@@ -1072,7 +1002,7 @@ impl Server {
                 }
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(_) => {
-                    self.close(conn, CloseReason::Fault);
+                    self.fault(conn);
                     return None;
                 }
             }
@@ -1082,13 +1012,11 @@ impl Server {
         if !conn.close_after_flush {
             return Some(conn);
         }
-        if conn.eof || self.draining.load(Ordering::SeqCst) {
-            self.close(conn, CloseReason::Clean);
-        } else {
+        if !conn.eof {
             // Closing with unread input would send a reset that can
             // destroy the reply in flight. Shut the write half instead
             // (the peer reads the reply, then EOF) and discard input
-            // until the peer closes too.
+            // until the peer closes too, unless the server drains.
             let _ = conn.transport.shutdown_write();
             conn.inbuf.clear();
             self.park(conn, EPOLLIN);
@@ -1096,51 +1024,44 @@ impl Server {
         None
     }
 
-    /// Hands a connection back to epoll, armed one-shot for `interest`:
-    /// the worker that gets its next event owns it. While the server
-    /// drains, a connection that would wait for input is closed instead.
-    fn park(&self, conn: Conn, interest: u32) {
-        self.park_with(conn, interest, Epoll::modify);
-    }
-
-    /// [`Server::park`] with the epoll operation to arm it by (`add` for
-    /// a new connection).
-    fn park_with(
-        &self,
-        mut conn: Conn,
-        interest: u32,
-        arm: fn(&Epoll, i32, u64, u32) -> std::io::Result<()>,
-    ) {
+    /// Hands a connection back to epoll, armed one-shot for `interest`
+    /// (registered, the first time): the worker that gets its next event
+    /// owns it. While the server drains, a connection that would wait for
+    /// input is closed instead.
+    fn park(&self, mut conn: Conn, interest: u32) {
         let (token, fd) = (conn.token, conn.fd);
+        let arm = if conn.interest == 0 {
+            Epoll::add
+        } else {
+            Epoll::modify
+        };
         conn.interest = interest;
-        {
-            let mut conns = lock(&self.conns);
-            // Read under the table lock: `start_drain` sets the flag
-            // before it sweeps the table, so an idle connection is either
-            // swept or sees the flag here.
-            if interest != EPOLLIN || !self.draining.load(Ordering::SeqCst) {
-                // In the table before it is armed, so its event finds it.
-                conns.insert(token, conn);
-                drop(conns);
-                if arm(&self.epoll, fd, token, interest | EPOLLONESHOT).is_err() {
-                    // Not armed, so no event can take it (the drain sweep
-                    // may have).
-                    if let Some(conn) = lock(&self.conns).remove(&token) {
-                        self.close(conn, CloseReason::Fault);
-                    }
-                }
-                return;
+        let mut conns = lock(&self.conns);
+        // Read under the table lock: `start_drain` sets the flag before it
+        // sweeps the table, so an idle connection is either swept or sees
+        // the flag here.
+        if claim::closes(self.draining.load(Ordering::SeqCst), interest == EPOLLIN) {
+            drop(conns);
+            drop(conn);
+            return;
+        }
+        // In the table before it is armed, so its event finds it.
+        conns.insert(token, conn);
+        drop(conns);
+        if arm(&self.epoll, fd, token, interest | EPOLLONESHOT).is_err() {
+            // Not armed, so no event can take it (the drain sweep may
+            // have).
+            if let Some(conn) = lock(&self.conns).remove(&token) {
+                self.fault(conn);
             }
         }
-        self.close(conn, CloseReason::Clean);
     }
 
-    /// Closes a connection this worker owns. It is not armed, so no event
-    /// can name it; dropping it closes the socket.
-    fn close(&self, conn: Conn, reason: CloseReason) {
-        if let CloseReason::Fault = reason {
-            self.stats.fault_conn_errors.inc();
-        }
+    /// Closes a connection this worker owns after a fault (torn input, a
+    /// socket error), counting it. It is not armed, so no event can name
+    /// it; dropping it closes the socket, as for every other close.
+    fn fault(&self, conn: Conn) {
+        self.stats.fault_conn_errors.inc();
         drop(conn);
     }
 
@@ -1177,20 +1098,18 @@ impl Server {
                 eof: false,
                 close_after_flush: false,
                 overflow: false,
-                interest: EPOLLIN,
+                interest: 0,
                 stats: Arc::clone(&self.stats),
             };
             self.stats.conn_opened();
-            self.park_with(conn, EPOLLIN, Epoll::add);
+            self.park(conn, EPOLLIN);
         }
-        if !self.draining.load(Ordering::SeqCst) {
-            // A drain deregisters the listener, after which this fails.
-            let _ = self.epoll.modify(
-                self.listener.as_raw_fd(),
-                TOKEN_LISTENER,
-                EPOLLIN | EPOLLONESHOT,
-            );
-        }
+        // A drain deregisters the listener, after which this fails.
+        let _ = self.epoll.modify(
+            self.listener.as_raw_fd(),
+            TOKEN_LISTENER,
+            EPOLLIN | EPOLLONESHOT,
+        );
     }
 
     /// The first step of shutdown: stop accepting and close every idle
@@ -1204,13 +1123,11 @@ impl Server {
             let mut conns = lock(&self.conns);
             let (idle, flushing): (Vec<_>, Vec<_>) = std::mem::take(&mut *conns)
                 .into_iter()
-                .partition(|(_, c)| c.interest == EPOLLIN);
+                .partition(|(_, c)| claim::closes(true, c.interest == EPOLLIN));
             conns.extend(flushing);
             idle.into_iter().map(|(_, c)| c).collect()
         };
-        for conn in idle {
-            self.close(conn, CloseReason::Clean);
-        }
+        drop(idle);
     }
 
     /// Answers `stats` and `shutdown` on the spot, returning the
@@ -1258,11 +1175,7 @@ impl Server {
                     server,
                     id,
                     at,
-                    parts: Mutex::new(GatherParts {
-                        conn: Some(conn),
-                        shards: (0..n).map(|_| None).collect(),
-                        missing: n,
-                    }),
+                    parts: Mutex::new(Parts::new(conn, n)),
                 });
                 for k in 0..n {
                     self.submit(k, Job::Gather(Arc::clone(&gather)), ready, false);
@@ -1287,27 +1200,28 @@ impl Server {
         Some(conn)
     }
 
-    /// Runs `job` on shard `k` now when the shard is idle, and with
-    /// `keep` every job that queues behind it too (see
-    /// [`Server::run_shard`]). When another thread holds the shard, leaves
-    /// the job in its FIFO for that thread (a handoff), counting a
-    /// backpressure stall when `queue_capacity` jobs already wait there.
-    /// Never waits for a shard.
+    /// Runs `job` on shard `k` now when the shard is idle (see
+    /// [`Server::run_shard`] for `keep`). When another thread holds the
+    /// shard, leaves the job in its FIFO for that thread (a handoff),
+    /// counting a backpressure stall when another job already waits
+    /// there. Never waits for a shard.
     fn submit(&self, k: usize, job: Job, ready: &mut Vec<Conn>, keep: bool) {
-        {
-            let mut fifo = lock(&self.shards[k].fifo);
-            if fifo.held {
-                if fifo.jobs.len() >= self.config.queue_capacity {
-                    self.stats.backpressure_stalls.inc();
-                }
-                fifo.jobs.push_back(job);
+        let mut fifo = lock(&self.shards[k].fifo);
+        match fifo.claim(job) {
+            Claim::Run(job) => {
+                drop(fifo);
+                self.run_shard(k, job, ready, keep);
+            }
+            Claim::Queued { stall } => {
+                // Under the lock, so the holder's decrement never runs
+                // first.
                 self.stats.queue_inc();
                 self.stats.shard_handoffs.inc();
-                return;
+                if stall {
+                    self.stats.backpressure_stalls.inc();
+                }
             }
-            fifo.held = true;
         }
-        self.run_shard(k, job, ready, keep);
     }
 
     /// Gives up this thread's claim on shard `k` while jobs wait for it:
@@ -1315,7 +1229,7 @@ impl Server {
     /// runs them.
     fn pass(&self, k: usize) {
         let mut passed = lock(&self.passed);
-        passed.push(k);
+        passed.pass(k);
         // Under the lock, so `take_baton` cannot drain a wake whose shard
         // it did not see.
         self.baton.wake();
@@ -1325,8 +1239,8 @@ impl Server {
     fn take_baton(&self, ready: &mut Vec<Conn>) {
         let k = {
             let mut passed = lock(&self.passed);
-            let k = passed.pop();
-            if passed.is_empty() {
+            let (k, empty) = passed.take();
+            if empty {
                 self.baton.drain();
             }
             k
@@ -1337,52 +1251,36 @@ impl Server {
             .epoll
             .modify(self.baton.raw(), TOKEN_BATON, EPOLLIN | EPOLLONESHOT);
         let Some(k) = k else { return };
-        let job = {
-            let mut fifo = lock(&self.shards[k].fifo);
-            let job = fifo.jobs.pop_front();
-            fifo.held = job.is_some();
-            job
-        };
-        if let Some(job) = job {
+        let after = lock(&self.shards[k].fifo).after_job(true);
+        if let After::Next(job) = after {
             self.stats.queue_dec();
             self.run_shard(k, job, ready, true);
         }
     }
 
-    /// Runs `job` on shard `k`, which the caller has claimed, then, with
-    /// `keep`, every job that queues behind it, and releases the shard
-    /// once its FIFO is empty. Without `keep` the caller has more to do
-    /// than this shard's traffic, so it passes the shard on after `job`
-    /// if others wait.
-    ///
-    /// Answered connections with nothing buffered are re-armed only after
-    /// each job, so a connection's next request never finds its shard
-    /// still held by the thread that answered the last one. Connections
-    /// with buffered input go to `ready`, for the caller to pump once the
-    /// shard is released; while this thread goes on running the shard,
-    /// they are armed for output instead (ready at once), so any free
-    /// worker pumps them.
+    /// Runs `job` on shard `k`, which the caller has claimed, and then
+    /// whatever [`Fifo::after_job`] decides: with `keep`, every job that
+    /// queues behind it; without (the caller claimed the shard for one
+    /// part of a gather), the shard is passed on if others wait.
     fn run_shard(&self, k: usize, mut job: Job, ready: &mut Vec<Conn>, keep: bool) {
         let shard = &self.shards[k];
-        let mut idle = Vec::new();
+        let mut answered = Vec::new();
         loop {
             let ran = catch_unwind(AssertUnwindSafe(|| {
                 let mut state = shard.state.lock().ok();
                 match job {
                     Job::Request(p) => match state.as_deref_mut() {
-                        Some(st) => self.run_request(k, st, p, &mut idle, ready),
+                        Some(st) => self.run_request(k, st, p, &mut answered, ready),
                         None => {
                             // A panic escaped a request while it held
                             // this shard: its state is not trusted.
                             let mut conn = p.conn;
                             let resp = error_response("shard worker unavailable");
                             push_response(&mut conn, &attach_id(resp, p.id));
-                            self.replied(conn, &mut idle, ready);
+                            answered.extend(self.flush(conn));
                         }
                     },
-                    Job::Gather(g) => {
-                        self.run_gather(k, state.as_deref_mut(), &g, &mut idle, ready)
-                    }
+                    Job::Gather(g) => self.run_gather(k, state.as_deref_mut(), &g, &mut answered),
                 }
             }));
             if ran.is_err() {
@@ -1391,48 +1289,33 @@ impl Server {
                 // usual, so the requests behind it are answered.
                 eprintln!("ddn-serve: a panic escaped a request on shard {k}");
             }
-            let (held, next) = {
-                let mut fifo = lock(&shard.fifo);
-                fifo.held = !fifo.jobs.is_empty();
-                let next = if keep { fifo.jobs.pop_front() } else { None };
-                (fifo.held, next)
-            };
-            for conn in idle.drain(..) {
-                self.park(conn, EPOLLIN);
-            }
-            match next {
-                Some(next) => {
+            let after = lock(&shard.fifo).after_job(keep);
+            self.settle(&mut answered, ready, matches!(after, After::Next(_)));
+            match after {
+                After::Next(next) => {
                     self.stats.queue_dec();
-                    self.hand_off(ready);
                     job = next;
                 }
-                None => {
-                    if held {
-                        self.pass(k);
-                    }
-                    return;
-                }
+                After::Release => return,
+                After::Pass => return self.pass(k),
             }
         }
     }
 
-    /// Arms connections with buffered input for output, which is ready at
-    /// once, so a free worker pumps them while this thread runs a shard.
-    fn hand_off(&self, ready: &mut Vec<Conn>) {
-        for conn in ready.drain(..) {
-            self.park(conn, EPOLLOUT);
+    /// Parks each connection this thread answered as [`claim::park`]
+    /// decides, and, while it `keeps` the shard, the ones it has yet to
+    /// pump too.
+    fn settle(&self, answered: &mut Vec<Conn>, ready: &mut Vec<Conn>, keeps: bool) {
+        for conn in answered.drain(..) {
+            match claim::park(!conn.inbuf.is_empty() || conn.eof, keeps) {
+                Park::Input => self.park(conn, EPOLLIN),
+                Park::Here => ready.push(conn),
+                Park::Output => self.park(conn, EPOLLOUT),
+            }
         }
-    }
-
-    /// Writes the reply just appended to `conn` and sorts the connection:
-    /// into `idle` when it only needs re-arming for its next request,
-    /// into `ready` when it has buffered input or reached EOF.
-    fn replied(&self, conn: Conn, idle: &mut Vec<Conn>, ready: &mut Vec<Conn>) {
-        if let Some(conn) = self.flush(conn) {
-            if conn.inbuf.is_empty() && !conn.eof {
-                idle.push(conn);
-            } else {
-                ready.push(conn);
+        if claim::park(true, keeps) == Park::Output {
+            for conn in ready.drain(..) {
+                self.park(conn, EPOLLOUT);
             }
         }
     }
@@ -1448,7 +1331,7 @@ impl Server {
         k: usize,
         st: &mut ShardState,
         p: Box<Pending>,
-        idle: &mut Vec<Conn>,
+        answered: &mut Vec<Conn>,
         ready: &mut Vec<Conn>,
     ) {
         let Pending {
@@ -1474,17 +1357,14 @@ impl Server {
                 push_response(&mut conn, &attach_id(resp, id));
             }
         }
-        self.replied(conn, idle, ready);
+        answered.extend(self.flush(conn));
         if st
             .durability
             .as_ref()
             .is_some_and(ShardDurability::snapshot_due)
         {
             // The answered clients need not wait for the rotation.
-            for conn in idle.drain(..) {
-                self.park(conn, EPOLLIN);
-            }
-            self.hand_off(ready);
+            self.settle(answered, ready, true);
             if catch_unwind(AssertUnwindSafe(|| self.rotate(k, st))).is_err() {
                 eprintln!(
                     "ddn-serve: snapshot rotation panicked; the WAL still holds every request"
@@ -1556,15 +1436,14 @@ impl Server {
     }
 
     /// Adds shard `k`'s part to a `health` or `stats {"flight":true}`
-    /// (nothing when the shard's state is not trusted), writing the reply
-    /// when it is the last part.
+    /// (nothing when the shard's state is not trusted). The last part
+    /// renders, books and writes the reply.
     fn run_gather(
         &self,
         k: usize,
         st: Option<&mut ShardState>,
         g: &Gather,
-        idle: &mut Vec<Conn>,
-        ready: &mut Vec<Conn>,
+        answered: &mut Vec<Conn>,
     ) {
         let part = st.and_then(|st| {
             catch_unwind(AssertUnwindSafe(|| match g.server {
@@ -1583,10 +1462,38 @@ impl Server {
             }))
             .ok()
         });
-        if let Some((mut conn, resp)) = g.add(k, part, self) {
-            push_response(&mut conn, &resp);
-            self.replied(conn, idle, ready);
-        }
+        let Some((mut conn, shards)) = lock(&g.parts).add(k, part) else {
+            return;
+        };
+        let (verb, resp) = match &g.server {
+            Part::Health(counters) => {
+                let mut collectors = vec![counters.clone()];
+                collectors.extend(shards.into_iter().flatten().filter_map(|part| match part {
+                    Part::Health(c) => Some(c),
+                    Part::Flight(_) => None,
+                }));
+                let mut snap = TelemetrySnapshot::from_runs(&collectors);
+                snap.set_threads(self.shards.len());
+                ("health", ok_response(vec![("telemetry", snap.to_json())]))
+            }
+            Part::Flight(stats) => {
+                let rings = shards.into_iter().enumerate().map(|(i, part)| {
+                    let events = match part {
+                        Some(Part::Flight(events)) => events,
+                        _ => Json::Array(Vec::new()),
+                    };
+                    (format!("shard-{i}"), events)
+                });
+                let fields = vec![
+                    ("stats", stats.clone()),
+                    ("flight", Json::Object(rings.collect())),
+                ];
+                ("stats", ok_response(fields))
+            }
+        };
+        record_conn_verb(&self.stats, verb, self.config.trace_requests, g.at);
+        push_response(&mut conn, &attach_id(resp, g.id.clone()));
+        answered.extend(self.flush(conn));
     }
 
     /// Rotates shard `k` to a fresh snapshot. Snapshot I/O failures are
@@ -1706,14 +1613,6 @@ fn extract_request(conn: &mut Conn, max_line_bytes: usize) -> Extract {
     }
 }
 
-/// Why a connection was closed, for fault accounting.
-enum CloseReason {
-    /// Clean EOF or an orderly close; no fault counted.
-    Clean,
-    /// Torn input, socket error, or unframeable bytes.
-    Fault,
-}
-
 /// Appends one response (JSON + newline) to a connection's output
 /// buffer — the exact byte stream `writeln!` produced in the
 /// thread-per-connection server, which chaos byte-offset plans pin.
@@ -1723,28 +1622,27 @@ fn push_response(conn: &mut Conn, resp: &Json) {
 }
 
 /// Reads everything currently available on a connection, through the
-/// worker's `buf`. Returns `Some(CloseReason::Fault)` on a socket error;
-/// EOF is recorded on the conn (buffered requests still get served)
-/// rather than returned.
-fn conn_read(conn: &mut Conn, buf: &mut [u8]) -> Option<CloseReason> {
+/// worker's `buf`. Fails on a socket error; EOF is recorded on the conn
+/// (buffered requests still get served) rather than returned.
+fn conn_read(conn: &mut Conn, buf: &mut [u8]) -> std::io::Result<()> {
     loop {
         match conn.transport.read(buf) {
             Ok(0) => {
                 conn.eof = true;
-                return None;
+                return Ok(());
             }
             Ok(n) => {
                 conn.inbuf.extend_from_slice(&buf[..n]);
                 if n < buf.len() {
                     // Short read: the socket is drained for now.
-                    return None;
+                    return Ok(());
                 }
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => return None,
+            Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(()),
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             // Socket-level failure (injected or real): this connection
             // is over, the server is not.
-            Err(_) => return Some(CloseReason::Fault),
+            Err(e) => return Err(e),
         }
     }
 }

@@ -394,7 +394,7 @@ fn decode_ring(mut bytes: &[u8]) -> Result<VecDeque<TraceRecord>, String> {
 
 /// A coupling block's rewards.
 fn decode_rewards(bytes: &[u8]) -> Result<VecDeque<f64>, String> {
-    if bytes.len() % 8 != 0 {
+    if !bytes.len().is_multiple_of(8) {
         return Err(format!("coupling block of {} bytes is not whole f64s", bytes.len()));
     }
     Ok(bytes

@@ -98,7 +98,6 @@ fn unanswered(stream: &TcpStream) -> bool {
 fn a_busy_shard_does_not_stall_the_others() {
     let handle = serve(&ServeConfig {
         shards: 2,
-        queue_capacity: 1,
         ..ServeConfig::default()
     })
     .unwrap();
@@ -261,7 +260,6 @@ fn ips_n(est: &Json) -> Option<i64> {
 fn health_waits_only_for_the_busy_shard() {
     let handle = serve(&ServeConfig {
         shards: 2,
-        queue_capacity: 1,
         ..ServeConfig::default()
     })
     .unwrap();

@@ -53,9 +53,9 @@ fn space() -> DecisionSpace {
 fn init_line(session: &str) -> String {
     format!(
         r#"{{"verb":"init","session":{},"schema":{},"space":{},"estimators":["ips"],"policy":{{"kind":"constant","decision":"b"}}}}"#,
-        Json::str(session).to_string(),
-        schema().to_json().to_string(),
-        space().to_json().to_string(),
+        Json::str(session),
+        schema().to_json(),
+        space().to_json(),
     )
 }
 
@@ -73,7 +73,7 @@ fn ingest_line(session: &str, n: usize) -> String {
         .collect();
     format!(
         r#"{{"verb":"ingest","session":{},"records":[{}]}}"#,
-        Json::str(session).to_string(),
+        Json::str(session),
         recs.join(",")
     )
 }
@@ -141,7 +141,7 @@ prop! {
 
         let full = ingest_line("trunc", n_records);
         let cut = (full.len() * cut_permille as usize / 1000).clamp(1, full.len() - 1);
-        stream.write_all(full[..cut].as_bytes()).unwrap();
+        stream.write_all(&full.as_bytes()[..cut]).unwrap();
         stream.write_all(b"\n").unwrap();
         let resp = read_response(&mut reader);
         prop_assert_eq!(resp.get("ok"), Some(&Json::Bool(false)));

@@ -72,10 +72,12 @@ static ALLOCATOR: Measured = Measured;
 /// Room for an error message: refusing a 3-byte file still formats one.
 const MESSAGE_SLACK: usize = 1024;
 
-/// Restores `bytes` into a fresh engine, returning the outcome, the
-/// engine, the quarantine set, and the largest single allocation the
-/// reader made.
-fn restore(bytes: &[u8]) -> (Result<(usize, u64), String>, Engine, HashSet<String>, usize) {
+/// What [`restore`] returns: the outcome, the engine, the quarantine set,
+/// and the largest single allocation the reader made.
+type Restored = (Result<(usize, u64), String>, Engine, HashSet<String>, usize);
+
+/// Restores `bytes` into a fresh engine.
+fn restore(bytes: &[u8]) -> Restored {
     let mut engine = Engine::new();
     let mut poisoned = HashSet::new();
     LARGEST.with(|l| l.set(Some(0)));

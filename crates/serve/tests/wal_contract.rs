@@ -295,10 +295,6 @@ fn serve_refuses_invalid_configs_instead_of_panicking() {
             ..ServeConfig::default()
         },
         ServeConfig {
-            queue_capacity: 0,
-            ..ServeConfig::default()
-        },
-        ServeConfig {
             max_line_bytes: 0,
             ..ServeConfig::default()
         },

@@ -213,45 +213,37 @@ impl Json {
 
     // ---- writing --------------------------------------------------------
 
-    /// Serializes to a compact JSON string (no whitespace), serde_json
-    /// byte-compatible for the values this workspace writes.
-    pub fn to_string(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out);
-        out
-    }
-
-    fn write(&self, out: &mut String) {
+    /// Writes compact JSON (no whitespace) to `out`: the one serializer,
+    /// behind [`fmt::Display`].
+    fn write(&self, out: &mut impl fmt::Write) -> fmt::Result {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
-            Json::Int(i) => {
-                out.push_str(&i.to_string());
-            }
+            Json::Null => out.write_str("null"),
+            Json::Bool(true) => out.write_str("true"),
+            Json::Bool(false) => out.write_str("false"),
+            Json::Int(i) => write!(out, "{i}"),
             Json::Num(x) => write_f64(*x, out),
             Json::Str(s) => write_escaped(s, out),
             Json::Array(xs) => {
-                out.push('[');
+                out.write_char('[')?;
                 for (i, x) in xs.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    x.write(out);
+                    x.write(out)?;
                 }
-                out.push(']');
+                out.write_char(']')
             }
             Json::Object(fields) => {
-                out.push('{');
+                out.write_char('{')?;
                 for (i, (k, v)) in fields.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    write_escaped(k, out);
-                    out.push(':');
-                    v.write(out);
+                    write_escaped(k, out)?;
+                    out.write_char(':')?;
+                    v.write(out)?;
                 }
-                out.push('}');
+                out.write_char('}')
             }
         }
     }
@@ -275,45 +267,54 @@ impl Json {
     }
 }
 
+/// Compact JSON (no whitespace), serde_json byte-compatible for the values
+/// this workspace writes; `to_string()` comes from here.
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_string())
+        self.write(f)
     }
 }
 
 /// Formats a float the way serde_json's Ryū-based serializer did: finite
 /// whole values keep a trailing `.0`; non-finite values become `null`;
 /// everything else uses Rust's shortest-round-trip formatting.
-fn write_f64(x: f64, out: &mut String) {
-    use fmt::Write;
+fn write_f64(x: f64, out: &mut impl fmt::Write) -> fmt::Result {
     if !x.is_finite() {
-        out.push_str("null");
+        out.write_str("null")
     } else if x == x.trunc() && x.abs() < 1e16 {
-        let _ = write!(out, "{x:.1}");
+        write!(out, "{x:.1}")
     } else {
-        let _ = write!(out, "{x}");
+        write!(out, "{x}")
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{8}' => out.push_str("\\b"),
-            '\u{c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                use fmt::Write;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// Writes `s` as a JSON string, copying each run of characters that need
+/// no escape in one write.
+fn write_escaped(s: &str, out: &mut impl fmt::Write) -> fmt::Result {
+    out.write_char('"')?;
+    let mut run = 0;
+    for (i, c) in s.char_indices() {
+        let escape = match c {
+            '"' => "\\\"",
+            '\\' => "\\\\",
+            '\n' => "\\n",
+            '\r' => "\\r",
+            '\t' => "\\t",
+            '\u{8}' => "\\b",
+            '\u{c}' => "\\f",
+            c if (c as u32) < 0x20 => "",
+            _ => continue,
+        };
+        out.write_str(&s[run..i])?;
+        run = i + c.len_utf8();
+        if escape.is_empty() {
+            write!(out, "\\u{:04x}", c as u32)?;
+        } else {
+            out.write_str(escape)?;
         }
     }
-    out.push('"');
+    out.write_str(&s[run..])?;
+    out.write_char('"')
 }
 
 struct Parser<'a> {

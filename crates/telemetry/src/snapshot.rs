@@ -63,7 +63,7 @@ impl MetricAgg {
         self.sum / self.count as f64
     }
 
-    fn to_json(&self) -> Json {
+    fn to_json(self) -> Json {
         Json::object(vec![
             ("runs", Json::Int(self.count as i64)),
             ("mean", Json::Num(self.mean())),
@@ -118,7 +118,7 @@ impl TimingAgg {
         }
     }
 
-    fn to_json(&self, zero_times: bool) -> Json {
+    fn to_json(self, zero_times: bool) -> Json {
         let ns = |v: u64| Json::Int(if zero_times { 0 } else { v.min(i64::MAX as u64) as i64 });
         let mean = if zero_times || self.count == 0 {
             0.0
@@ -135,7 +135,7 @@ impl TimingAgg {
     }
 }
 
-fn entry<'a, V>(list: &'a mut Vec<(String, V)>, key: &str) -> Option<&'a mut V> {
+fn entry<'a, V>(list: &'a mut [(String, V)], key: &str) -> Option<&'a mut V> {
     // Linear scan keeps first-seen order, which is what determinism needs;
     // these lists hold a handful of estimators/paths, not thousands.
     list.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v)

@@ -38,11 +38,15 @@
 //!   [`prop_assert_ne!`], and [`prop_assume!`] for preconditions.
 //! - Escape hatch: [`check`] / [`check_with`] take a generator and a
 //!   closure returning [`TestResult`] when the macro form is too rigid.
+//! - Concurrency: [`explore::explore`] walks every interleaving of a
+//!   [`explore::Model`]'s thread steps and prints the first schedule that
+//!   breaks a property.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod composite;
+pub mod explore;
 pub mod fault;
 pub mod gen;
 pub mod runner;
@@ -90,8 +94,11 @@ macro_rules! prop {
 /// reported (and shrunk) instead of aborting the whole test process.
 #[macro_export]
 macro_rules! prop_assert {
+    // `if $cond {} else` rather than `if !$cond`: negating a float
+    // comparison reads as its opposite, which it is not for NaN.
     ($cond:expr $(,)?) => {
-        if !$cond {
+        if $cond {
+        } else {
             return $crate::TestResult::fail(format!(
                 "assertion failed: `{}` at {}:{}",
                 stringify!($cond),
@@ -101,7 +108,8 @@ macro_rules! prop_assert {
         }
     };
     ($cond:expr, $($fmt:tt)+) => {
-        if !$cond {
+        if $cond {
+        } else {
             return $crate::TestResult::fail(format!(
                 "assertion failed: `{}` at {}:{}: {}",
                 stringify!($cond),

@@ -216,9 +216,9 @@ impl Trace {
             schema: self.schema.clone(),
             space: self.space.clone(),
         };
-        writeln!(w, "{}", header.to_json().to_string())?;
+        writeln!(w, "{}", header.to_json())?;
         for r in &self.records {
-            writeln!(w, "{}", r.to_json().to_string())?;
+            writeln!(w, "{}", r.to_json())?;
         }
         Ok(())
     }

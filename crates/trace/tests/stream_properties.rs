@@ -78,7 +78,7 @@ prop! {
                 let start = orig.find(pat).expect("records carry propensities") + pat.len();
                 let end = start
                     + orig[start..]
-                        .find(|ch: char| ch == ',' || ch == '}')
+                        .find([',', '}'])
                         .expect("value is delimited");
                 format!("{}5.0{}", &orig[..start], &orig[end..])
             }

@@ -58,6 +58,8 @@ if [[ "${1:-}" == "ci" ]]; then
   cargo build --workspace --release --offline
   echo "== ci: hermetic offline tests =="
   cargo test --workspace -q --offline
+  echo "== ci: clippy, every target, warnings are errors =="
+  cargo clippy --all-targets --offline -- -D warnings
   echo "== ci: ddn-stats tests on the optimized build =="
   # The suite above is a debug build, which does not auto-vectorize; the
   # PELT scan must still match its oracle once the compiler vectorizes
@@ -296,26 +298,26 @@ if [[ "${1:-}" == "ci" ]]; then
   chaos_out="$(./target/release/ddn chaos --seed 7 --faults 0.01 --duration-records 5000)"
   printf '%s\n' "$chaos_out" | grep -q 'exactly-once: ok'
   printf '%s\n' "$chaos_out" | grep -q 'estimate parity: ok'
-  echo "== ci: parking smoke (one-slot shard queues, faults, exactly-once) =="
-  # With eight clients, two shards and a one-request stall threshold,
-  # many requests find their shard busy and wait in its FIFO for the
-  # thread holding it (DESIGN.md §14). The run must still count every
-  # record exactly once and match every offline estimate, and it must
-  # really have stalled and handed requests off: otherwise the idle-shard
-  # fast path could hide a broken busy-shard path.
-  park_out="$(./target/release/ddn loadgen --sessions 3000 --shards 2 --queue 1 \
+  echo "== ci: parking smoke (busy shards, faults, exactly-once) =="
+  # With eight clients and two shards, many requests find their shard
+  # busy and wait in its FIFO for the thread holding it, some behind
+  # another waiting request (a stall; DESIGN.md §14). The run must still
+  # count every record exactly once and match every offline estimate,
+  # and it must really have stalled and handed requests off: otherwise
+  # the idle-shard fast path could hide a broken busy-shard path.
+  park_out="$(./target/release/ddn loadgen --sessions 3000 --shards 2 \
     --workers 8 --rate 200000 --faults 0.01)"
   printf '%s\n' "$park_out" | grep -q 'exactly-once: ok'
   printf '%s\n' "$park_out" | grep -q 'estimate parity: ok'
   stalls="$(printf '%s\n' "$park_out" | sed -n 's/^server: \([0-9]*\) backpressure stalls.*/\1/p')"
   [[ "${stalls:-0}" -gt 0 ]] || {
-    echo "FAIL: the one-slot loadgen run stalled no request" >&2
+    echo "FAIL: the parking loadgen run stalled no request" >&2
     printf '%s\n' "$park_out" >&2
     exit 1
   }
   handoffs="$(printf '%s\n' "$park_out" | sed -n 's/^server: [0-9]* backpressure stalls, \([0-9]*\) shard handoffs.*/\1/p')"
   [[ "${handoffs:-0}" -gt 0 ]] || {
-    echo "FAIL: the one-slot loadgen run handed no request to a busy shard's thread" >&2
+    echo "FAIL: the parking loadgen run handed no request to a busy shard's thread" >&2
     printf '%s\n' "$park_out" >&2
     exit 1
   }

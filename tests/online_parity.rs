@@ -246,11 +246,14 @@ prop! {
         // When the trace is shorter than the horizon, SeqDr has zero
         // complete trajectories and all three engines must reject it with
         // the same NoUsableRecords — the Err/Err arms below cover that.
-        let mut menu: Vec<(
+        // Each row: the online estimator, then the scalar and batch
+        // estimates it must match.
+        type Row = (
             Box<dyn OnlineEstimator>,
             Result<Estimate, EstimatorError>,
             Result<Estimate, EstimatorError>,
-        )> = vec![
+        );
+        let mut menu: Vec<Row> = vec![
             (
                 Box::new(OnlineAdaptiveIps::new(space(), newp(), AdaptiveWeights::Stabilized).unwrap()),
                 AdaptiveIps::new(AdaptiveWeights::Stabilized).estimate(&trace, &policy),
