@@ -39,7 +39,9 @@ fn records(n: usize) -> Vec<TraceRecord> {
     let mut rng = Xoshiro256::seed_from(4_2107);
     (0..n)
         .map(|_| {
-            let c = Context::build(&s).set_cat("g", rng.index(2) as u32).finish();
+            let c = Context::build(&s)
+                .set_cat("g", rng.index(2) as u32)
+                .finish();
             let (d, p) = logger.sample_with_prob(&c, &mut rng);
             let reward = 2.0 + 3.0 * d.index() as f64;
             TraceRecord::new(c, d, reward).with_propensity(p)

@@ -5,8 +5,8 @@
 
 use ddn_bench::Suite;
 use ddn_estimators::{
-    ActionEmbedding, AdaptiveDr, AdaptiveIps, AdaptiveWeights, CrossFitDr, DoublyRobust,
-    Estimator, Ips, MarginalizedDr, SeqDr,
+    ActionEmbedding, AdaptiveDr, AdaptiveIps, AdaptiveWeights, CrossFitDr, DoublyRobust, Estimator,
+    Ips, MarginalizedDr, SeqDr,
 };
 use ddn_models::{ForestConfig, ForestRegressor, KnnConfig, KnnRegressor, TabularMeanModel};
 use ddn_netsim::{small_world, wise_like_tiered, EventQueue, RateProfile, SimTime};
@@ -55,12 +55,16 @@ fn bench_estimators(suite: &mut Suite) {
                 .value
         });
         if n <= 10_000 {
-            suite.bench_throughput(&format!("estimator/crossfit_dr_tabular/{n}"), n as u64, || {
-                let est = CrossFitDr::new(5, |tr: &ddn_trace::Trace| {
-                    TabularMeanModel::fit_trace(tr, 1.0)
-                });
-                est.estimate(&trace, &policy).unwrap().value
-            });
+            suite.bench_throughput(
+                &format!("estimator/crossfit_dr_tabular/{n}"),
+                n as u64,
+                || {
+                    let est = CrossFitDr::new(5, |tr: &ddn_trace::Trace| {
+                        TabularMeanModel::fit_trace(tr, 1.0)
+                    });
+                    est.estimate(&trace, &policy).unwrap().value
+                },
+            );
         }
     }
 }
@@ -75,15 +79,19 @@ fn bench_models(suite: &mut Suite) {
             KnnRegressor::fit(&trace, KnnConfig::default())
         });
         if n <= 1_000 {
-            suite.bench_throughput(&format!("model_fit/forest_fit_10trees/{n}"), n as u64, || {
-                ForestRegressor::fit(
-                    &trace,
-                    ForestConfig {
-                        trees: 10,
-                        ..Default::default()
-                    },
-                )
-            });
+            suite.bench_throughput(
+                &format!("model_fit/forest_fit_10trees/{n}"),
+                n as u64,
+                || {
+                    ForestRegressor::fit(
+                        &trace,
+                        ForestConfig {
+                            trees: 10,
+                            ..Default::default()
+                        },
+                    )
+                },
+            );
         }
     }
 }
@@ -201,7 +209,10 @@ fn bench_menu(suite: &mut Suite) -> ddn_stats::Json {
         .value
     });
     suite.bench_throughput(&format!("menu/seqdr/{n}"), n as u64, || {
-        SeqDr::new(&model, 4).estimate(&trace, &policy).unwrap().value
+        SeqDr::new(&model, 4)
+            .estimate(&trace, &policy)
+            .unwrap()
+            .value
     });
 
     let per_sec = |name: &str| {

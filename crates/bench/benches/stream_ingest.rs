@@ -52,7 +52,9 @@ fn records(n: usize) -> Vec<TraceRecord> {
     let mut rng = Xoshiro256::seed_from(4_2107);
     (0..n)
         .map(|_| {
-            let c = Context::build(&s).set_cat("g", rng.index(2) as u32).finish();
+            let c = Context::build(&s)
+                .set_cat("g", rng.index(2) as u32)
+                .finish();
             let (d, p) = logger.sample_with_prob(&c, &mut rng);
             let reward = 2.0 + 3.0 * d.index() as f64;
             TraceRecord::new(c, d, reward).with_propensity(p)
@@ -66,10 +68,7 @@ fn init_line(session: &str) -> String {
         ("session".into(), Json::str(session)),
         ("schema".into(), schema().to_json()),
         ("space".into(), space().to_json()),
-        (
-            "estimators".into(),
-            Json::Array(vec![Json::str("ips")]),
-        ),
+        ("estimators".into(), Json::Array(vec![Json::str("ips")])),
         (
             "policy".into(),
             Json::Object(vec![
@@ -101,11 +100,8 @@ fn main() {
     let mut suite = Suite::new("stream");
 
     suite.bench_throughput("stream/online_ips_push", n as u64, || {
-        let mut est = OnlineIps::new(
-            space(),
-            Box::new(LookupPolicy::constant(space(), 1)),
-        )
-        .expect("spaces match");
+        let mut est = OnlineIps::new(space(), Box::new(LookupPolicy::constant(space(), 1)))
+            .expect("spaces match");
         for rec in &recs {
             est.push(rec).expect("records carry propensities");
         }
@@ -123,10 +119,7 @@ fn main() {
         let mut total = 0usize;
         for chunk in recs.chunks(batch) {
             let resp = engine.handle_ingest("bench", chunk, None);
-            total += resp
-                .get("accepted")
-                .and_then(|v| v.as_u64())
-                .unwrap_or(0) as usize;
+            total += resp.get("accepted").and_then(|v| v.as_u64()).unwrap_or(0) as usize;
         }
         assert_eq!(total, n, "every record must be accepted");
         total
@@ -203,7 +196,10 @@ fn main() {
                 Json::Num(FLOOR_RECORDS_PER_SEC),
             ),
             ("online_push_records_per_sec".into(), Json::Num(push_rps)),
-            ("engine_ingest_records_per_sec".into(), Json::Num(engine_rps)),
+            (
+                "engine_ingest_records_per_sec".into(),
+                Json::Num(engine_rps),
+            ),
             ("tcp_replay_records_per_sec".into(), Json::Num(tcp_rps)),
             (
                 "tcp_replay_binary_records_per_sec".into(),

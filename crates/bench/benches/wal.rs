@@ -56,7 +56,9 @@ fn records(n: usize) -> Vec<TraceRecord> {
     let mut rng = Xoshiro256::seed_from(12_2107);
     (0..n)
         .map(|_| {
-            let c = Context::build(&s).set_cat("g", rng.index(2) as u32).finish();
+            let c = Context::build(&s)
+                .set_cat("g", rng.index(2) as u32)
+                .finish();
             let (d, p) = logger.sample_with_prob(&c, &mut rng);
             let reward = 2.0 + 3.0 * d.index() as f64;
             TraceRecord::new(c, d, reward).with_propensity(p)
@@ -81,7 +83,13 @@ fn throughput(suite: &Suite, bench_name: &str, n: u64) -> f64 {
 }
 
 /// Runs the full client→TCP→shard→ingest loop against `config`.
-fn tcp_ingest(suite: &mut Suite, name: &str, config: &ServeConfig, recs: &[TraceRecord], batch: usize) {
+fn tcp_ingest(
+    suite: &mut Suite,
+    name: &str,
+    config: &ServeConfig,
+    recs: &[TraceRecord],
+    batch: usize,
+) {
     let handle = serve(config).expect("bind ephemeral port");
     let addr = handle.local_addr().to_string();
     let n = recs.len();
@@ -130,7 +138,10 @@ fn windowed_shard(dir: &Path, recs: &[TraceRecord]) -> (ShardDurability, Engine,
             ),
             (
                 "policy",
-                Json::object(vec![("kind", Json::str("constant")), ("decision", Json::str("b"))]),
+                Json::object(vec![
+                    ("kind", Json::str("constant")),
+                    ("decision", Json::str("b")),
+                ]),
             ),
             ("window", Json::Int(window as i64)),
         ]));
@@ -193,7 +204,9 @@ fn main() {
     let (mut shard, engine, held) = windowed_shard(&win_dir, &recs);
     let none = HashSet::new();
     suite.bench_throughput("wal/snapshot_rotate_windowed", held, || {
-        shard.snapshot_now(&engine, &none).expect("snapshot rotation")
+        shard
+            .snapshot_now(&engine, &none)
+            .expect("snapshot rotation")
     });
     let snapshot_bytes = std::fs::metadata(snapshot_path(&win_dir, 0))
         .expect("snapshot written")

@@ -77,10 +77,7 @@ impl BenchResult {
         ];
         if let Some(e) = self.elements {
             fields.push(("elements", Json::Int(e as i64)));
-            fields.push((
-                "elems_per_sec",
-                Json::Num(e as f64 / (self.mean_ns * 1e-9)),
-            ));
+            fields.push(("elems_per_sec", Json::Num(e as f64 / (self.mean_ns * 1e-9))));
         }
         Json::object(fields)
     }
@@ -288,7 +285,10 @@ mod tests {
     fn attached_sections_land_in_json() {
         let mut suite = Suite::with_config("unit_sections", quick_cfg());
         suite.bench("noop", || ());
-        suite.attach_section("eval_batch", Json::object(vec![("speedup", Json::Num(1.8))]));
+        suite.attach_section(
+            "eval_batch",
+            Json::object(vec![("speedup", Json::Num(1.8))]),
+        );
         let j = suite.to_json();
         let s = j.get("eval_batch").expect("section present");
         assert_eq!(s.get("speedup").unwrap().as_f64(), Some(1.8));

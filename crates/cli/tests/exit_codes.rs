@@ -46,7 +46,11 @@ fn usage_errors_exit_2_with_stderr_only() {
 fn runtime_failures_exit_1_with_stderr_only() {
     let missing = tmp("does-not-exist.jsonl");
     let out = ddn(&["stats", missing.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(1), "missing trace is a runtime error");
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "missing trace is a runtime error"
+    );
     assert!(out.stdout.is_empty());
     assert!(!out.stderr.is_empty());
 
@@ -66,7 +70,11 @@ fn serve_on_an_already_bound_address_exits_1_with_a_clear_message() {
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
     let out = ddn(&["serve", "--addr", &addr]);
-    assert_eq!(out.status.code(), Some(1), "a bind failure is a runtime error");
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "a bind failure is a runtime error"
+    );
     assert!(out.stdout.is_empty());
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("cannot bind"), "stderr: {err}");
@@ -100,7 +108,13 @@ fn chaos_smoke_exits_0_and_reports_exactly_once() {
 #[test]
 fn selftest_telemetry_round_trips_through_check() {
     let path = tmp("selftest-telemetry.json");
-    let out = ddn(&["selftest", "--runs", "2", "--telemetry", path.to_str().unwrap()]);
+    let out = ddn(&[
+        "selftest",
+        "--runs",
+        "2",
+        "--telemetry",
+        path.to_str().unwrap(),
+    ]);
     assert_eq!(
         out.status.code(),
         Some(0),

@@ -94,10 +94,7 @@ fn stabilizers(weights: &[f64], mode: AdaptiveWeights) -> Vec<f64> {
 /// Folds stabilized contributions `(h_k·Γ_k)·(n/Σh)` — the shared tail of
 /// both adaptive estimators. Errors with [`EstimatorError::NoUsableRecords`]
 /// when the stabilizer mass is not positive (mirroring SNIPS).
-fn stabilized_contributions(
-    gammas: &[f64],
-    hs: &[f64],
-) -> Result<(Vec<f64>, f64), EstimatorError> {
+fn stabilized_contributions(gammas: &[f64], hs: &[f64]) -> Result<(Vec<f64>, f64), EstimatorError> {
     let hsum: f64 = hs.iter().sum();
     if hsum <= 0.0 {
         return Err(EstimatorError::NoUsableRecords);
@@ -177,11 +174,7 @@ impl Estimator for AdaptiveIps {
 }
 
 impl BatchEstimator for AdaptiveIps {
-    fn estimate_batch(
-        &self,
-        trace: &Trace,
-        batch: &EvalBatch,
-    ) -> Result<Estimate, EstimatorError> {
+    fn estimate_batch(&self, trace: &Trace, batch: &EvalBatch) -> Result<Estimate, EstimatorError> {
         batch.check_trace(trace);
         let weights = batch.weights()?;
         note_reuse(self.name(), trace.len() as u64, 0);
@@ -267,11 +260,7 @@ impl<M: RewardModel> Estimator for AdaptiveDr<M> {
 }
 
 impl<M: RewardModel> BatchEstimator for AdaptiveDr<M> {
-    fn estimate_batch(
-        &self,
-        trace: &Trace,
-        batch: &EvalBatch,
-    ) -> Result<Estimate, EstimatorError> {
+    fn estimate_batch(&self, trace: &Trace, batch: &EvalBatch) -> Result<Estimate, EstimatorError> {
         batch.check_trace(trace);
         let weights = batch.weights()?;
         let hs = stabilizers(weights, self.mode);

@@ -185,7 +185,9 @@ impl EvalBatch {
                     for d in space.iter() {
                         scores.q.push(model.predict(&rec.context, d));
                     }
-                    scores.q_logged.push(model.predict(&rec.context, rec.decision));
+                    scores
+                        .q_logged
+                        .push(model.predict(&rec.context, rec.decision));
                     let dm: f64 = row
                         .iter()
                         .zip(&scores.q[q_start..])
@@ -330,8 +332,8 @@ pub(crate) fn note_reuse(source: &str, hits: u64, misses: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ddn_policy::{LookupPolicy, UniformRandomPolicy};
     use ddn_models::ConstantModel;
+    use ddn_policy::{LookupPolicy, UniformRandomPolicy};
     use ddn_stats::rng::{Rng, Xoshiro256};
     use ddn_trace::{Context, ContextSchema, Decision, DecisionSpace, TraceRecord};
 

@@ -119,11 +119,7 @@ where
     /// probability rows, but deliberately **ignores** any cached model
     /// scores: the whole point of cross-fitting is that each held-out
     /// record is scored by a fold-local, out-of-fold model.
-    fn estimate_batch(
-        &self,
-        trace: &Trace,
-        batch: &EvalBatch,
-    ) -> Result<Estimate, EstimatorError> {
+    fn estimate_batch(&self, trace: &Trace, batch: &EvalBatch) -> Result<Estimate, EstimatorError> {
         batch.check_trace(trace);
         let n = trace.len();
         if n < self.folds {

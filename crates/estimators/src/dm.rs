@@ -62,11 +62,7 @@ impl<M: RewardModel> Estimator for DirectMethod<M> {
 }
 
 impl<M: RewardModel> BatchEstimator for DirectMethod<M> {
-    fn estimate_batch(
-        &self,
-        trace: &Trace,
-        batch: &EvalBatch,
-    ) -> Result<Estimate, EstimatorError> {
+    fn estimate_batch(&self, trace: &Trace, batch: &EvalBatch) -> Result<Estimate, EstimatorError> {
         batch.check_trace(trace);
         let n = trace.len();
         let per_record: Vec<f64> = match batch.model_scores() {

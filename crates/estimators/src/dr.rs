@@ -161,11 +161,7 @@ pub(crate) fn dr_contributions_batch<M: RewardModel>(
 }
 
 impl<M: RewardModel> BatchEstimator for DoublyRobust<M> {
-    fn estimate_batch(
-        &self,
-        trace: &Trace,
-        batch: &EvalBatch,
-    ) -> Result<Estimate, EstimatorError> {
+    fn estimate_batch(&self, trace: &Trace, batch: &EvalBatch) -> Result<Estimate, EstimatorError> {
         batch.check_trace(trace);
         let weights = batch.weights()?;
         let (per_record, abs_residual_sum) =
@@ -256,11 +252,7 @@ impl<M: RewardModel> Estimator for SwitchDr<M> {
 }
 
 impl<M: RewardModel> BatchEstimator for SwitchDr<M> {
-    fn estimate_batch(
-        &self,
-        trace: &Trace,
-        batch: &EvalBatch,
-    ) -> Result<Estimate, EstimatorError> {
+    fn estimate_batch(&self, trace: &Trace, batch: &EvalBatch) -> Result<Estimate, EstimatorError> {
         batch.check_trace(trace);
         let weights = batch.weights()?;
         let switched = weights.iter().filter(|&&w| w > self.tau).count();

@@ -305,8 +305,7 @@ impl ExperimentRunner {
                 run(seed)
             })
         });
-        let (outputs, collectors): (Vec<RunOutput>, Vec<Collector>) =
-            results.into_iter().unzip();
+        let (outputs, collectors): (Vec<RunOutput>, Vec<Collector>) = results.into_iter().unzip();
         let mut snapshot = TelemetrySnapshot::from_runs(&collectors);
         snapshot.set_threads(threads);
         snapshot.add_timing("experiment", started.elapsed().as_nanos() as u64);

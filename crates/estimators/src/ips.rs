@@ -65,11 +65,7 @@ impl Estimator for Ips {
 }
 
 impl BatchEstimator for Ips {
-    fn estimate_batch(
-        &self,
-        trace: &Trace,
-        batch: &EvalBatch,
-    ) -> Result<Estimate, EstimatorError> {
+    fn estimate_batch(&self, trace: &Trace, batch: &EvalBatch) -> Result<Estimate, EstimatorError> {
         batch.check_trace(trace);
         let weights = batch.weights()?;
         note_reuse(self.name(), trace.len() as u64, 0);
@@ -129,11 +125,7 @@ impl Estimator for SelfNormalizedIps {
 }
 
 impl BatchEstimator for SelfNormalizedIps {
-    fn estimate_batch(
-        &self,
-        trace: &Trace,
-        batch: &EvalBatch,
-    ) -> Result<Estimate, EstimatorError> {
+    fn estimate_batch(&self, trace: &Trace, batch: &EvalBatch) -> Result<Estimate, EstimatorError> {
         batch.check_trace(trace);
         let weights = batch.weights()?;
         note_reuse(self.name(), trace.len() as u64, 0);
@@ -207,11 +199,7 @@ impl Estimator for ClippedIps {
 }
 
 impl BatchEstimator for ClippedIps {
-    fn estimate_batch(
-        &self,
-        trace: &Trace,
-        batch: &EvalBatch,
-    ) -> Result<Estimate, EstimatorError> {
+    fn estimate_batch(&self, trace: &Trace, batch: &EvalBatch) -> Result<Estimate, EstimatorError> {
         batch.check_trace(trace);
         let raw = batch.weights()?;
         note_reuse(self.name(), trace.len() as u64, 0);

@@ -142,11 +142,7 @@ impl<M: RewardModel> MarginalizedDr<M> {
     }
 
     /// Marginal importance weights for every record, in record order.
-    fn marginal_weights(
-        &self,
-        trace: &Trace,
-        new_probs: impl Fn(usize) -> Vec<f64>,
-    ) -> Vec<f64> {
+    fn marginal_weights(&self, trace: &Trace, new_probs: impl Fn(usize) -> Vec<f64>) -> Vec<f64> {
         trace
             .records()
             .iter()
@@ -216,11 +212,7 @@ impl<M: RewardModel> Estimator for MarginalizedDr<M> {
 }
 
 impl<M: RewardModel> BatchEstimator for MarginalizedDr<M> {
-    fn estimate_batch(
-        &self,
-        trace: &Trace,
-        batch: &EvalBatch,
-    ) -> Result<Estimate, EstimatorError> {
+    fn estimate_batch(&self, trace: &Trace, batch: &EvalBatch) -> Result<Estimate, EstimatorError> {
         batch.check_trace(trace);
         check_space(trace, self.logging.as_ref())?;
         self.check_embedding(trace);
@@ -297,11 +289,7 @@ mod tests {
         let (t, logger) = logged_trace(300, 31);
         let newp = LookupPolicy::constant(composite_space(), 7);
         let model = || ConstantModel::new(2.0);
-        let mdr = MarginalizedDr::new(
-            model(),
-            ActionEmbedding::identity(12),
-            Box::new(logger),
-        );
+        let mdr = MarginalizedDr::new(model(), ActionEmbedding::identity(12), Box::new(logger));
         let a = mdr.estimate(&t, &newp).unwrap();
         let b = DoublyRobust::new(model()).estimate(&t, &newp).unwrap();
         assert_eq!(a.value.to_bits(), b.value.to_bits());

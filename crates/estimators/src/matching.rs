@@ -92,11 +92,7 @@ impl Estimator for MatchingEstimator {
 }
 
 impl BatchEstimator for MatchingEstimator {
-    fn estimate_batch(
-        &self,
-        trace: &Trace,
-        batch: &EvalBatch,
-    ) -> Result<Estimate, EstimatorError> {
+    fn estimate_batch(&self, trace: &Trace, batch: &EvalBatch) -> Result<Estimate, EstimatorError> {
         batch.check_trace(trace);
         note_reuse(self.name(), trace.len() as u64, 0);
         let mut matched = Vec::new();

@@ -1188,8 +1188,7 @@ mod tests {
 
     fn skewed_trace(n: usize, seed: u64) -> Trace {
         let s = schema();
-        let logger =
-            EpsilonSmoothedPolicy::new(Box::new(LookupPolicy::constant(space(), 0)), 0.5);
+        let logger = EpsilonSmoothedPolicy::new(Box::new(LookupPolicy::constant(space(), 0)), 0.5);
         let mut rng = Xoshiro256::seed_from(seed);
         let recs = (0..n)
             .map(|_| {
@@ -1258,8 +1257,7 @@ mod tests {
     fn dm_and_dr_replay_are_bit_identical() {
         let t = skewed_trace(300, 10);
         let batch_dm = DirectMethod::new(model()).estimate(&t, &target()).unwrap();
-        let mut online_dm =
-            OnlineDm::new(space(), Box::new(target()), Box::new(model())).unwrap();
+        let mut online_dm = OnlineDm::new(space(), Box::new(target()), Box::new(model())).unwrap();
         replay(&mut online_dm, &t);
         let e = online_dm.estimate().unwrap();
         assert_eq!(e.value.to_bits(), batch_dm.value.to_bits());
@@ -1408,8 +1406,8 @@ mod tests {
             )
             .with_propensity(0.5)
         };
-        let mut full = OnlineIps::new(space(), Box::new(UniformRandomPolicy::new(space())))
-            .unwrap();
+        let mut full =
+            OnlineIps::new(space(), Box::new(UniformRandomPolicy::new(space()))).unwrap();
         let mut window = SlidingWindow::new(
             OnlineIps::new(space(), Box::new(UniformRandomPolicy::new(space()))).unwrap(),
             40,
@@ -1426,7 +1424,10 @@ mod tests {
         }
         let blended = full.estimate().unwrap().value;
         let recent = window.estimate().unwrap().value;
-        assert!((recent - 2.0).abs() < 1e-12, "window sees only the new regime");
+        assert!(
+            (recent - 2.0).abs() < 1e-12,
+            "window sees only the new regime"
+        );
         assert!(blended < recent, "full stream stays blended: {blended}");
     }
 
@@ -1442,21 +1443,18 @@ mod tests {
         let t = skewed_trace(300, 14);
         for mode in [AdaptiveWeights::Stabilized, AdaptiveWeights::Constant] {
             let batch = AdaptiveIps::new(mode).estimate(&t, &target()).unwrap();
-            let mut online =
-                OnlineAdaptiveIps::new(space(), Box::new(target()), mode).unwrap();
+            let mut online = OnlineAdaptiveIps::new(space(), Box::new(target()), mode).unwrap();
             replay(&mut online, &t);
             let e = online.estimate().unwrap();
             assert_eq!(e.value.to_bits(), batch.value.to_bits());
             assert_eq!(e.diagnostics, batch.diagnostics);
 
-            let batch = AdaptiveDr::new(model(), mode).estimate(&t, &target()).unwrap();
-            let mut online = OnlineAdaptiveDr::new(
-                space(),
-                Box::new(target()),
-                Box::new(model()),
-                mode,
-            )
-            .unwrap();
+            let batch = AdaptiveDr::new(model(), mode)
+                .estimate(&t, &target())
+                .unwrap();
+            let mut online =
+                OnlineAdaptiveDr::new(space(), Box::new(target()), Box::new(model()), mode)
+                    .unwrap();
             replay(&mut online, &t);
             let e = online.estimate().unwrap();
             assert_eq!(e.value.to_bits(), batch.value.to_bits());
@@ -1468,9 +1466,8 @@ mod tests {
     fn marginalized_replay_is_bit_identical() {
         use crate::marginalized::{ActionEmbedding, MarginalizedDr};
         let t = skewed_trace(300, 15);
-        let logger = || {
-            EpsilonSmoothedPolicy::new(Box::new(LookupPolicy::constant(space(), 0)), 0.5)
-        };
+        let logger =
+            || EpsilonSmoothedPolicy::new(Box::new(LookupPolicy::constant(space(), 0)), 0.5);
         let emb = ActionEmbedding::identity(2);
         let batch = MarginalizedDr::new(model(), emb.clone(), Box::new(logger()))
             .estimate(&t, &target())
@@ -1494,14 +1491,11 @@ mod tests {
         use crate::seq::SeqDr;
         let t = skewed_trace(300, 16);
         for horizon in [1, 5] {
-            let batch = SeqDr::new(model(), horizon).estimate(&t, &target()).unwrap();
-            let mut online = OnlineSeqDr::new(
-                space(),
-                Box::new(target()),
-                Box::new(model()),
-                horizon,
-            )
-            .unwrap();
+            let batch = SeqDr::new(model(), horizon)
+                .estimate(&t, &target())
+                .unwrap();
+            let mut online =
+                OnlineSeqDr::new(space(), Box::new(target()), Box::new(model()), horizon).unwrap();
             replay(&mut online, &t);
             let e = online.estimate().unwrap();
             assert_eq!(e.value.to_bits(), batch.value.to_bits());
@@ -1513,13 +1507,8 @@ mod tests {
     #[test]
     fn seq_pending_trajectory_stays_out_of_the_estimate() {
         let t = skewed_trace(10, 17);
-        let mut online = OnlineSeqDr::new(
-            space(),
-            Box::new(target()),
-            Box::new(model()),
-            4,
-        )
-        .unwrap();
+        let mut online =
+            OnlineSeqDr::new(space(), Box::new(target()), Box::new(model()), 4).unwrap();
         for rec in &t.records()[..3] {
             online.push(rec).unwrap();
         }

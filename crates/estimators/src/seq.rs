@@ -134,11 +134,7 @@ impl<M: RewardModel> Estimator for SeqDr<M> {
 }
 
 impl<M: RewardModel> BatchEstimator for SeqDr<M> {
-    fn estimate_batch(
-        &self,
-        trace: &Trace,
-        batch: &EvalBatch,
-    ) -> Result<Estimate, EstimatorError> {
+    fn estimate_batch(&self, trace: &Trace, batch: &EvalBatch) -> Result<Estimate, EstimatorError> {
         batch.check_trace(trace);
         let weights = batch.weights()?;
         let trajectories = trace.len() / self.horizon;
@@ -176,8 +172,7 @@ impl<M: RewardModel> BatchEstimator for SeqDr<M> {
                             .iter()
                             .map(|d| probs[d.index()] * self.model.predict(&rec.context, d))
                             .sum();
-                        let residual =
-                            rec.reward - self.model.predict(&rec.context, rec.decision);
+                        let residual = rec.reward - self.model.predict(&rec.context, rec.decision);
                         abs_residual_sum += residual.abs();
                         (dm_term, w, residual)
                     })
@@ -222,8 +217,7 @@ mod tests {
 
     fn session_trace(trajectories: usize, horizon: usize, seed: u64) -> Trace {
         let s = schema();
-        let logger =
-            EpsilonSmoothedPolicy::new(Box::new(LookupPolicy::constant(space(), 0)), 0.5);
+        let logger = EpsilonSmoothedPolicy::new(Box::new(LookupPolicy::constant(space(), 0)), 0.5);
         let mut rng = Xoshiro256::seed_from(seed);
         let mut recs = Vec::new();
         for _ in 0..trajectories {
@@ -231,9 +225,7 @@ mod tests {
                 let g = rng.index(2) as u32;
                 let c = Context::build(&s).set_cat("g", g).finish();
                 let (d, p) = logger.sample_with_prob(&c, &mut rng);
-                recs.push(
-                    TraceRecord::new(c, d, truth(g, d.index())).with_propensity(p),
-                );
+                recs.push(TraceRecord::new(c, d, truth(g, d.index())).with_propensity(p));
             }
         }
         Trace::from_records(s, space(), recs).unwrap()
@@ -308,10 +300,7 @@ mod tests {
         let trajectory_level = |t: &Trace| -> f64 {
             let w = importance_weights(t, &newp).unwrap();
             let mut vals = Vec::new();
-            for (chunk_w, chunk_r) in w
-                .chunks(horizon)
-                .zip(t.records().chunks(horizon))
-            {
+            for (chunk_w, chunk_r) in w.chunks(horizon).zip(t.records().chunks(horizon)) {
                 let prod: f64 = chunk_w.iter().product();
                 let total: f64 = chunk_r.iter().map(|r| r.reward).sum();
                 vals.push(prod * total);

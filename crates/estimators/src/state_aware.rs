@@ -18,7 +18,9 @@
 //!    reward.
 
 use crate::batch::{note_reuse, EvalBatch};
-use crate::estimate::{check_space, emit_weight_health, Estimate, EstimatorError, WeightDiagnostics};
+use crate::estimate::{
+    check_space, emit_weight_health, Estimate, EstimatorError, WeightDiagnostics,
+};
 use crate::ips::importance_weights;
 use ddn_models::RewardModel;
 use ddn_policy::Policy;

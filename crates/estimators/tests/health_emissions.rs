@@ -4,12 +4,12 @@
 //! estimator's signature metrics landed, including the estimator-specific
 //! extras (clip rate, acceptance rate, coverage, segment counts).
 
+use ddn_estimators::state_aware::MatchOnly;
 use ddn_estimators::{
     ClippedIps, CouplingDetector, CrossFitDr, DirectMethod, DoublyRobust, Estimator,
     ExperimentRunner, Ips, MatchingEstimator, ReplayEvaluator, SelfNormalizedIps, StateAwareDr,
     SwitchDr,
 };
-use ddn_estimators::state_aware::MatchOnly;
 use ddn_models::{ConstantModel, TabularMeanModel};
 use ddn_policy::{LookupPolicy, StationaryAsHistory, UniformRandomPolicy};
 use ddn_stats::rng::{Rng, Xoshiro256};
@@ -70,14 +70,19 @@ fn clipped_ips_reports_clip_rate_from_raw_weights() {
     let snap = snapshot_of(|| {
         ClippedIps::new(1.5).estimate(&t, &newp).unwrap();
     });
-    let clip = snap.health_metric("ClippedIPS", "clip_rate").unwrap().mean();
+    let clip = snap
+        .health_metric("ClippedIPS", "clip_rate")
+        .unwrap()
+        .mean();
     assert!(
         (0.3..0.7).contains(&clip),
         "about half the records match and exceed the cap, got {clip}"
     );
     // Diagnostics reflect the *clipped* weights.
     assert_eq!(
-        snap.health_metric("ClippedIPS", "max_weight").unwrap().mean(),
+        snap.health_metric("ClippedIPS", "max_weight")
+            .unwrap()
+            .mean(),
         1.5
     );
 }
@@ -97,11 +102,19 @@ fn dr_family_reports_residuals_and_switch_rate() {
             .estimate(&t, &newp)
             .unwrap();
     });
-    assert!(snap.health_metric("DR", "mean_abs_residual").unwrap().mean() > 0.0);
+    assert!(
+        snap.health_metric("DR", "mean_abs_residual")
+            .unwrap()
+            .mean()
+            > 0.0
+    );
     // tau = 1.0 < weight 2: every matching record switches to DM.
     let switch_rate = snap.health_metric("SwitchDR", "clip_rate").unwrap().mean();
     assert!((0.3..0.7).contains(&switch_rate), "{switch_rate}");
-    assert_eq!(snap.health_metric("CrossFitDR", "folds").unwrap().mean(), 4.0);
+    assert_eq!(
+        snap.health_metric("CrossFitDR", "folds").unwrap().mean(),
+        4.0
+    );
     assert!(snap.health_metric("CrossFitDR", "ess").is_some());
 }
 
@@ -116,8 +129,14 @@ fn replay_reports_acceptance_rate() {
             .evaluate(&t, &old, &mut newp, &mut rng)
             .unwrap();
     });
-    let acc = snap.health_metric("Replay", "acceptance_rate").unwrap().mean();
-    assert!((0.3..0.7).contains(&acc), "deterministic target ≈ 0.5, got {acc}");
+    let acc = snap
+        .health_metric("Replay", "acceptance_rate")
+        .unwrap()
+        .mean();
+    assert!(
+        (0.3..0.7).contains(&acc),
+        "deterministic target ≈ 0.5, got {acc}"
+    );
     let accepted = snap.health_metric("Replay", "accepted").unwrap().mean();
     let rejected = snap.health_metric("Replay", "rejected").unwrap().mean();
     assert_eq!(accepted + rejected, 400.0);
@@ -135,7 +154,10 @@ fn matching_and_state_aware_report_coverage() {
     });
     let cfa_cov = snap.health_metric("CFA", "coverage").unwrap().mean();
     assert!((0.3..0.7).contains(&cfa_cov), "{cfa_cov}");
-    let sa_cov = snap.health_metric("StateAwareDR", "coverage").unwrap().mean();
+    let sa_cov = snap
+        .health_metric("StateAwareDR", "coverage")
+        .unwrap()
+        .mean();
     assert!((0.3..0.7).contains(&sa_cov), "{sa_cov}");
 }
 
@@ -143,16 +165,19 @@ fn matching_and_state_aware_report_coverage() {
 fn coupling_detector_reports_segments() {
     let t = trace(240, 6);
     // Proxy with a clear level shift halfway.
-    let proxy: Vec<f64> = (0..240)
-        .map(|i| if i < 120 { 1.0 } else { 3.0 })
-        .collect();
+    let proxy: Vec<f64> = (0..240).map(|i| if i < 120 { 1.0 } else { 3.0 }).collect();
     let snap = snapshot_of(|| {
         CouplingDetector::new(20).analyze(&t, &proxy);
     });
-    let segs = snap.health_metric("CouplingDetector", "segments").unwrap().mean();
+    let segs = snap
+        .health_metric("CouplingDetector", "segments")
+        .unwrap()
+        .mean();
     assert_eq!(segs, 2.0, "level shift must split into two regimes");
     assert_eq!(
-        snap.health_metric("CouplingDetector", "coupled").unwrap().mean(),
+        snap.health_metric("CouplingDetector", "coupled")
+            .unwrap()
+            .mean(),
         1.0
     );
 }

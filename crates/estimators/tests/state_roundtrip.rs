@@ -59,11 +59,11 @@ fn policy() -> Box<LookupPolicy> {
 fn menu() -> Vec<(&'static str, Factory)> {
     vec![
         ("dm", || {
-            Box::new(
-                OnlineDm::new(space(), policy(), Box::new(ConstantModel::new(2.5))).unwrap(),
-            )
+            Box::new(OnlineDm::new(space(), policy(), Box::new(ConstantModel::new(2.5))).unwrap())
         }),
-        ("ips", || Box::new(OnlineIps::new(space(), policy()).unwrap())),
+        ("ips", || {
+            Box::new(OnlineIps::new(space(), policy()).unwrap())
+        }),
         ("snips", || {
             Box::new(OnlineSnips::new(space(), policy()).unwrap())
         }),
@@ -71,9 +71,7 @@ fn menu() -> Vec<(&'static str, Factory)> {
             Box::new(OnlineClippedIps::new(space(), policy(), 3.0).unwrap())
         }),
         ("dr", || {
-            Box::new(
-                OnlineDr::new(space(), policy(), Box::new(ConstantModel::new(2.5))).unwrap(),
-            )
+            Box::new(OnlineDr::new(space(), policy(), Box::new(ConstantModel::new(2.5))).unwrap())
         }),
         ("adaptive", || {
             Box::new(
@@ -108,8 +106,7 @@ fn menu() -> Vec<(&'static str, Factory)> {
         // text round-trip too.
         ("seqdr", || {
             Box::new(
-                OnlineSeqDr::new(space(), policy(), Box::new(ConstantModel::new(2.5)), 3)
-                    .unwrap(),
+                OnlineSeqDr::new(space(), policy(), Box::new(ConstantModel::new(2.5)), 3).unwrap(),
             )
         }),
     ]

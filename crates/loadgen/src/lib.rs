@@ -386,8 +386,10 @@ fn make_client(
         Box::new(move || {
             let inner = Box::new(ddn_serve::TcpTransport::connect(&connect_addr)?)
                 as Box<dyn ddn_serve::Transport>;
-            Ok(Box::new(ddn_serve::FaultyTransport::new(inner, state.clone()))
-                as Box<dyn ddn_serve::Transport>)
+            Ok(
+                Box::new(ddn_serve::FaultyTransport::new(inner, state.clone()))
+                    as Box<dyn ddn_serve::Transport>,
+            )
         }),
         ClientConfig {
             read_timeout: Duration::from_secs(120),
@@ -493,8 +495,16 @@ fn drive_worker(
     // fleets an uncapped stride would spend the whole run serializing
     // health snapshots instead of driving records.
     const MAX_POLLS_PER_WORKER: usize = 4;
-    let mut health_left = if cfg.health_every > 0 { MAX_POLLS_PER_WORKER } else { 0 };
-    let mut stats_left = if cfg.stats_every > 0 { MAX_POLLS_PER_WORKER } else { 0 };
+    let mut health_left = if cfg.health_every > 0 {
+        MAX_POLLS_PER_WORKER
+    } else {
+        0
+    };
+    let mut stats_left = if cfg.stats_every > 0 {
+        MAX_POLLS_PER_WORKER
+    } else {
+        0
+    };
     macro_rules! poll {
         ($s:expr, $client:expr) => {
             if health_left > 0 && $s.index() % cfg.health_every == 0 {
@@ -589,7 +599,11 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadReport, LoadgenError> {
     // by construction and the result is identical to a sequential pass.
     let realizers = cfg
         .workers
-        .min(std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4))
+        .min(
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(4),
+        )
         .max(1);
     let chunk = schedule.plans.len().div_ceil(realizers);
     let works: Vec<SessionWork> = std::thread::scope(|scope| {
@@ -673,9 +687,9 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadReport, LoadgenError> {
             let addr = addr.clone();
             let hists = hists.clone();
             let worker_seed = cfg.seed ^ (0x10AD_0000 + w as u64);
-            handles.push(scope.spawn(move || {
-                drive_worker(&mine, &addr, cfg, worker_seed, &hists, t0)
-            }));
+            handles.push(
+                scope.spawn(move || drive_worker(&mine, &addr, cfg, worker_seed, &hists, t0)),
+            );
         }
         handles
             .into_iter()
@@ -748,7 +762,11 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadReport, LoadgenError> {
         open_loop: cfg.open_loop,
         fault_rate: cfg.fault_rate,
         schedule_digest: digest,
-        verb_latency: VERBS.iter().zip(hists.hists.iter()).map(|(v, h)| (*v, h.clone())).collect(),
+        verb_latency: VERBS
+            .iter()
+            .zip(hists.hists.iter())
+            .map(|(v, h)| (*v, h.clone()))
+            .collect(),
         retries,
         reconnects,
         timeouts,

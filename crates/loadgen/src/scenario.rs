@@ -81,8 +81,12 @@ impl Fleet {
                     Bandwidth::Constant(kbps),
                     ThroughputDiscount::paper_default(),
                 );
-                log_session(session, &ExploringAbr::new(BufferBased::default(), 0.25), &mut rng)
-                    .trace
+                log_session(
+                    session,
+                    &ExploringAbr::new(BufferBased::default(), 0.25),
+                    &mut rng,
+                )
+                .trace
             }
             ScenarioKind::Cdn => {
                 let clients = self.cdn.sample_clients(records, &mut rng);
@@ -153,8 +157,7 @@ mod tests {
     #[test]
     fn realized_traces_are_offline_evaluable() {
         let fleet = Fleet::new(3);
-        let sched =
-            Schedule::generate(12, &RateProfile::Constant(50.0), 3, Framing::Json).unwrap();
+        let sched = Schedule::generate(12, &RateProfile::Constant(50.0), 3, Framing::Json).unwrap();
         for plan in &sched.plans {
             let w = fleet.realize(plan, 3);
             let policy = LookupPolicy::constant(w.trace.space().clone(), w.decision);

@@ -61,7 +61,9 @@ impl Framing {
             "json" => Ok(Framing::Json),
             "binary" => Ok(Framing::Binary),
             "mixed" => Ok(Framing::Mixed),
-            other => Err(format!("unknown framing {other:?} (expected json|binary|mixed)")),
+            other => Err(format!(
+                "unknown framing {other:?} (expected json|binary|mixed)"
+            )),
         }
     }
 }
@@ -169,9 +171,8 @@ mod tests {
 
     #[test]
     fn same_seed_same_digest_byte_for_byte() {
-        let mk = || {
-            Schedule::generate(500, &RateProfile::Constant(100.0), 42, Framing::Mixed).unwrap()
-        };
+        let mk =
+            || Schedule::generate(500, &RateProfile::Constant(100.0), 42, Framing::Mixed).unwrap();
         let a = mk();
         let b = mk();
         assert_eq!(a.wire_digest(), b.wire_digest());
@@ -200,11 +201,10 @@ mod tests {
 
     #[test]
     fn bad_profiles_are_errors_not_panics() {
-        let err = Schedule::generate(10, &RateProfile::Constant(-1.0), 7, Framing::Json)
-            .unwrap_err();
+        let err =
+            Schedule::generate(10, &RateProfile::Constant(-1.0), 7, Framing::Json).unwrap_err();
         assert!(err.contains("positive"), "{err}");
-        let err = Schedule::generate(0, &RateProfile::Constant(1.0), 7, Framing::Json)
-            .unwrap_err();
+        let err = Schedule::generate(0, &RateProfile::Constant(1.0), 7, Framing::Json).unwrap_err();
         assert!(err.contains("sessions"), "{err}");
     }
 }

@@ -286,7 +286,9 @@ mod tests {
         .check()
         .unwrap_err();
         assert!(err.contains("amplitude"), "{err}");
-        let err = RateProfile::Piecewise(vec![(10.0, 0.0)]).check().unwrap_err();
+        let err = RateProfile::Piecewise(vec![(10.0, 0.0)])
+            .check()
+            .unwrap_err();
         assert!(err.contains("positive-rate"), "{err}");
     }
 }

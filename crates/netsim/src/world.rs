@@ -408,7 +408,9 @@ mod tests {
 
     #[test]
     fn check_returns_errors_instead_of_panicking() {
-        let mut cfg = small_world(RateProfile::Constant(10.0), 500.0).config().clone();
+        let mut cfg = small_world(RateProfile::Constant(10.0), 500.0)
+            .config()
+            .clone();
         assert!(cfg.check().is_ok());
         cfg.horizon = -1.0;
         let err = cfg.check().unwrap_err();

@@ -33,8 +33,8 @@ use ddn_abr::{
     ExploringAbr, Mpc, QoeModel, Session, SessionConfig, ThroughputDiscount,
 };
 use ddn_estimators::{
-    ActionEmbedding, AdaptiveDr, AdaptiveIps, AdaptiveWeights, DoublyRobust, ErrorTable,
-    Estimator, ExperimentRunner, Ips, MarginalizedDr, SelfNormalizedIps, SeqDr,
+    ActionEmbedding, AdaptiveDr, AdaptiveIps, AdaptiveWeights, DoublyRobust, ErrorTable, Estimator,
+    ExperimentRunner, Ips, MarginalizedDr, SelfNormalizedIps, SeqDr,
 };
 use ddn_models::{ConstantModel, FnModel, TabularMeanModel};
 use ddn_policy::{HistoryPolicy, LinUcb, LookupPolicy, Policy, UniformRandomPolicy};
@@ -91,7 +91,11 @@ impl MenuScenario {
     /// strictly below every incumbent's — the panel's headline claim.
     pub fn challenger_wins(&self) -> bool {
         let last = self.rows.last().expect("sweep has at least one size");
-        let ch = last.table.get(self.challenger).expect("challenger row").mean;
+        let ch = last
+            .table
+            .get(self.challenger)
+            .expect("challenger row")
+            .mean;
         self.incumbents
             .iter()
             .all(|inc| ch < last.table.get(inc).expect("incumbent row").mean)
@@ -135,7 +139,11 @@ fn adaptive_trace(n: usize, rng: &mut Xoshiro256) -> Trace {
                 .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite scores"))
                 .expect("non-empty space")
                 .0;
-            let d = if rng.chance(eps) { rng.index(2) } else { greedy };
+            let d = if rng.chance(eps) {
+                rng.index(2)
+            } else {
+                greedy
+            };
             let p = eps / 2.0 + if d == greedy { 1.0 - eps } else { 0.0 };
             let reward = 2.0 + g as f64 + 3.0 * d as f64 + rng.range_f64(-0.25, 0.25);
             bandit.observe(&c, Decision::from_index(d), reward);
@@ -343,7 +351,12 @@ impl Policy for SeqTargetPolicy {
 const SEQ_BANDWIDTH: f64 = 2000.0;
 
 /// One deterministic chunk step: (rebuffer seconds, next buffer).
-fn seq_step(ladder: &BitrateLadder, disc: &ThroughputDiscount, buffer: f64, level: usize) -> (f64, f64) {
+fn seq_step(
+    ladder: &BitrateLadder,
+    disc: &ThroughputDiscount,
+    buffer: f64,
+    level: usize,
+) -> (f64, f64) {
     let observed = disc.observed(SEQ_BANDWIDTH, level, ladder.levels());
     let download = ladder.chunk_kbits(level) / observed;
     let rebuffer = (download - buffer).max(0.0);
@@ -418,7 +431,15 @@ fn seq_q_model() -> FnModel<impl Fn(&Context, Decision) -> f64> {
         let st = decode_state(ctx);
         let (rebuffer, next) = seq_step(&ladder, &disc, st.buffer_secs, d.index());
         qoe.chunk_qoe(&ladder, d.index(), st.prev_level, rebuffer)
-            + seq_future_value(&target, &ladder, &qoe, &disc, st.index + 1, next, Some(d.index()))
+            + seq_future_value(
+                &target,
+                &ladder,
+                &qoe,
+                &disc,
+                st.index + 1,
+                next,
+                Some(d.index()),
+            )
     })
 }
 
@@ -697,8 +718,7 @@ mod tests {
         let work = seq_work(SEQ_BASE_SESSIONS);
         for seed in 1..=8u64 {
             let (truth, rows) = work(seed);
-            let line: Vec<String> =
-                rows.iter().map(|(n, v)| format!("{n}={v:.3}")).collect();
+            let line: Vec<String> = rows.iter().map(|(n, v)| format!("{n}={v:.3}")).collect();
             println!("seed {seed}: truth={truth:.3} {}", line.join(" "));
         }
     }

@@ -17,9 +17,7 @@ pub mod trace_size;
 pub use calibration::{ablation_calibration, CalibrationRow};
 pub use coupling::{ablation_coupling, CouplingRow};
 pub use dimensionality::{ablation_dimensionality, DimensionalityRow};
-pub use menu::{
-    ablation_menu, ablation_menu_instrumented, MenuConfig, MenuRow, MenuScenario,
-};
+pub use menu::{ablation_menu, ablation_menu_instrumented, MenuConfig, MenuRow, MenuScenario};
 pub use nonstationary::{ablation_nonstationary, NonstationaryResult};
 pub use randomness::{ablation_randomness, RandomnessRow};
 pub use second_order::{ablation_second_order, SecondOrderRow};

@@ -17,8 +17,8 @@
 
 use ddn_cdn::wise::{WiseConfig, WiseWorld};
 use ddn_estimators::{
-    BatchEstimator, DirectMethod, DoublyRobust, ErrorTable, Estimator, EvalBatch,
-    ExperimentRunner, Ips, RunOutput,
+    BatchEstimator, DirectMethod, DoublyRobust, ErrorTable, Estimator, EvalBatch, ExperimentRunner,
+    Ips, RunOutput,
 };
 use ddn_models::cbn::{CausalBayesNet, CbnConfig};
 use ddn_telemetry::TelemetrySnapshot;

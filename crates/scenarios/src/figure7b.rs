@@ -40,8 +40,8 @@ use ddn_abr::{
 };
 use ddn_estimators::{ErrorTable, ExperimentRunner};
 use ddn_models::{FnModel, RewardModel};
-use ddn_telemetry::TelemetrySnapshot;
 use ddn_stats::rng::{Rng, Xoshiro256};
+use ddn_telemetry::TelemetrySnapshot;
 use ddn_trace::{Context, Decision};
 
 /// Configuration knobs for the experiment.

@@ -11,8 +11,8 @@
 
 use ddn_cdn::cfa::{CfaConfig, CfaWorld};
 use ddn_estimators::{
-    BatchEstimator, DirectMethod, DoublyRobust, ErrorTable, Estimator, EvalBatch,
-    ExperimentRunner, MatchingEstimator, RunOutput,
+    BatchEstimator, DirectMethod, DoublyRobust, ErrorTable, Estimator, EvalBatch, ExperimentRunner,
+    MatchingEstimator, RunOutput,
 };
 use ddn_models::{KnnConfig, KnnRegressor};
 use ddn_policy::UniformRandomPolicy;

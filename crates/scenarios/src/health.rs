@@ -93,13 +93,13 @@ fn log_trace(cfg: &HealthConfig, rng: &mut Xoshiro256) -> Trace {
             let c = Context::build(&s).set_cat("g", g).finish();
             let (d, p) = logging.sample_with_prob(&c, rng);
             let reward = 2.0 + g as f64 + 3.0 * d.index() as f64;
-            TraceRecord::new(c, d, reward).with_propensity(p).with_state(
-                if i < cfg.records / 2 {
+            TraceRecord::new(c, d, reward)
+                .with_propensity(p)
+                .with_state(if i < cfg.records / 2 {
                     StateTag::LOW_LOAD
                 } else {
                     StateTag::HIGH_LOAD
-                },
-            )
+                })
         })
         .collect();
     Trace::from_records(s, space(), recs).expect("suite trace is well-formed")
@@ -136,7 +136,10 @@ fn run_seed(cfg: &HealthConfig, seed: u64) -> (f64, Vec<(String, f64)>) {
         );
         push(
             "IPS",
-            Ips::new().estimate_batch(&trace, &batch).expect("IPS").value,
+            Ips::new()
+                .estimate_batch(&trace, &batch)
+                .expect("IPS")
+                .value,
         );
         push(
             "SNIPS",
@@ -378,15 +381,13 @@ pub fn online_offline_cross_check(cfg: &HealthConfig) -> Result<(), String> {
             ),
             (
                 Box::new(
-                    OnlineDm::new(space(), newp(), Box::new(model.clone()))
-                        .expect("spaces match"),
+                    OnlineDm::new(space(), newp(), Box::new(model.clone())).expect("spaces match"),
                 ),
                 offline(&DirectMethod::new(&model))?,
             ),
             (
                 Box::new(
-                    OnlineDr::new(space(), newp(), Box::new(model.clone()))
-                        .expect("spaces match"),
+                    OnlineDr::new(space(), newp(), Box::new(model.clone())).expect("spaces match"),
                 ),
                 offline(&DoublyRobust::new(&model))?,
             ),
@@ -428,13 +429,8 @@ pub fn online_offline_cross_check(cfg: &HealthConfig) -> Result<(), String> {
             ),
             (
                 Box::new(
-                    OnlineSeqDr::new(
-                        space(),
-                        newp(),
-                        Box::new(model.clone()),
-                        HEALTH_SEQ_HORIZON,
-                    )
-                    .expect("spaces match"),
+                    OnlineSeqDr::new(space(), newp(), Box::new(model.clone()), HEALTH_SEQ_HORIZON)
+                        .expect("spaces match"),
                 ),
                 offline(&SeqDr::new(&model, HEALTH_SEQ_HORIZON))?,
             ),
@@ -511,7 +507,11 @@ mod tests {
         }
         // The stress dials actually bit.
         let clip = snap.health_metric("ClippedIPS", "clip_rate").unwrap();
-        assert!(clip.mean() > 0.1, "weight-4 records must clip: {}", clip.mean());
+        assert!(
+            clip.mean() > 0.1,
+            "weight-4 records must clip: {}",
+            clip.mean()
+        );
         let acc = snap.health_metric("Replay", "acceptance_rate").unwrap();
         assert!(
             (0.1..0.5).contains(&acc.mean()),

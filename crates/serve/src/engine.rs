@@ -435,8 +435,11 @@ impl Session {
     /// discards the partial session.
     pub fn from_state(state: &Json) -> Result<Session, String> {
         let mut s = Session::from_meta(state)?;
-        s.coupling
-            .state_load(state.get("coupling").ok_or("session state needs \"coupling\"")?)?;
+        s.coupling.state_load(
+            state
+                .get("coupling")
+                .ok_or("session state needs \"coupling\"")?,
+        )?;
         if s.spec.window.is_some() {
             s.load_ring(inline_ring(estimator_states(state)?)?)?;
         }
@@ -452,7 +455,9 @@ impl Session {
         rewards: VecDeque<f64>,
     ) -> Result<Session, String> {
         let mut s = Session::from_meta(meta)?;
-        let coupling = meta.get("coupling").ok_or("session state needs \"coupling\"")?;
+        let coupling = meta
+            .get("coupling")
+            .ok_or("session state needs \"coupling\"")?;
         s.coupling.restore(rewards, coupling)?;
         s.load_ring(ring)?;
         Ok(s)
@@ -563,7 +568,11 @@ impl Session {
                 .iter()
                 .zip(&mut self.bank)
                 .map(|(name, e)| {
-                    let est = if windowed { replay(e, ring) } else { e.estimate() };
+                    let est = if windowed {
+                        replay(e, ring)
+                    } else {
+                        e.estimate()
+                    };
                     (name.clone(), estimate_json(est))
                 })
                 .collect(),
@@ -578,16 +587,20 @@ impl Session {
     /// Health metrics per estimator name. A windowed entry reports the
     /// ring: `n` records held, `evicted` so far.
     fn health(&self) -> impl Iterator<Item = (&String, Vec<(&'static str, f64)>)> + '_ {
-        self.spec.estimators.iter().zip(&self.bank).map(move |(name, e)| {
-            let metrics = match self.spec.window {
-                None => e.health_metrics(),
-                Some(_) => vec![
-                    ("n", self.ring.len() as f64),
-                    ("evicted", self.evicted as f64),
-                ],
-            };
-            (name, metrics)
-        })
+        self.spec
+            .estimators
+            .iter()
+            .zip(&self.bank)
+            .map(move |(name, e)| {
+                let metrics = match self.spec.window {
+                    None => e.health_metrics(),
+                    Some(_) => vec![
+                        ("n", self.ring.len() as f64),
+                        ("evicted", self.evicted as f64),
+                    ],
+                };
+                (name, metrics)
+            })
     }
 }
 
@@ -614,7 +627,9 @@ fn inline_ring(states: &[Json]) -> Result<VecDeque<TraceRecord>, String> {
     for w in windows {
         let w = w?;
         let same = w.len() == first.len()
-            && w.iter().zip(first).all(|(a, b)| a.to_string() == b.to_string());
+            && w.iter()
+                .zip(first)
+                .all(|(a, b)| a.to_string() == b.to_string());
         if !same {
             return Err("windowed estimators disagree on the window".into());
         }
@@ -720,10 +735,7 @@ impl Engine {
                     )),
                 }
             } else {
-                error_response(&format!(
-                    "seq {seq} out of order (expected {})",
-                    s.next_seq
-                ))
+                error_response(&format!("seq {seq} out of order (expected {})", s.next_seq))
             };
         }
         let resp = match s.ingest_atomic(records) {
@@ -1022,7 +1034,10 @@ mod tests {
         .estimate(&trace, &policy)
         .unwrap()
         .value;
-        let offline_seqdr = SeqDr::new(model, 4).estimate(&trace, &policy).unwrap().value;
+        let offline_seqdr = SeqDr::new(model, 4)
+            .estimate(&trace, &policy)
+            .unwrap()
+            .value;
 
         assert_eq!(online("adaptive").to_bits(), offline_adaptive.to_bits());
         assert_eq!(
@@ -1091,10 +1106,7 @@ mod tests {
         let stale = engine.handle_ingest("s", &recs[..5], Some(0));
         assert_eq!(stale.get("ok"), Some(&Json::Bool(false)));
         assert_eq!(
-            engine
-                .handle_estimate("s")
-                .get("n")
-                .and_then(Json::as_i64),
+            engine.handle_estimate("s").get("n").and_then(Json::as_i64),
             Some(10),
             "errors must not mutate the session"
         );
@@ -1167,10 +1179,7 @@ mod tests {
             m.push(i as f64);
         }
         assert_eq!(m.seen(), 1000);
-        assert_eq!(
-            m.to_json().get("window").and_then(Json::as_i64),
-            Some(64)
-        );
+        assert_eq!(m.to_json().get("window").and_then(Json::as_i64), Some(64));
     }
 
     #[test]

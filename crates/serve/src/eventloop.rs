@@ -329,9 +329,8 @@ pub struct Waker {
 impl Waker {
     /// Creates a waker (close-on-exec, nonblocking).
     pub fn new() -> io::Result<Self> {
-        let ret = unsafe {
-            sys::syscall6(sys::nr::EVENTFD2, 0, EFD_CLOEXEC | EFD_NONBLOCK, 0, 0, 0, 0)
-        };
+        let ret =
+            unsafe { sys::syscall6(sys::nr::EVENTFD2, 0, EFD_CLOEXEC | EFD_NONBLOCK, 0, 0, 0, 0) };
         Ok(Waker {
             fd: Arc::new(OwnedFd::from_syscall(ret)?),
         })

@@ -207,7 +207,14 @@ mod tests {
     fn dump_writes_parseable_jsonl() {
         let mut rec = FlightRecorder::new(8);
         for i in 0..4u64 {
-            rec.push("ingest", "boom", Some(i), 5, if i == 3 { "panic" } else { "ok" }, 9);
+            rec.push(
+                "ingest",
+                "boom",
+                Some(i),
+                5,
+                if i == 3 { "panic" } else { "ok" },
+                9,
+            );
         }
         let dir = std::env::temp_dir().join(format!(
             "ddn-flightrec-test-{}-{:?}",

@@ -283,10 +283,7 @@ impl Request {
                     .collect::<Result<Vec<_>, _>>()?;
                 let seq = match v.get("seq") {
                     None => None,
-                    Some(x) => Some(
-                        x.as_u64()
-                            .ok_or("\"seq\" must be a non-negative integer")?,
-                    ),
+                    Some(x) => Some(x.as_u64().ok_or("\"seq\" must be a non-negative integer")?),
                 };
                 Ok(Request::Ingest {
                     session,
@@ -433,9 +430,9 @@ fn parse_init(v: &Json) -> Result<InitSpec, String> {
             let groups = arr
                 .iter()
                 .map(|g| {
-                    g.as_u64()
-                        .map(|g| g as usize)
-                        .ok_or_else(|| "\"embedding\" entries must be non-negative integers".to_string())
+                    g.as_u64().map(|g| g as usize).ok_or_else(|| {
+                        "\"embedding\" entries must be non-negative integers".to_string()
+                    })
                 })
                 .collect::<Result<Vec<_>, _>>()?;
             if groups.len() != space.len() {
@@ -583,8 +580,7 @@ mod tests {
     fn parses_ingest_records() {
         let schema = ContextSchema::builder().categorical("g", 2).build();
         let c = Context::build(&schema).set_cat("g", 1).finish();
-        let rec = ddn_trace::TraceRecord::new(c, Decision::from_index(0), 2.0)
-            .with_propensity(0.5);
+        let rec = ddn_trace::TraceRecord::new(c, Decision::from_index(0), 2.0).with_propensity(0.5);
         let line = format!(
             r#"{{"verb":"ingest","session":"s","records":[{}]}}"#,
             rec.to_json()
@@ -609,8 +605,8 @@ mod tests {
             panic!("expected ingest");
         };
         assert_eq!(seq, Some(7));
-        let e = Request::parse(r#"{"verb":"ingest","session":"s","records":[],"seq":-1}"#)
-            .unwrap_err();
+        let e =
+            Request::parse(r#"{"verb":"ingest","session":"s","records":[],"seq":-1}"#).unwrap_err();
         assert!(e.contains("seq"), "{e}");
         let e = Request::parse(r#"{"verb":"ingest","session":"s","records":[],"seq":"x"}"#)
             .unwrap_err();

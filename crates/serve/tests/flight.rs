@@ -2,7 +2,7 @@
 //! post-mortem on disk — the final pre-panic requests, in order, ending
 //! with the event that killed the worker.
 
-use ddn_serve::{serve, flightrec_path, ServeClient, ServeConfig};
+use ddn_serve::{flightrec_path, serve, ServeClient, ServeConfig};
 use ddn_stats::rng::{Rng, Xoshiro256};
 use ddn_stats::Json;
 use ddn_trace::{Context, ContextSchema, Decision, DecisionSpace, TraceRecord};
@@ -84,12 +84,20 @@ fn a_worker_panic_dumps_the_final_requests_in_order() {
         .collect();
     assert_eq!(verbs, ["init", "ingest", "ingest", "init", "ingest"]);
     for (i, event) in events.iter().enumerate() {
-        assert_eq!(event.get("n").and_then(Json::as_u64), Some(i as u64), "{event}");
+        assert_eq!(
+            event.get("n").and_then(Json::as_u64),
+            Some(i as u64),
+            "{event}"
+        );
     }
     let last = events.last().unwrap();
     assert_eq!(last.get("outcome"), Some(&Json::str("panic")), "{last}");
     assert_eq!(last.get("session"), Some(&Json::str("boom")), "{last}");
-    assert_eq!(last.get("records").and_then(Json::as_u64), Some(16), "{last}");
+    assert_eq!(
+        last.get("records").and_then(Json::as_u64),
+        Some(16),
+        "{last}"
+    );
     // Everything before the panic completed normally.
     for event in &events[..events.len() - 1] {
         assert_eq!(event.get("outcome"), Some(&Json::str("ok")), "{event}");

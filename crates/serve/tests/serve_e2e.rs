@@ -41,7 +41,15 @@ fn ingest_then_estimate_matches_offline_bits() {
     let (handle, addr) = start();
     let mut client = ServeClient::connect(&addr).unwrap();
     client
-        .init("e2e", &schema(), &space(), &["ips", "snips", "dr"], "b", 0.0, None)
+        .init(
+            "e2e",
+            &schema(),
+            &space(),
+            &["ips", "snips", "dr"],
+            "b",
+            0.0,
+            None,
+        )
         .unwrap();
 
     let recs = records(300, 7);
@@ -107,9 +115,7 @@ fn health_reports_serve_counters_and_session_sources() {
         assert!(counters.get(key).is_some(), "missing {key}: {counters:?}");
     }
     assert_eq!(
-        counters
-            .get("serve.ingest.records")
-            .and_then(Json::as_u64),
+        counters.get("serve.ingest.records").and_then(Json::as_u64),
         Some(50)
     );
     assert_eq!(

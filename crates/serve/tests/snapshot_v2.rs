@@ -99,7 +99,9 @@ fn schema() -> ContextSchema {
 }
 
 fn record(i: usize, reward: f64) -> TraceRecord {
-    let c = Context::build(&schema()).set_cat("g", (i % 3) as u32).finish();
+    let c = Context::build(&schema())
+        .set_cat("g", (i % 3) as u32)
+        .finish();
     let d = (i * 7 + 1) % 3;
     TraceRecord::new(c, Decision::from_index(d), reward).with_propensity([0.5, 0.25, 0.25][d])
 }
@@ -236,7 +238,10 @@ fn the_attacked_snapshot_restores_the_state_it_was_built_from() {
     assert_eq!(out, Ok((2, requests().len() as u64)));
     assert_eq!(poisoned, HashSet::from(["ghost".to_string()]));
     assert!(largest <= good().len(), "{largest} > {}", good().len());
-    assert_eq!(again.state_save().to_string(), engine.state_save().to_string());
+    assert_eq!(
+        again.state_save().to_string(),
+        engine.state_save().to_string()
+    );
     for id in ["menu", "win"] {
         assert_eq!(
             again.handle_estimate(id).to_string(),
@@ -363,7 +368,9 @@ fn a_structurally_corrupt_v2_snapshot_falls_back_to_wal_replay() {
         ShardDurability::open(&dir, 0, 1_000_000, None, &mut engine, &mut poisoned).unwrap();
     for line in &lines {
         let req = Request::parse(line).unwrap();
-        engine.apply(req, &mut poisoned, None, || d.log_request(line.as_bytes()).map(|_| ()));
+        engine.apply(req, &mut poisoned, None, || {
+            d.log_request(line.as_bytes()).map(|_| ())
+        });
     }
     let wal = fs::read(wal_path(&dir, 0)).unwrap();
     d.snapshot_now(&engine, &poisoned).unwrap();
@@ -382,11 +389,17 @@ fn a_structurally_corrupt_v2_snapshot_falls_back_to_wal_replay() {
     let mut recovered = Engine::new();
     let mut quarantined = HashSet::new();
     let (_, report) =
-        ShardDurability::open(&dir, 0, 1_000_000, None, &mut recovered, &mut quarantined)
-            .unwrap();
+        ShardDurability::open(&dir, 0, 1_000_000, None, &mut recovered, &mut quarantined).unwrap();
     assert_eq!(report.sessions, 0, "the snapshot is refused");
-    assert_eq!(report.frames_replayed, lines.len() as u64, "full WAL replay");
-    assert_eq!(recovered.state_save().to_string(), engine.state_save().to_string());
+    assert_eq!(
+        report.frames_replayed,
+        lines.len() as u64,
+        "full WAL replay"
+    );
+    assert_eq!(
+        recovered.state_save().to_string(),
+        engine.state_save().to_string()
+    );
     for id in ["menu", "win"] {
         assert_eq!(
             recovered.handle_estimate(id).to_string(),
@@ -454,17 +467,30 @@ fn recover(dir: &Path) -> (Engine, u64, Vec<String>) {
 fn a_v1_data_dir_upgrades_in_place_bit_for_bit() {
     let fx = fixture();
     let dir = v1_dir("upgrade", fx.get("state").unwrap());
-    assert!(fs::read(snapshot_path(&dir, 0)).unwrap().starts_with(SNAPSHOT_MAGIC));
+    assert!(fs::read(snapshot_path(&dir, 0))
+        .unwrap()
+        .starts_with(SNAPSHOT_MAGIC));
 
     let (_, restored, estimates) = recover(&dir);
     assert_eq!(restored, 2);
     let want: Vec<String> = ["menu", "windowed"]
         .iter()
-        .map(|id| fx.get("continued").and_then(|c| c.get(id)).unwrap().to_string())
+        .map(|id| {
+            fx.get("continued")
+                .and_then(|c| c.get(id))
+                .unwrap()
+                .to_string()
+        })
         .collect();
-    assert_eq!(estimates, want, "v1 snapshot + WAL tail reproduce `continued`");
+    assert_eq!(
+        estimates, want,
+        "v1 snapshot + WAL tail reproduce `continued`"
+    );
     let v2 = fs::read(snapshot_path(&dir, 0)).unwrap();
-    assert!(v2.starts_with(SNAPSHOT_MAGIC_V2), "recovery leaves a v2 snapshot");
+    assert!(
+        v2.starts_with(SNAPSHOT_MAGIC_V2),
+        "recovery leaves a v2 snapshot"
+    );
 
     // A second restart reads the v2 file (its WAL is empty now).
     let (_, restored, again) = recover(&dir);
@@ -486,8 +512,14 @@ fn a_v1_state_whose_windowed_entries_disagree_is_refused_whole() {
         {
             let windowed = state_text.find(r#""windowed":"#).unwrap();
             let (head, tail) = state_text.split_at(windowed);
-            let zero = tail.find(r#""reward":0.0"#).expect("a zero reward in the window");
-            format!("{head}{}{}", &tail[..zero], tail[zero..].replacen("0.0", "-0.0", 1))
+            let zero = tail
+                .find(r#""reward":0.0"#)
+                .expect("a zero reward in the window");
+            format!(
+                "{head}{}{}",
+                &tail[..zero],
+                tail[zero..].replacen("0.0", "-0.0", 1)
+            )
         },
     ];
     for text in &disagreeing {
@@ -502,7 +534,11 @@ fn a_v1_state_whose_windowed_entries_disagree_is_refused_whole() {
         let dir = v1_dir("disagree", &state);
         let (engine, restored, _) = recover(&dir);
         assert_eq!(restored, 0);
-        assert_eq!(engine.sessions(), 0, "the WAL only ingests into unknown sessions");
+        assert_eq!(
+            engine.sessions(),
+            0,
+            "the WAL only ingests into unknown sessions"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 }
@@ -535,7 +571,11 @@ fn snapshot_metrics_book_every_write_and_its_size() {
             .and_then(|h| h.get("count"))
             .and_then(Json::as_u64)
             .unwrap();
-        (counter("serve.snapshot.writes"), counter("serve.snapshot.bytes"), hist)
+        (
+            counter("serve.snapshot.writes"),
+            counter("serve.snapshot.bytes"),
+            hist,
+        )
     };
 
     // The startup (self-heal) snapshot is booked too.
@@ -545,7 +585,15 @@ fn snapshot_metrics_book_every_write_and_its_size() {
 
     let space = DecisionSpace::of(&["a", "b", "c"]);
     client
-        .init("w", &schema(), &space, &["ips", "snips"], "b", 0.0, Some(16))
+        .init(
+            "w",
+            &schema(),
+            &space,
+            &["ips", "snips"],
+            "b",
+            0.0,
+            Some(16),
+        )
         .unwrap();
     let recs: Vec<TraceRecord> = (0..40).map(|i| record(i, i as f64)).collect();
     let mut last = bytes;
@@ -564,7 +612,11 @@ fn snapshot_metrics_book_every_write_and_its_size() {
         let (writes, bytes, hist) = read(&mut client);
         assert_eq!(hist, writes, "one write_ns sample per snapshot write");
         assert_eq!(writes, round as u64 + 2);
-        assert_eq!(bytes - last, file_size(), "the last write's bytes are the file");
+        assert_eq!(
+            bytes - last,
+            file_size(),
+            "the last write's bytes are the file"
+        );
         last = bytes;
     }
     handle.shutdown();

@@ -97,7 +97,12 @@ impl Json {
 
     /// An object from `(key, value)` pairs, preserving order.
     pub fn object(fields: Vec<(&str, Json)>) -> Json {
-        Json::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+        Json::Object(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
     }
 
     /// A string value.
@@ -685,8 +690,25 @@ mod tests {
     #[test]
     fn parse_rejects_malformed() {
         for bad in [
-            "", "{", "[", "[1,", "{\"a\"}", "{\"a\":}", "01", "1.", "1e", "+1", "nul", "tru",
-            "\"", "\"\\q\"", "[1 2]", "{1:2}", "1 2", "--1", "\"\\u12\"",
+            "",
+            "{",
+            "[",
+            "[1,",
+            "{\"a\"}",
+            "{\"a\":}",
+            "01",
+            "1.",
+            "1e",
+            "+1",
+            "nul",
+            "tru",
+            "\"",
+            "\"\\q\"",
+            "[1 2]",
+            "{1:2}",
+            "1 2",
+            "--1",
+            "\"\\u12\"",
         ] {
             assert!(Json::parse(bad).is_err(), "should reject {bad:?}");
         }

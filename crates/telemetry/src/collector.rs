@@ -82,12 +82,7 @@ pub fn record_health(source: &str, metrics: &[(&'static str, f64)]) {
 pub fn add_count(name: &'static str, delta: u64) {
     ACTIVE.with(|a| {
         if let Some(active) = a.borrow_mut().as_mut() {
-            if let Some((_, v)) = active
-                .collector
-                .counts
-                .iter_mut()
-                .find(|(n, _)| *n == name)
-            {
+            if let Some((_, v)) = active.collector.counts.iter_mut().find(|(n, _)| *n == name) {
                 *v += delta;
             } else {
                 active.collector.counts.push((name, delta));

@@ -119,7 +119,13 @@ impl TimingAgg {
     }
 
     fn to_json(self, zero_times: bool) -> Json {
-        let ns = |v: u64| Json::Int(if zero_times { 0 } else { v.min(i64::MAX as u64) as i64 });
+        let ns = |v: u64| {
+            Json::Int(if zero_times {
+                0
+            } else {
+                v.min(i64::MAX as u64) as i64
+            })
+        };
         let mean = if zero_times || self.count == 0 {
             0.0
         } else {

@@ -15,7 +15,12 @@ fn bounds_are_monotone_and_contiguous() {
         let (lo, hi) = Histogram::bucket_bounds(i);
         assert!(prev_lo <= prev_hi, "bucket {} inverted", i - 1);
         assert!(lo <= hi, "bucket {i} inverted");
-        assert_eq!(lo, prev_hi + 1, "gap or overlap between buckets {} and {i}", i - 1);
+        assert_eq!(
+            lo,
+            prev_hi + 1,
+            "gap or overlap between buckets {} and {i}",
+            i - 1
+        );
     }
     assert_eq!(Histogram::bucket_bounds(HISTOGRAM_BUCKETS - 1).1, u64::MAX);
 }

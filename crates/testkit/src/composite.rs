@@ -87,7 +87,10 @@ pub struct CompositeScenarioGen {
 pub fn composite_scenarios(arms: Range<usize>, records: Range<usize>) -> CompositeScenarioGen {
     assert!(arms.start >= 2, "composite scenarios need at least 2 arms");
     assert!(arms.start < arms.end, "empty arm range {arms:?}");
-    assert!(records.start < records.end, "empty record range {records:?}");
+    assert!(
+        records.start < records.end,
+        "empty record range {records:?}"
+    );
     CompositeScenarioGen { arms, records }
 }
 

@@ -608,7 +608,10 @@ mod tests {
             kind: FaultKind::Partial { max_bytes: 3 },
         });
         let mut cur = plan.cursor();
-        assert_eq!(cur.decide(Dir::Read, 100), IoDecision::Proceed { max_len: 3 });
+        assert_eq!(
+            cur.decide(Dir::Read, 100),
+            IoDecision::Proceed { max_len: 3 }
+        );
         // Even a degenerate want=0 read yields a nonzero clamp.
         let mut plan2 = FaultPlan::new();
         plan2.push(FaultEvent {

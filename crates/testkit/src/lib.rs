@@ -53,9 +53,9 @@ pub mod runner;
 
 pub use composite::{composite_scenarios, CompositeScenario, CompositeScenarioGen};
 pub use fault::{
-    fault_plans, lifecycle_plans, Dir, FaultCounts, FaultCursor, FaultEvent, FaultKind,
-    FaultPlan, FaultPlanConfig, FaultPlanGen, IoDecision, KillRestart, LifecycleDriver,
-    LifecyclePlan, LifecyclePlanConfig, LifecyclePlanGen,
+    fault_plans, lifecycle_plans, Dir, FaultCounts, FaultCursor, FaultEvent, FaultKind, FaultPlan,
+    FaultPlanConfig, FaultPlanGen, IoDecision, KillRestart, LifecycleDriver, LifecyclePlan,
+    LifecyclePlanConfig, LifecyclePlanGen,
 };
 pub use gen::{just, map, strings_from, vecs, Gen, JustGen, MapGen, StringGen, VecGen};
 pub use runner::{check, check_with, Config, TestResult, DEFAULT_CASES, DEFAULT_SEED};

@@ -192,7 +192,10 @@ mod tests {
         assert!(std::error::Error::source(&e).is_some());
         // Errors already carrying a line stay as they are.
         let again = e.at_line(9);
-        assert!(matches!(again, TraceError::InvalidRecordLine { line: 5, .. }));
+        assert!(matches!(
+            again,
+            TraceError::InvalidRecordLine { line: 5, .. }
+        ));
     }
 
     #[test]

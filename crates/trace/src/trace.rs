@@ -290,9 +290,7 @@ impl Trace {
 
     /// Opens a JSONL file at `path` for incremental reading (see
     /// [`Trace::stream_jsonl`]).
-    pub fn stream_file(
-        path: impl AsRef<Path>,
-    ) -> Result<TraceStream<std::fs::File>, TraceError> {
+    pub fn stream_file(path: impl AsRef<Path>) -> Result<TraceStream<std::fs::File>, TraceError> {
         let file = std::fs::File::open(path)?;
         Trace::stream_jsonl(file)
     }
@@ -601,7 +599,9 @@ mod tests {
         lines.truncate(2); // header + record 0
         let mut input = lines.join("\n");
         input.push_str("\n\n");
-        input.push_str(r#"{"context":{"values":[0,10.0]},"decision":1,"reward":0.5,"propensity":1.5}"#);
+        input.push_str(
+            r#"{"context":{"values":[0,10.0]},"decision":1,"reward":0.5,"propensity":1.5}"#,
+        );
         input.push('\n');
         let mut stream = Trace::stream_jsonl(input.as_bytes()).unwrap();
         assert!(stream.next().unwrap().is_ok());

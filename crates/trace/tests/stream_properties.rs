@@ -5,9 +5,7 @@
 
 use ddn_stats::rng::{Rng, Xoshiro256};
 use ddn_testkit::{prop, prop_assert, prop_assert_eq};
-use ddn_trace::{
-    Context, ContextSchema, Decision, DecisionSpace, Trace, TraceError, TraceRecord,
-};
+use ddn_trace::{Context, ContextSchema, Decision, DecisionSpace, Trace, TraceError, TraceRecord};
 
 fn schema() -> ContextSchema {
     ContextSchema::builder().categorical("g", 3).build()
@@ -24,8 +22,7 @@ fn records(n: usize, seed: u64) -> Vec<TraceRecord> {
             let g = rng.index(3) as u32;
             let c = Context::build(&schema()).set_cat("g", g).finish();
             let d = rng.index(3);
-            TraceRecord::new(c, Decision::from_index(d), rng.next_f64())
-                .with_propensity(1.0 / 3.0)
+            TraceRecord::new(c, Decision::from_index(d), rng.next_f64()).with_propensity(1.0 / 3.0)
         })
         .collect()
 }

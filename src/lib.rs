@@ -67,8 +67,8 @@
 pub use ddn_abr as abr;
 pub use ddn_cdn as cdn;
 pub use ddn_estimators as estimators;
-pub use ddn_models as models;
 pub use ddn_loadgen as loadgen;
+pub use ddn_models as models;
 pub use ddn_netsim as netsim;
 pub use ddn_policy as policy;
 pub use ddn_relay as relay;

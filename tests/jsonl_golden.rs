@@ -6,9 +6,7 @@
 //! newly written files are byte-identical to what serde would have
 //! produced. Each line below was captured from the old serializer.
 
-use ddn::trace::{
-    Context, ContextSchema, Decision, DecisionSpace, StateTag, Trace, TraceRecord,
-};
+use ddn::trace::{Context, ContextSchema, Decision, DecisionSpace, StateTag, Trace, TraceRecord};
 
 /// Exactly what the serde-era writer produced for a two-feature schema, a
 /// three-decision space, and three records exercising every optional-field

@@ -98,7 +98,10 @@ fn check_stream_parity(
     match (streamed, batch) {
         (Ok(o), Ok(b)) => {
             if o.value.to_bits() != b.value.to_bits() {
-                return Err(format!("{name}: value {} (batch {}) differ", o.value, b.value));
+                return Err(format!(
+                    "{name}: value {} (batch {}) differ",
+                    o.value, b.value
+                ));
             }
             if o.n != b.per_record.len() {
                 return Err(format!(
@@ -119,7 +122,9 @@ fn check_stream_parity(
                 ),
             ] {
                 if x.to_bits() != y.to_bits() {
-                    return Err(format!("{name}: diagnostics.{field} {x} (batch {y}) differ"));
+                    return Err(format!(
+                        "{name}: diagnostics.{field} {x} (batch {y}) differ"
+                    ));
                 }
             }
             if od.n != bd.n {

@@ -25,7 +25,10 @@ fn experiment(seed: u64) -> (f64, Vec<(String, f64)>) {
     // Ground truth only anchors the relative errors; keep it nonzero and
     // seed-dependent so the comparison covers the whole table pipeline.
     let truth = 1.0 + trace.mean_reward().abs();
-    (truth, vec![("IPS".to_string(), ips), ("DR".to_string(), dr)])
+    (
+        truth,
+        vec![("IPS".to_string(), ips), ("DR".to_string(), dr)],
+    )
 }
 
 #[test]
@@ -63,9 +66,6 @@ fn repeated_serial_runs_are_bit_identical() {
     for name in ["IPS", "DR"] {
         let xs = a.raw_errors(name).unwrap();
         let ys = b.raw_errors(name).unwrap();
-        assert!(xs
-            .iter()
-            .zip(ys)
-            .all(|(x, y)| x.to_bits() == y.to_bits()));
+        assert!(xs.iter().zip(ys).all(|(x, y)| x.to_bits() == y.to_bits()));
     }
 }

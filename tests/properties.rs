@@ -11,9 +11,8 @@ use ddn::abr::throughput::{Bandwidth, ThroughputDiscount};
 use ddn::abr::{BitrateLadder, QoeModel, Session, SessionConfig};
 use ddn::estimators::state_aware::MatchOnly;
 use ddn::estimators::{
-    BatchEstimator, ClippedIps, CrossFitDr, DirectMethod, DoublyRobust, Estimator, EvalBatch,
-    Ips, MatchingEstimator, OverlapReport, ReplayEvaluator, SelfNormalizedIps, StateAwareDr,
-    SwitchDr,
+    BatchEstimator, ClippedIps, CrossFitDr, DirectMethod, DoublyRobust, Estimator, EvalBatch, Ips,
+    MatchingEstimator, OverlapReport, ReplayEvaluator, SelfNormalizedIps, StateAwareDr, SwitchDr,
 };
 use ddn::models::{ConstantModel, FnModel, TabularMeanModel};
 use ddn::netsim::{small_world, RateProfile};

@@ -26,7 +26,10 @@ fn experiment(seed: u64) -> (f64, Vec<(String, f64)>) {
         .unwrap()
         .value;
     let truth = 1.0 + trace.mean_reward().abs();
-    (truth, vec![("IPS".to_string(), ips), ("DR".to_string(), dr)])
+    (
+        truth,
+        vec![("IPS".to_string(), ips), ("DR".to_string(), dr)],
+    )
 }
 
 fn deterministic_json(snap: &TelemetrySnapshot) -> String {
@@ -42,7 +45,10 @@ fn telemetry_json_is_bit_identical_across_thread_counts() {
     // pass vacuously on an empty document.
     assert!(serial_json.contains("\"IPS\""), "{serial_json}");
     assert!(serial_json.contains("\"ess\""), "{serial_json}");
-    assert!(serial_json.contains("\"run\""), "span counts missing: {serial_json}");
+    assert!(
+        serial_json.contains("\"run\""),
+        "span counts missing: {serial_json}"
+    );
 
     for threads in [2, 4, 8] {
         let (table, snap) = runner.run_parallel_instrumented(threads, experiment);

@@ -28,7 +28,14 @@ const GOLDEN_HEALTH: &[(&str, &[&str])] = &[
     ),
     (
         "AdaptiveIPS",
-        &["ess", "hsum", "max_weight", "mean_weight", "n", "zero_weight_fraction"],
+        &[
+            "ess",
+            "hsum",
+            "max_weight",
+            "mean_weight",
+            "n",
+            "zero_weight_fraction",
+        ],
     ),
     (
         "CFA",
@@ -67,7 +74,13 @@ const GOLDEN_HEALTH: &[(&str, &[&str])] = &[
     ),
     (
         "DM",
-        &["ess", "max_weight", "mean_weight", "n", "zero_weight_fraction"],
+        &[
+            "ess",
+            "max_weight",
+            "mean_weight",
+            "n",
+            "zero_weight_fraction",
+        ],
     ),
     (
         "DR",
@@ -82,7 +95,13 @@ const GOLDEN_HEALTH: &[(&str, &[&str])] = &[
     ),
     (
         "IPS",
-        &["ess", "max_weight", "mean_weight", "n", "zero_weight_fraction"],
+        &[
+            "ess",
+            "max_weight",
+            "mean_weight",
+            "n",
+            "zero_weight_fraction",
+        ],
     ),
     (
         "MarginalizedDR",
@@ -111,7 +130,13 @@ const GOLDEN_HEALTH: &[(&str, &[&str])] = &[
     ),
     (
         "SNIPS",
-        &["ess", "max_weight", "mean_weight", "n", "zero_weight_fraction"],
+        &[
+            "ess",
+            "max_weight",
+            "mean_weight",
+            "n",
+            "zero_weight_fraction",
+        ],
     ),
     (
         "SeqDR",
@@ -201,7 +226,10 @@ fn telemetry_json_schema_is_pinned() {
     let health = doc.get("health").unwrap();
     assert_eq!(
         sorted(keys(health)),
-        GOLDEN_HEALTH.iter().map(|(s, _)| s.to_string()).collect::<Vec<_>>(),
+        GOLDEN_HEALTH
+            .iter()
+            .map(|(s, _)| s.to_string())
+            .collect::<Vec<_>>(),
         "health source set changed"
     );
     for (source, metrics) in GOLDEN_HEALTH {
@@ -227,7 +255,11 @@ fn telemetry_json_schema_is_pinned() {
         "span path set changed"
     );
     for (path, agg) in timings.as_object().unwrap() {
-        assert_eq!(keys(agg), TIMING_AGG_KEYS, "timing shape changed for {path}");
+        assert_eq!(
+            keys(agg),
+            TIMING_AGG_KEYS,
+            "timing shape changed for {path}"
+        );
     }
 }
 
@@ -288,12 +320,7 @@ const GOLDEN_MENU_SOURCES: &[&str] = &[
 ];
 
 /// Pinned span paths of the instrumented menu panel.
-const GOLDEN_MENU_TIMINGS: &[&str] = &[
-    "experiment",
-    "run",
-    "run/estimate",
-    "run/log",
-];
+const GOLDEN_MENU_TIMINGS: &[&str] = &["experiment", "run", "run/estimate", "run/log"];
 
 #[test]
 fn menu_panel_telemetry_schema_is_pinned() {
@@ -337,7 +364,9 @@ fn serve_health_verb_schema_is_pinned() {
     let mut rng = Xoshiro256::seed_from(11);
     let records: Vec<TraceRecord> = (0..40)
         .map(|_| {
-            let c = Context::build(&schema).set_cat("g", rng.index(2) as u32).finish();
+            let c = Context::build(&schema)
+                .set_cat("g", rng.index(2) as u32)
+                .finish();
             let (d, p) = old.sample_with_prob(&c, &mut rng);
             TraceRecord::new(c, d, d.index() as f64).with_propensity(p)
         })
