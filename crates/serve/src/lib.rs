@@ -70,7 +70,7 @@ pub use engine::{CouplingMonitor, Engine, Session};
 pub use flightrec::{flightrec_path, FlightEvent, FlightRecorder};
 pub use frame::{BinaryBatch, FRAME_MAGIC};
 pub use protocol::{InitSpec, PolicySpec, Request};
-pub use server::{serve, ServeConfig, ServerHandle, ServerStats};
+pub use server::{serve, Count, ServeConfig, ServerHandle, ServerStats};
 pub use snapshot::{read_snapshot, write_snapshot, RecoverReport, ShardDurability};
 pub use transport::{FaultState, FaultyTransport, IoStream, TcpTransport, Transport};
 pub use wal::{read_wal, WalFrame, WalWriter};

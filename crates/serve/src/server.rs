@@ -87,6 +87,17 @@
 //! most one request per connection. Connections served by other shards
 //! keep flowing.
 //!
+//! ## Metrics
+//!
+//! Every metric lives in the server's [`Registry`], which `stats`
+//! snapshots, and every handle the server books into is resolved once,
+//! in [`serve`] (DESIGN.md §13). A server-wide metric is a [`Count`]:
+//! [`Count::name`] is the only place its name is spelled, and `health`
+//! lists the same handles in [`Count::ALL`] order, so the two verbs
+//! report one value per metric. The up/down values
+//! (`serve.conn.active`, `serve.queue.depth`) are gauges changed in one
+//! atomic step.
+//!
 //! ## Fault isolation
 //!
 //! A connection that sends junk bytes, a torn line or frame, or an
@@ -127,7 +138,7 @@ use crate::eventloop::{Epoll, Waker, EPOLLIN, EPOLLONESHOT, EPOLLOUT};
 use crate::flightrec::{flightrec_path, FlightRecorder};
 use crate::frame::{self, FRAME_MAGIC, FRAME_PREFIX_BYTES};
 use crate::protocol::{attach_id, error_response, ok_response, Request};
-use crate::snapshot::{check_meta, RecoverReport, ShardDurability};
+use crate::snapshot::{check_meta, ShardDurability};
 use crate::transport::{TcpTransport, Transport};
 use crate::wal::MAX_FRAME_BYTES;
 use ddn_stats::Json;
@@ -220,35 +231,117 @@ impl Default for ServeConfig {
     }
 }
 
-/// Server-wide counters, surfaced by the `health` verb as telemetry
-/// counters (`serve.*`).
-///
-/// Since the observability plane landed (DESIGN.md §13) the monotonic
-/// counters live in the server's [`Registry`] — the same instance the
-/// `stats` verb snapshots — so there is exactly one source of truth;
-/// the accessor methods below are thin reads of the registry handles.
-/// The two up/down values (`conn_active`, `queue_depth`) stay plain
-/// atomics (a [`Counter`] is monotonic) and are mirrored into registry
-/// *gauges* of the same name on every change.
+/// A server-wide metric. `health` lists each as a telemetry counter, in
+/// [`Count::ALL`] order; `stats` shows each under the same name, as a
+/// registry counter or, for the two up/down values, a gauge. Both read
+/// the one handle [`ServerStats`] holds for it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Count {
+    /// Records accepted across all sessions. Replayed (duplicate) batches
+    /// do not count: this is the exactly-once tally.
+    IngestRecords,
+    /// Requests waiting for a busy shard, across all shards (up/down).
+    QueueDepth,
+    /// Connections open (up/down).
+    ConnActive,
+    /// Requests that found another request already waiting for their
+    /// busy shard (a stall; they wait too).
+    BackpressureStalls,
+    /// Requests run by a thread other than the one that read them,
+    /// because their shard was busy: they waited in its FIFO for the
+    /// thread holding it.
+    ShardHandoffs,
+    /// Sequenced ingest batches answered from the dedup window instead of
+    /// being re-applied (each one is a retry the protocol made safe).
+    DedupReplays,
+    /// Connection-level faults survived: read/write errors, torn lines or
+    /// frames at EOF, oversized lines, unframeable frames.
+    FaultConnErrors,
+    /// Request panics caught and recovered from (one quarantined session
+    /// each).
+    FaultWorkerRestarts,
+    /// WAL frames appended across all shards (zero with durability off).
+    WalFrames,
+    /// WAL bytes appended across all shards, frame headers included.
+    WalBytes,
+    /// Snapshot files written (the one each shard writes at startup after
+    /// recovery counts too).
+    SnapshotWrites,
+    /// Bytes of every snapshot file written, startup ones included.
+    SnapshotBytes,
+    /// WAL frames replayed during startup recovery.
+    RecoverFramesReplayed,
+    /// Invalid WAL tail frames discarded during startup recovery (torn
+    /// writes, checksum failures).
+    RecoverTruncatedFrames,
+    /// Sessions restored from snapshots during startup recovery.
+    RecoverSessions,
+}
+
+impl Count {
+    /// Every server-wide metric, in declaration order (which indexes
+    /// [`ServerStats`]'s handles) and in `health`'s order.
+    pub const ALL: [Count; 15] = [
+        Count::IngestRecords,
+        Count::QueueDepth,
+        Count::ConnActive,
+        Count::BackpressureStalls,
+        Count::ShardHandoffs,
+        Count::DedupReplays,
+        Count::FaultConnErrors,
+        Count::FaultWorkerRestarts,
+        Count::WalFrames,
+        Count::WalBytes,
+        Count::SnapshotWrites,
+        Count::SnapshotBytes,
+        Count::RecoverFramesReplayed,
+        Count::RecoverTruncatedFrames,
+        Count::RecoverSessions,
+    ];
+
+    /// The metric's name in `health` and `stats`: the only place it is
+    /// spelled.
+    pub fn name(self) -> &'static str {
+        match self {
+            Count::IngestRecords => "serve.ingest.records",
+            Count::QueueDepth => "serve.queue.depth",
+            Count::ConnActive => "serve.conn.active",
+            Count::BackpressureStalls => "serve.backpressure.stalls",
+            Count::ShardHandoffs => "serve.shard.handoffs",
+            Count::DedupReplays => "serve.dedup.replays",
+            Count::FaultConnErrors => "serve.fault.conn_errors",
+            Count::FaultWorkerRestarts => "serve.fault.worker_restarts",
+            Count::WalFrames => "serve.wal.frames",
+            Count::WalBytes => "serve.wal.bytes",
+            Count::SnapshotWrites => "serve.snapshot.writes",
+            Count::SnapshotBytes => "serve.snapshot.bytes",
+            Count::RecoverFramesReplayed => "serve.recover.frames_replayed",
+            Count::RecoverTruncatedFrames => "serve.recover.truncated_frames",
+            Count::RecoverSessions => "serve.recover.sessions",
+        }
+    }
+}
+
+/// A [`Count`]'s registry handle.
+enum Handle {
+    Counter(Arc<Counter>),
+    /// An up/down value, moved in one atomic step ([`Gauge::add`]).
+    Gauge(Arc<Gauge>),
+}
+
+/// The server's metrics: the [`Registry`] the `stats` verb snapshots,
+/// and the handles the server books into, each resolved once when the
+/// server starts (DESIGN.md §13). No request formats a metric name or
+/// takes the registry lock, and `health` reads the same handles as
+/// `stats`, so the two verbs report one value per metric.
 pub struct ServerStats {
     registry: Arc<Registry>,
-    ingest_records: Arc<Counter>,
-    backpressure_stalls: Arc<Counter>,
-    shard_handoffs: Arc<Counter>,
-    dedup_replays: Arc<Counter>,
-    fault_conn_errors: Arc<Counter>,
-    fault_worker_restarts: Arc<Counter>,
-    wal_frames: Arc<Counter>,
-    wal_bytes: Arc<Counter>,
-    snapshot_writes: Arc<Counter>,
-    snapshot_bytes: Arc<Counter>,
-    recover_frames_replayed: Arc<Counter>,
-    recover_truncated_frames: Arc<Counter>,
-    recover_sessions: Arc<Counter>,
-    conn_active: AtomicU64,
-    queue_depth: AtomicU64,
-    conn_gauge: Arc<Gauge>,
-    queue_gauge: Arc<Gauge>,
+    /// Indexed by [`Count`].
+    counts: [Handle; Count::ALL.len()],
+    /// The verbs no shard owns.
+    req_health: ReqMetrics,
+    req_stats: ReqMetrics,
+    req_shutdown: ReqMetrics,
 }
 
 impl Default for ServerStats {
@@ -259,145 +352,48 @@ impl Default for ServerStats {
     fn default() -> Self {
         let registry = Arc::new(Registry::new());
         Self {
-            ingest_records: registry.counter("serve.ingest.records"),
-            backpressure_stalls: registry.counter("serve.backpressure.stalls"),
-            shard_handoffs: registry.counter("serve.shard.handoffs"),
-            dedup_replays: registry.counter("serve.dedup.replays"),
-            fault_conn_errors: registry.counter("serve.fault.conn_errors"),
-            fault_worker_restarts: registry.counter("serve.fault.worker_restarts"),
-            wal_frames: registry.counter("serve.wal.frames"),
-            wal_bytes: registry.counter("serve.wal.bytes"),
-            snapshot_writes: registry.counter("serve.snapshot.writes"),
-            snapshot_bytes: registry.counter("serve.snapshot.bytes"),
-            recover_frames_replayed: registry.counter("serve.recover.frames_replayed"),
-            recover_truncated_frames: registry.counter("serve.recover.truncated_frames"),
-            recover_sessions: registry.counter("serve.recover.sessions"),
-            conn_active: AtomicU64::new(0),
-            queue_depth: AtomicU64::new(0),
-            conn_gauge: registry.gauge("serve.conn.active"),
-            queue_gauge: registry.gauge("serve.queue.depth"),
+            counts: Count::ALL.map(|c| match c {
+                Count::QueueDepth | Count::ConnActive => Handle::Gauge(registry.gauge(c.name())),
+                _ => Handle::Counter(registry.counter(c.name())),
+            }),
+            req_health: ReqMetrics::new(&registry, "health", None),
+            req_stats: ReqMetrics::new(&registry, "stats", None),
+            req_shutdown: ReqMetrics::new(&registry, "shutdown", None),
             registry,
         }
     }
 }
 
 impl ServerStats {
-    /// The live metric registry backing these counters — the object the
-    /// `stats` verb snapshots, and where the per-verb/per-shard request
-    /// histograms and gauges live.
+    /// The live metric registry — the object the `stats` verb snapshots,
+    /// and where the per-verb/per-shard request histograms and gauges
+    /// live.
     pub fn registry(&self) -> &Arc<Registry> {
         &self.registry
     }
 
-    /// Total records accepted across all sessions. Replayed (duplicate)
-    /// batches do not count: this is the exactly-once tally.
-    pub fn ingest_records(&self) -> u64 {
-        self.ingest_records.get()
+    /// The current value of `metric`, as `health` reports it.
+    pub fn get(&self, metric: Count) -> u64 {
+        match &self.counts[metric as usize] {
+            Handle::Counter(c) => c.get(),
+            Handle::Gauge(g) => g.get() as u64,
+        }
     }
 
-    /// Connections currently open.
-    pub fn conn_active(&self) -> u64 {
-        self.conn_active.load(Ordering::Relaxed)
+    /// Counts `n` more of `metric`.
+    fn add(&self, metric: Count, n: u64) {
+        match &self.counts[metric as usize] {
+            Handle::Counter(c) => c.add(n),
+            Handle::Gauge(g) => g.add(n as f64),
+        }
     }
 
-    /// Requests that found another request already waiting for their
-    /// busy shard (a stall; they wait too).
-    pub fn backpressure_stalls(&self) -> u64 {
-        self.backpressure_stalls.get()
-    }
-
-    /// Requests run by a thread other than the one that read them,
-    /// because their shard was busy: they waited in its FIFO for the
-    /// thread holding it.
-    pub fn shard_handoffs(&self) -> u64 {
-        self.shard_handoffs.get()
-    }
-
-    /// Requests currently waiting for a busy shard, across all shards.
-    pub fn queue_depth(&self) -> u64 {
-        self.queue_depth.load(Ordering::Relaxed)
-    }
-
-    /// Sequenced ingest batches answered from the dedup window instead of
-    /// being re-applied (each one is a retry the protocol made safe).
-    pub fn dedup_replays(&self) -> u64 {
-        self.dedup_replays.get()
-    }
-
-    /// Connection-level faults survived: read/write errors, torn lines or
-    /// frames at EOF, oversized lines, unframeable frames.
-    pub fn fault_conn_errors(&self) -> u64 {
-        self.fault_conn_errors.get()
-    }
-
-    /// Shard-worker panics caught and recovered from (one quarantined
-    /// session each).
-    pub fn fault_worker_restarts(&self) -> u64 {
-        self.fault_worker_restarts.get()
-    }
-
-    /// WAL frames appended across all shards (zero with durability off).
-    pub fn wal_frames(&self) -> u64 {
-        self.wal_frames.get()
-    }
-
-    /// WAL bytes appended across all shards, frame headers included.
-    pub fn wal_bytes(&self) -> u64 {
-        self.wal_bytes.get()
-    }
-
-    /// Snapshot files written (the one each shard writes at startup
-    /// after recovery counts too).
-    pub fn snapshot_writes(&self) -> u64 {
-        self.snapshot_writes.get()
-    }
-
-    /// Bytes of every snapshot file written, startup ones included.
-    pub fn snapshot_bytes(&self) -> u64 {
-        self.snapshot_bytes.get()
-    }
-
-    /// WAL frames replayed during startup recovery.
-    pub fn recover_frames_replayed(&self) -> u64 {
-        self.recover_frames_replayed.get()
-    }
-
-    /// Invalid WAL tail frames discarded during startup recovery (torn
-    /// writes, checksum failures).
-    pub fn recover_truncated_frames(&self) -> u64 {
-        self.recover_truncated_frames.get()
-    }
-
-    /// Sessions restored from snapshots during startup recovery.
-    pub fn recover_sessions(&self) -> u64 {
-        self.recover_sessions.get()
-    }
-
-    fn conn_opened(&self) {
-        let now = self.conn_active.fetch_add(1, Ordering::Relaxed) + 1;
-        self.conn_gauge.set(now as f64);
-    }
-
-    fn conn_closed(&self) {
-        let now = self.conn_active.fetch_sub(1, Ordering::Relaxed) - 1;
-        self.conn_gauge.set(now as f64);
-    }
-
-    fn queue_inc(&self) {
-        let now = self.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
-        self.queue_gauge.set(now as f64);
-    }
-
-    fn queue_dec(&self) {
-        let now = self.queue_depth.fetch_sub(1, Ordering::Relaxed) - 1;
-        self.queue_gauge.set(now as f64);
-    }
-
-    /// Folds one shard's startup recovery into the counters.
-    fn record_recovery(&self, report: &RecoverReport) {
-        self.recover_sessions.add(report.sessions);
-        self.recover_frames_replayed.add(report.frames_replayed);
-        self.recover_truncated_frames.add(report.truncated_frames);
+    /// The gauge of an up/down value, which moves both ways.
+    fn gauge(&self, metric: Count) -> &Arc<Gauge> {
+        match &self.counts[metric as usize] {
+            Handle::Gauge(g) => g,
+            Handle::Counter(_) => unreachable!("{} only counts up", metric.name()),
+        }
     }
 
     /// Books the snapshot `d` wrote last — at startup (opening a shard's
@@ -406,64 +402,53 @@ impl ServerStats {
     /// histogram.
     fn record_snapshot(&self, write_ns: &Histogram, d: &ShardDurability) {
         let w = d.last_snapshot();
-        self.snapshot_writes.inc();
-        self.snapshot_bytes.add(w.bytes);
+        self.add(Count::SnapshotWrites, 1);
+        self.add(Count::SnapshotBytes, w.bytes);
         write_ns.record(w.nanos);
-    }
-
-    /// The counters as a telemetry collector (merged into `health`
-    /// snapshots alongside per-shard estimator health).
-    pub fn collector(&self) -> Collector {
-        let mut c = Collector::default();
-        c.counts
-            .push(("serve.ingest.records", self.ingest_records()));
-        c.counts.push(("serve.queue.depth", self.queue_depth()));
-        c.counts.push(("serve.conn.active", self.conn_active()));
-        c.counts
-            .push(("serve.backpressure.stalls", self.backpressure_stalls()));
-        c.counts
-            .push(("serve.shard.handoffs", self.shard_handoffs()));
-        c.counts.push(("serve.dedup.replays", self.dedup_replays()));
-        c.counts
-            .push(("serve.fault.conn_errors", self.fault_conn_errors()));
-        c.counts
-            .push(("serve.fault.worker_restarts", self.fault_worker_restarts()));
-        c.counts.push(("serve.wal.frames", self.wal_frames()));
-        c.counts.push(("serve.wal.bytes", self.wal_bytes()));
-        c.counts
-            .push(("serve.snapshot.writes", self.snapshot_writes()));
-        c.counts
-            .push(("serve.snapshot.bytes", self.snapshot_bytes()));
-        c.counts.push((
-            "serve.recover.frames_replayed",
-            self.recover_frames_replayed(),
-        ));
-        c.counts.push((
-            "serve.recover.truncated_frames",
-            self.recover_truncated_frames(),
-        ));
-        c.counts
-            .push(("serve.recover.sessions", self.recover_sessions()));
-        c
     }
 }
 
-/// Per-verb request metrics: the shared request counter plus this
-/// shard's latency histograms (queue wait and handler wall time, both
-/// in nanoseconds).
+/// One verb's request metrics: the request counter every shard shares,
+/// and handler wall time, plus queue wait for a shard verb (histograms
+/// in nanoseconds, one per shard for a shard verb).
 struct ReqMetrics {
     count: Arc<Counter>,
-    queue_ns: Arc<Histogram>,
+    queue_ns: Option<Arc<Histogram>>,
     handle_ns: Arc<Histogram>,
 }
 
 impl ReqMetrics {
-    fn shard(reg: &Registry, verb: &str, shard: usize) -> Self {
+    /// Resolves `serve.req.<verb>` and its histograms: `queue_ns.s<k>`
+    /// and `handle_ns.s<k>` for shard `k`, or `handle_ns` alone for a
+    /// verb no shard owns.
+    fn new(reg: &Registry, verb: &str, shard: Option<usize>) -> Self {
+        let name = format!("serve.req.{verb}");
+        let suffix = shard.map_or_else(String::new, |k| format!(".s{k}"));
         Self {
-            count: reg.counter(&format!("serve.req.{verb}")),
-            queue_ns: reg.histogram(&format!("serve.req.{verb}.queue_ns.s{shard}")),
-            handle_ns: reg.histogram(&format!("serve.req.{verb}.handle_ns.s{shard}")),
+            count: reg.counter(&name),
+            queue_ns: shard.map(|_| reg.histogram(&format!("{name}.queue_ns{suffix}"))),
+            handle_ns: reg.histogram(&format!("{name}.handle_ns{suffix}")),
         }
+    }
+
+    /// Books one finished request: counts it and, when tracing, records
+    /// its queue wait (decoded `at`, `started` running) and its handler
+    /// time until now, which it returns (0 untraced). Called BEFORE the
+    /// reply is sent, so a client that reads `stats` right after its
+    /// response always sees its own request counted — the per-verb
+    /// histogram-total == counter invariant holds at every observable
+    /// moment.
+    fn book(&self, trace: bool, at: Instant, started: Instant) -> u64 {
+        self.count.inc();
+        if !trace {
+            return 0;
+        }
+        let handle_ns = duration_ns(started.elapsed());
+        if let Some(queue_ns) = &self.queue_ns {
+            queue_ns.record(duration_ns(started.duration_since(at)));
+        }
+        self.handle_ns.record(handle_ns);
+        handle_ns
     }
 }
 
@@ -489,9 +474,9 @@ struct ShardMetrics {
 impl ShardMetrics {
     fn new(reg: &Registry, shard: usize) -> Self {
         Self {
-            init: ReqMetrics::shard(reg, "init", shard),
-            ingest: ReqMetrics::shard(reg, "ingest", shard),
-            estimate: ReqMetrics::shard(reg, "estimate", shard),
+            init: ReqMetrics::new(reg, "init", Some(shard)),
+            ingest: ReqMetrics::new(reg, "ingest", Some(shard)),
+            estimate: ReqMetrics::new(reg, "estimate", Some(shard)),
             sessions: reg.gauge(&format!("serve.sessions.live.s{shard}")),
             wal_lag: reg.gauge(&format!("serve.wal.lag_frames.s{shard}")),
             snapshot_write_ns: reg.histogram(&format!("serve.snapshot.write_ns.s{shard}")),
@@ -502,38 +487,6 @@ impl ShardMetrics {
 /// Saturating nanosecond count of a duration.
 fn duration_ns(d: Duration) -> u64 {
     d.as_nanos().min(u64::MAX as u128) as u64
-}
-
-/// Books one finished request: counts it, records queue-wait and
-/// handler latency (when tracing), and appends a flight event. Called
-/// BEFORE the reply is sent, so a client that reads `stats` right after
-/// its response always sees its own request counted — the per-verb
-/// histogram-total == counter invariant holds at every observable
-/// moment.
-#[allow(clippy::too_many_arguments)]
-fn observe_request(
-    trace: bool,
-    flight: &mut FlightRecorder,
-    metrics: &ReqMetrics,
-    verb: &'static str,
-    session: &str,
-    seq: Option<u64>,
-    records: u64,
-    outcome: Outcome,
-    at: Instant,
-    started: Instant,
-) {
-    metrics.count.inc();
-    let dur_ns = if trace {
-        let wait_ns = duration_ns(started.duration_since(at));
-        let dur_ns = duration_ns(started.elapsed());
-        metrics.queue_ns.record(wait_ns);
-        metrics.handle_ns.record(dur_ns);
-        dur_ns
-    } else {
-        0
-    };
-    flight.push(verb, session, seq, records, outcome.as_str(), dur_ns);
 }
 
 /// A running server. Dropping the handle does NOT stop the server; call
@@ -552,7 +505,7 @@ impl ServerHandle {
         self.local_addr
     }
 
-    /// The live server counters.
+    /// The server's metrics; [`ServerStats::get`] reads one.
     pub fn stats(&self) -> &ServerStats {
         &self.stats
     }
@@ -644,7 +597,9 @@ pub fn serve(config: &ServeConfig) -> std::io::Result<ServerHandle> {
                     &mut engine,
                     &mut poisoned,
                 )?;
-                stats.record_recovery(&report);
+                stats.add(Count::RecoverSessions, report.sessions);
+                stats.add(Count::RecoverFramesReplayed, report.frames_replayed);
+                stats.add(Count::RecoverTruncatedFrames, report.truncated_frames);
                 stats.record_snapshot(&metrics.snapshot_write_ns, &d);
                 Some(d)
             }
@@ -659,15 +614,6 @@ pub fn serve(config: &ServeConfig) -> std::io::Result<ServerHandle> {
             fifo: Mutex::default(),
             metrics,
         });
-    }
-
-    // Eagerly register the verbs no shard owns too, so an idle server
-    // and a busy one expose the same `stats` key set.
-    for verb in ["health", "stats", "shutdown"] {
-        stats.registry().counter(&format!("serve.req.{verb}"));
-        stats
-            .registry()
-            .histogram(&format!("serve.req.{verb}.handle_ns"));
     }
 
     let epoll = Epoll::new()?;
@@ -857,14 +803,15 @@ struct Conn {
     /// the socket could not take yet, or buffered requests to pump); 0
     /// until it is first registered.
     interest: u32,
-    /// Counts the connection closed when it is dropped, however that
-    /// happens, so the drain's wait for `conn_active` to reach 0 ends.
-    stats: Arc<ServerStats>,
+    /// The `serve.conn.active` gauge: raised when the connection is
+    /// accepted, lowered when it is dropped, however that happens, so the
+    /// drain's wait for it to reach 0 ends.
+    active: Arc<Gauge>,
 }
 
 impl Drop for Conn {
     fn drop(&mut self) {
-        self.stats.conn_closed();
+        self.active.add(-1.0);
     }
 }
 
@@ -882,7 +829,7 @@ impl Server {
             if shutdown && !self.draining.swap(true, Ordering::SeqCst) {
                 self.start_drain();
             }
-            if claim::drain_ends(shutdown, self.stats.conn_active()) {
+            if claim::drain_ends(shutdown, self.stats.get(Count::ConnActive)) {
                 return;
             }
             // The others wait with no timeout: shutdown makes the stop
@@ -960,12 +907,12 @@ impl Server {
                     }
                 }
                 Extract::OverflowedLine => {
-                    self.stats.fault_conn_errors.inc();
+                    self.stats.add(Count::FaultConnErrors, 1);
                     let msg = format!("request line exceeds {} bytes", self.config.max_line_bytes);
                     push_response(&mut conn, &error_response(&msg));
                 }
                 Extract::Unframeable(msg) => {
-                    self.stats.fault_conn_errors.inc();
+                    self.stats.add(Count::FaultConnErrors, 1);
                     push_response(&mut conn, &error_response(&msg));
                     conn.close_after_flush = true;
                 }
@@ -1061,7 +1008,7 @@ impl Server {
     /// socket error), counting it. It is not armed, so no event can name
     /// it; dropping it closes the socket, as for every other close.
     fn fault(&self, conn: Conn) {
-        self.stats.fault_conn_errors.inc();
+        self.stats.add(Count::FaultConnErrors, 1);
         drop(conn);
     }
 
@@ -1088,6 +1035,8 @@ impl Server {
             let Some(fd) = transport.raw_fd() else {
                 continue;
             };
+            let active = Arc::clone(self.stats.gauge(Count::ConnActive));
+            active.add(1.0);
             let conn = Conn {
                 transport,
                 fd,
@@ -1099,9 +1048,8 @@ impl Server {
                 close_after_flush: false,
                 overflow: false,
                 interest: 0,
-                stats: Arc::clone(&self.stats),
+                active,
             };
-            self.stats.conn_opened();
             self.park(conn, EPOLLIN);
         }
         // A drain deregisters the listener, after which this fails.
@@ -1146,7 +1094,7 @@ impl Server {
         ready: &mut Vec<Conn>,
     ) -> Option<Conn> {
         let at = Instant::now();
-        let (verb, resp) = match req {
+        let (metrics, resp) = match req {
             Request::Stats { flight: false } => {
                 // Snapshot the registry BEFORE booking this request, so
                 // the response never counts itself: the first `stats` a
@@ -1154,20 +1102,24 @@ impl Server {
                 // every verb's histogram-total == counter invariant holds
                 // inside the snapshot.
                 let snapshot = self.stats.registry().to_json();
-                ("stats", ok_response(vec![("stats", snapshot)]))
+                (
+                    &self.stats.req_stats,
+                    ok_response(vec![("stats", snapshot)]),
+                )
             }
             Request::Shutdown => {
                 self.shutdown.store(true, Ordering::SeqCst);
                 self.stop.wake();
                 conn.close_after_flush = true;
-                (
-                    "shutdown",
-                    ok_response(vec![("shutting_down", Json::Bool(true))]),
-                )
+                let resp = ok_response(vec![("shutting_down", Json::Bool(true))]);
+                (&self.stats.req_shutdown, resp)
             }
             Request::Health | Request::Stats { .. } => {
                 let server = match req {
-                    Request::Health => Part::Health(self.stats.collector()),
+                    Request::Health => Part::Health(Collector {
+                        counts: Count::ALL.map(|c| (c.name(), self.stats.get(c))).to_vec(),
+                        ..Collector::default()
+                    }),
                     _ => Part::Flight(self.stats.registry().to_json()),
                 };
                 let n = self.shards.len();
@@ -1195,7 +1147,7 @@ impl Server {
                 return None;
             }
         };
-        record_conn_verb(&self.stats, verb, self.config.trace_requests, at);
+        metrics.book(self.config.trace_requests, at, at);
         push_response(&mut conn, &attach_id(resp, id));
         Some(conn)
     }
@@ -1215,10 +1167,10 @@ impl Server {
             Claim::Queued { stall } => {
                 // Under the lock, so the holder's decrement never runs
                 // first.
-                self.stats.queue_inc();
-                self.stats.shard_handoffs.inc();
+                self.stats.gauge(Count::QueueDepth).add(1.0);
+                self.stats.add(Count::ShardHandoffs, 1);
                 if stall {
-                    self.stats.backpressure_stalls.inc();
+                    self.stats.add(Count::BackpressureStalls, 1);
                 }
             }
         }
@@ -1253,7 +1205,7 @@ impl Server {
         let Some(k) = k else { return };
         let after = lock(&self.shards[k].fifo).after_job(true);
         if let After::Next(job) = after {
-            self.stats.queue_dec();
+            self.stats.gauge(Count::QueueDepth).add(-1.0);
             self.run_shard(k, job, ready, true);
         }
     }
@@ -1293,7 +1245,7 @@ impl Server {
             self.settle(&mut answered, ready, matches!(after, After::Next(_)));
             match after {
                 After::Next(next) => {
-                    self.stats.queue_dec();
+                    self.stats.gauge(Count::QueueDepth).add(-1.0);
                     job = next;
                 }
                 After::Release => return,
@@ -1351,7 +1303,7 @@ impl Server {
         match step {
             Ok(bytes) => conn.outbuf.extend_from_slice(&bytes),
             Err(_) => {
-                self.stats.fault_worker_restarts.inc();
+                self.stats.add(Count::FaultWorkerRestarts, 1);
                 let resp = st.engine.quarantine(session, &mut st.poisoned);
                 self.dump_flight(k, &st.flight);
                 push_response(&mut conn, &attach_id(resp, id));
@@ -1405,27 +1357,17 @@ impl Server {
             wal_log(durability, &self.stats, &metrics.wal_lag, payload)
         });
         match outcome {
-            Outcome::Duplicate => self.stats.dedup_replays.inc(),
-            Outcome::Panic => self.stats.fault_worker_restarts.inc(),
+            Outcome::Duplicate => self.stats.add(Count::DedupReplays, 1),
+            Outcome::Panic => self.stats.add(Count::FaultWorkerRestarts, 1),
             Outcome::Ok | Outcome::Error => {
                 if let Some(accepted) = resp.get("accepted").and_then(Json::as_u64) {
-                    self.stats.ingest_records.add(accepted);
+                    self.stats.add(Count::IngestRecords, accepted);
                 }
             }
         }
         metrics.sessions.set(engine.sessions() as f64);
-        observe_request(
-            self.config.trace_requests,
-            flight,
-            req_metrics,
-            verb,
-            session,
-            seq,
-            records,
-            outcome,
-            at,
-            started,
-        );
+        let dur_ns = req_metrics.book(self.config.trace_requests, at, started);
+        flight.push(verb, session, seq, records, outcome.as_str(), dur_ns);
         if outcome == Outcome::Panic {
             // Post-mortem: dump the ring — ending with the request that
             // panicked — before answering, so the evidence is on disk even
@@ -1465,7 +1407,7 @@ impl Server {
         let Some((mut conn, shards)) = lock(&g.parts).add(k, part) else {
             return;
         };
-        let (verb, resp) = match &g.server {
+        let (metrics, resp) = match &g.server {
             Part::Health(counters) => {
                 let mut collectors = vec![counters.clone()];
                 collectors.extend(shards.into_iter().flatten().filter_map(|part| match part {
@@ -1474,7 +1416,8 @@ impl Server {
                 }));
                 let mut snap = TelemetrySnapshot::from_runs(&collectors);
                 snap.set_threads(self.shards.len());
-                ("health", ok_response(vec![("telemetry", snap.to_json())]))
+                let resp = ok_response(vec![("telemetry", snap.to_json())]);
+                (&self.stats.req_health, resp)
             }
             Part::Flight(stats) => {
                 let rings = shards.into_iter().enumerate().map(|(i, part)| {
@@ -1488,10 +1431,10 @@ impl Server {
                     ("stats", stats.clone()),
                     ("flight", Json::Object(rings.collect())),
                 ];
-                ("stats", ok_response(fields))
+                (&self.stats.req_stats, ok_response(fields))
             }
         };
-        record_conn_verb(&self.stats, verb, self.config.trace_requests, g.at);
+        metrics.book(self.config.trace_requests, g.at, g.at);
         push_response(&mut conn, &attach_id(resp, g.id.clone()));
         answered.extend(self.flush(conn));
     }
@@ -1658,8 +1601,8 @@ fn wal_log(
 ) -> std::io::Result<()> {
     if let Some(d) = durability {
         let bytes = d.log_request(payload)?;
-        stats.wal_frames.inc();
-        stats.wal_bytes.add(bytes as u64);
+        stats.add(Count::WalFrames, 1);
+        stats.add(Count::WalBytes, bytes as u64);
         // Set at log time (not rotation time) so the gauge is settled
         // before this request's reply goes out; it reads as "frames a
         // restart would replay, as of the last logged request".
@@ -1672,17 +1615,4 @@ fn shard_of(session: &str, shards: usize) -> usize {
     let mut h = DefaultHasher::new();
     session.hash(&mut h);
     (h.finish() % shards as u64) as usize
-}
-
-/// Counts (and, when tracing, times) a verb no shard owns — `health`,
-/// `stats`, `shutdown`. These are rare, so the
-/// per-call registry lookup is fine; the histogram name carries no
-/// shard suffix because no shard owns the verb.
-fn record_conn_verb(stats: &ServerStats, verb: &str, trace: bool, started: Instant) {
-    let reg = stats.registry();
-    reg.counter(&format!("serve.req.{verb}")).inc();
-    if trace {
-        reg.histogram(&format!("serve.req.{verb}.handle_ns"))
-            .record(duration_ns(started.elapsed()));
-    }
 }

@@ -19,7 +19,7 @@
 use ddn_serve::engine::Engine;
 use ddn_serve::snapshot::wal_path;
 use ddn_serve::wal::{read_wal, MAX_FRAME_BYTES};
-use ddn_serve::{frame, serve, Request, ServeConfig, ShardDurability};
+use ddn_serve::{frame, serve, Count, Request, ServeConfig, ShardDurability};
 use ddn_stats::Json;
 use ddn_trace::{Context, ContextSchema, Decision, DecisionSpace, TraceRecord};
 use std::collections::HashSet;
@@ -226,7 +226,7 @@ fn padded_lines_with_invalid_utf8_replay_bit_identically() {
     };
     let after = {
         let handle = serve(&durable(&dir, 1 << 20)).unwrap();
-        assert_eq!(handle.stats().recover_frames_replayed(), 2);
+        assert_eq!(handle.stats().get(Count::RecoverFramesReplayed), 2);
         let mut conn = Raw::connect(&handle.local_addr().to_string());
         let est = conn.send(&estimate);
         handle.shutdown();

@@ -60,6 +60,8 @@ if [[ "${1:-}" == "ci" ]]; then
   cargo test --workspace -q --offline
   echo "== ci: clippy, every target, warnings are errors =="
   cargo clippy --all-targets --offline -- -D warnings
+  echo "== ci: rustfmt, the whole workspace is formatted =="
+  cargo fmt --all --check
   echo "== ci: ddn-stats tests on the optimized build =="
   # The suite above is a debug build, which does not auto-vectorize; the
   # PELT scan must still match its oracle once the compiler vectorizes
