@@ -8,6 +8,9 @@
 //!   the per-record cost floor of the whole service.
 //! - `stream/engine_ingest` — the in-process [`ddn_serve::Engine`]
 //!   (validation, propensity precheck, coupling monitor, full bank).
+//! - `stream/engine_ingest_menu` — the same engine ingest into one
+//!   cumulative bank of every registry name (SeqDR horizon 4), the
+//!   served bank at its widest; reported per record, with no floor.
 //! - `stream/tcp_replay` — the complete loopback round trip: JSON
 //!   encode, TCP write, server parse/dispatch/ingest, reply.
 //! - `stream/tcp_replay_binary` — the same round trip over the binary
@@ -20,6 +23,7 @@
 //! for every other suite.
 
 use ddn_bench::Suite;
+use ddn_estimators::menu::MENU;
 use ddn_estimators::{OnlineEstimator, OnlineIps};
 use ddn_policy::{LookupPolicy, Policy, UniformRandomPolicy};
 use ddn_serve::{serve, Engine, Request, ServeClient, ServeConfig};
@@ -62,13 +66,14 @@ fn records(n: usize) -> Vec<TraceRecord> {
         .collect()
 }
 
-fn init_line(session: &str) -> String {
+fn init_line(session: &str, estimators: &[&str], horizon: i64) -> String {
+    let names = estimators.iter().map(|e| Json::str(*e)).collect();
     let init = Json::Object(vec![
         ("verb".into(), Json::str("init")),
         ("session".into(), Json::str(session)),
         ("schema".into(), schema().to_json()),
         ("space".into(), space().to_json()),
-        ("estimators".into(), Json::Array(vec![Json::str("ips")])),
+        ("estimators".into(), Json::Array(names)),
         (
             "policy".into(),
             Json::Object(vec![
@@ -76,8 +81,27 @@ fn init_line(session: &str) -> String {
                 ("decision".into(), Json::str("b")),
             ]),
         ),
+        ("horizon".into(), Json::Int(horizon)),
     ]);
     init.to_string()
+}
+
+/// Ingests `recs` in batches of `batch` into a fresh engine's session
+/// `bench`, created by `init_line`; returns the records accepted.
+fn engine_ingest(init_line: &str, recs: &[TraceRecord], batch: usize) -> usize {
+    let mut engine = Engine::new();
+    let spec = match Request::parse(init_line).expect("valid init") {
+        Request::Init(spec) => spec,
+        _ => unreachable!("init line parses to Init"),
+    };
+    engine.handle_init(spec);
+    let mut total = 0usize;
+    for chunk in recs.chunks(batch) {
+        let resp = engine.handle_ingest("bench", chunk, None);
+        total += resp.get("accepted").and_then(|v| v.as_u64()).unwrap_or(0) as usize;
+    }
+    assert_eq!(total, recs.len(), "every record must be accepted");
+    total
 }
 
 fn throughput(suite: &Suite, bench_name: &str, n: u64) -> f64 {
@@ -108,21 +132,14 @@ fn main() {
         est.estimate().expect("nonempty stream").value
     });
 
-    let init_line = init_line("bench");
+    let ips_line = init_line("bench", &["ips"], 1);
     suite.bench_throughput("stream/engine_ingest", n as u64, || {
-        let mut engine = Engine::new();
-        let spec = match Request::parse(&init_line).expect("valid init") {
-            Request::Init(spec) => spec,
-            _ => unreachable!("init line parses to Init"),
-        };
-        engine.handle_init(spec);
-        let mut total = 0usize;
-        for chunk in recs.chunks(batch) {
-            let resp = engine.handle_ingest("bench", chunk, None);
-            total += resp.get("accepted").and_then(|v| v.as_u64()).unwrap_or(0) as usize;
-        }
-        assert_eq!(total, n, "every record must be accepted");
-        total
+        engine_ingest(&ips_line, &recs, batch)
+    });
+    let menu: Vec<&str> = MENU.iter().map(|e| e.name).collect();
+    let menu_line = init_line("bench", &menu, 4);
+    suite.bench_throughput("stream/engine_ingest_menu", n as u64, || {
+        engine_ingest(&menu_line, &recs, batch)
     });
 
     let handle = serve(&ServeConfig::default()).expect("bind ephemeral port");
@@ -177,6 +194,7 @@ fn main() {
 
     let push_rps = throughput(&suite, "stream/online_ips_push", n as u64);
     let engine_rps = throughput(&suite, "stream/engine_ingest", n as u64);
+    let engine_menu_rps = throughput(&suite, "stream/engine_ingest_menu", n as u64);
     let tcp_rps = throughput(&suite, "stream/tcp_replay", n as u64);
     let binary_rps = throughput(&suite, "stream/tcp_replay_binary", n as u64);
     let binary_over_json = binary_rps / tcp_rps;
@@ -199,6 +217,10 @@ fn main() {
             (
                 "engine_ingest_records_per_sec".into(),
                 Json::Num(engine_rps),
+            ),
+            (
+                "engine_menu_ingest_ns_per_record".into(),
+                Json::Num(1e9 / engine_menu_rps),
             ),
             ("tcp_replay_records_per_sec".into(), Json::Num(tcp_rps)),
             (

@@ -74,7 +74,9 @@
 //! variant for non-stationary streams. Each is one per-record kernel
 //! folded by the generic [`online::Fold`]. [`menu`] is the name →
 //! estimator registry that `ddn serve` and `ddn evaluate`/`compare` share;
-//! the `ddn-serve` crate builds its ingest service on both.
+//! a served session holds its estimators as one [`Bank`], which scores
+//! each record once for all of them. The `ddn-serve` crate builds its
+//! ingest service on both.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -111,9 +113,9 @@ pub use ips::{ClippedIps, Ips, SelfNormalizedIps};
 pub use marginalized::{ActionEmbedding, MarginalizedDr};
 pub use matching::MatchingEstimator;
 pub use online::{
-    OnlineAdaptiveDr, OnlineAdaptiveIps, OnlineClippedIps, OnlineDm, OnlineDr, OnlineEstimate,
-    OnlineEstimator, OnlineIps, OnlineMarginalizedDr, OnlineSeqDr, OnlineSnips, SlidingWindow,
-    StreamingMoments,
+    Bank, OnlineAdaptiveDr, OnlineAdaptiveIps, OnlineClippedIps, OnlineDm, OnlineDr,
+    OnlineEstimate, OnlineEstimator, OnlineIps, OnlineMarginalizedDr, OnlineSeqDr, OnlineSnips,
+    SlidingWindow, StreamingMoments,
 };
 pub use optimize::{dm_greedy_policy, dr_select, SearchResult};
 pub use overlap::OverlapReport;

@@ -1,23 +1,23 @@
 //! The estimator registry: one table mapping each streaming estimator's
-//! protocol name to its online and scalar constructors.
+//! protocol name to the member a served [`crate::Bank`] builds for it and to its
+//! scalar constructor.
 //!
 //! Both front ends read [`MENU`] — `ddn serve` to build a session's bank
 //! at `init`, `ddn evaluate`/`compare` to build the estimator they run —
 //! so they accept the same names, and a name added here is served and
-//! evaluated alike. Constructors take the reward model as an argument and
-//! read every other knob from a [`MenuConfig`], whose provided methods
-//! are the server's defaults.
+//! evaluated alike. Scalar constructors take the reward model as an
+//! argument; a bank takes its target policy's probabilities and its
+//! constant model's value (see [`crate::Bank::new`]). Both read every other knob
+//! from a [`MenuConfig`], whose provided methods are the server's
+//! defaults.
 
-use crate::online::{
-    BoxModel, BoxPolicy, OnlineAdaptiveDr, OnlineAdaptiveIps, OnlineClippedIps, OnlineDm, OnlineDr,
-    OnlineEstimator, OnlineIps, OnlineMarginalizedDr, OnlineSeqDr, OnlineSnips,
-};
+use crate::online::{BoxModel, Kind};
 use crate::{
     ActionEmbedding, AdaptiveDr, AdaptiveIps, AdaptiveWeights, ClippedIps, DirectMethod,
-    DoublyRobust, Estimator, EstimatorError, Ips, MarginalizedDr, SelfNormalizedIps, SeqDr,
+    DoublyRobust, Estimator, Ips, MarginalizedDr, SelfNormalizedIps, SeqDr,
 };
-use ddn_policy::UniformRandomPolicy;
-use ddn_trace::DecisionSpace;
+use ddn_policy::Policy;
+use ddn_trace::{Context, Decision, DecisionSpace};
 
 /// The clip threshold `clipped` uses unless configured otherwise.
 pub const DEFAULT_MAX_WEIGHT: f64 = 10.0;
@@ -41,21 +41,25 @@ pub trait MenuConfig {
         ActionEmbedding::identity(space.len())
     }
 
-    /// Logging policy supplying `mdr`'s marginal denominators: uniform.
-    /// Built only when an `mdr` is, so a bad logging spec fails only the
-    /// banks that read it.
-    fn logging(&self, space: &DecisionSpace) -> Result<BoxPolicy, String> {
-        Ok(Box::new(UniformRandomPolicy::new(space.clone())))
+    /// The logging policy supplying `mdr`'s marginal denominators, as its
+    /// probability of each arm, the same for every context: uniform.
+    /// Asked for only when an `mdr` is built, so a bad logging spec fails
+    /// only the banks that read it.
+    fn logging(&self, space: &DecisionSpace) -> Result<Vec<f64>, String> {
+        Ok(uniform(space))
     }
+}
+
+/// The uniform policy's probability of each arm of `space`: the `1/K`
+/// that `UniformRandomPolicy::prob` returns.
+pub fn uniform(space: &DecisionSpace) -> Vec<f64> {
+    vec![1.0 / space.len() as f64; space.len()]
 }
 
 /// Every knob at the server's default.
 pub struct Defaults;
 
 impl MenuConfig for Defaults {}
-
-/// A streaming estimator as a serving bank holds it.
-pub type BoxOnline = Box<dyn OnlineEstimator + Send>;
 
 /// A scalar estimator as a front end holds it.
 pub type BoxScalar = Box<dyn Estimator + Send + Sync>;
@@ -66,19 +70,27 @@ pub struct MenuEntry {
     pub name: &'static str,
     /// Whether the estimator reads each record's logged propensity.
     pub needs_propensity: bool,
-    /// Builds the streaming estimator of a policy over a space.
-    pub online:
-        fn(DecisionSpace, BoxPolicy, BoxModel, &dyn MenuConfig) -> Result<BoxOnline, String>,
+    /// The member a served bank builds for this name.
+    pub(crate) kind: Kind,
     /// Builds the scalar estimator for traces over a space.
     pub scalar: fn(&DecisionSpace, BoxModel, &dyn MenuConfig) -> Result<BoxScalar, String>,
 }
 
-fn boxed<E: OnlineEstimator + Send + 'static>(
-    built: Result<E, EstimatorError>,
-) -> Result<BoxOnline, String> {
-    built
-        .map(|e| Box::new(e) as BoxOnline)
-        .map_err(|e| e.to_string())
+/// A policy with the same probabilities for every context: the scalar
+/// `mdr`'s logging policy, from [`MenuConfig::logging`].
+struct Fixed {
+    space: DecisionSpace,
+    probs: Vec<f64>,
+}
+
+impl Policy for Fixed {
+    fn space(&self) -> &DecisionSpace {
+        &self.space
+    }
+
+    fn prob(&self, _ctx: &Context, d: Decision) -> f64 {
+        self.probs[d.index()]
+    }
 }
 
 /// The registry, in protocol order.
@@ -86,58 +98,43 @@ pub static MENU: &[MenuEntry] = &[
     MenuEntry {
         name: "ips",
         needs_propensity: true,
-        online: |space, policy, _, _| boxed(OnlineIps::new(space, policy)),
+        kind: Kind::Ips,
         scalar: |_, _, _| Ok(Box::new(Ips::new())),
     },
     MenuEntry {
         name: "snips",
         needs_propensity: true,
-        online: |space, policy, _, _| boxed(OnlineSnips::new(space, policy)),
+        kind: Kind::Snips,
         scalar: |_, _, _| Ok(Box::new(SelfNormalizedIps::new())),
     },
     MenuEntry {
         name: "clipped",
         needs_propensity: true,
-        online: |space, policy, _, cfg| {
-            boxed(OnlineClippedIps::new(space, policy, cfg.max_weight()))
-        },
+        kind: Kind::Clipped,
         scalar: |_, _, cfg| Ok(Box::new(ClippedIps::new(cfg.max_weight()))),
     },
     MenuEntry {
         name: "dm",
         needs_propensity: false,
-        online: |space, policy, model, _| boxed(OnlineDm::new(space, policy, model)),
+        kind: Kind::Dm,
         scalar: |_, model, _| Ok(Box::new(DirectMethod::new(model))),
     },
     MenuEntry {
         name: "dr",
         needs_propensity: true,
-        online: |space, policy, model, _| boxed(OnlineDr::new(space, policy, model)),
+        kind: Kind::Dr,
         scalar: |_, model, _| Ok(Box::new(DoublyRobust::new(model))),
     },
     MenuEntry {
         name: "adaptive",
         needs_propensity: true,
-        online: |space, policy, _, _| {
-            boxed(OnlineAdaptiveIps::new(
-                space,
-                policy,
-                AdaptiveWeights::Stabilized,
-            ))
-        },
+        kind: Kind::Adaptive,
         scalar: |_, _, _| Ok(Box::new(AdaptiveIps::new(AdaptiveWeights::Stabilized))),
     },
     MenuEntry {
         name: "adaptive_dr",
         needs_propensity: true,
-        online: |space, policy, model, _| {
-            boxed(OnlineAdaptiveDr::new(
-                space,
-                policy,
-                model,
-                AdaptiveWeights::Stabilized,
-            ))
-        },
+        kind: Kind::AdaptiveDr,
         scalar: |_, model, _| {
             Ok(Box::new(AdaptiveDr::new(
                 model,
@@ -150,23 +147,20 @@ pub static MENU: &[MenuEntry] = &[
     MenuEntry {
         name: "mdr",
         needs_propensity: false,
-        online: |space, policy, model, cfg| {
-            let (logging, embedding) = (cfg.logging(&space)?, cfg.embedding(&space));
-            boxed(OnlineMarginalizedDr::new(
-                space, policy, logging, model, embedding,
-            ))
-        },
+        kind: Kind::Mdr,
         scalar: |space, model, cfg| {
-            let (logging, embedding) = (cfg.logging(space)?, cfg.embedding(space));
+            let (probs, embedding) = (cfg.logging(space)?, cfg.embedding(space));
+            let logging = Box::new(Fixed {
+                space: space.clone(),
+                probs,
+            });
             Ok(Box::new(MarginalizedDr::new(model, embedding, logging)))
         },
     },
     MenuEntry {
         name: "seqdr",
         needs_propensity: true,
-        online: |space, policy, model, cfg| {
-            boxed(OnlineSeqDr::new(space, policy, model, cfg.horizon()))
-        },
+        kind: Kind::SeqDr,
         scalar: |_, model, cfg| Ok(Box::new(SeqDr::new(model, cfg.horizon()))),
     },
 ];

@@ -1,34 +1,48 @@
 //! Online (streaming) counterparts of the estimator menu. Each estimator
-//! is written once, as a [`Kernel`]: a per-record [`Step`], a
-//! [`Finalize`] expression and its extra health keys. One generic
-//! [`Fold`] owns the state they share (record count, left-fold sum,
-//! weight accumulators, contribution moments, |residual| sum, retained
-//! pairs or pending trajectory steps) and implements [`OnlineEstimator`]
-//! once; [`OnlineDm`] … [`OnlineSeqDr`] alias it over the nine kernels,
-//! and [`crate::menu`] maps protocol names to them. Callers instantiate
-//! the generic fold in their own crate, so the per-record path is
-//! `#[inline]`.
+//! is written once, as a [`Kernel`]: a per-record [`Step`] read off the
+//! record's score [`Row`], a [`Finalize`] expression and its extra health
+//! keys. One generic [`Tally`] owns the state they share (record count,
+//! left-fold sums, weight accumulators, contribution moments, |residual|
+//! sum, retained pairs or pending trajectory steps). Two things feed
+//! tallies rows:
 //!
-//! The contract, property-tested in `tests/online_parity.rs`, is
-//! **bit-identity with the batch engine**, including the
-//! [`WeightDiagnostics`] and the error surface. Each step keeps the batch
-//! path's float expression and each finalize shape its fold order:
-//! [`Finalize::Mean`] terms are final on arrival, so a running
-//! `sum += t` seeded at `-0.0` (the float `Sum` identity) is the batch
-//! left fold in O(1) state; [`Finalize::Pairs`] terms (SNIPS's
-//! `n·w·r/Σw`, the adaptive `(h·Γ)·(n/Σh)`) need end-of-stream
-//! quantities, so the pairs are kept and `estimate` replays the batch
+//! - a standalone [`Fold`] owns one tally and its own policy and model,
+//!   calls them for the row entries its kernel reads (an IPS fold never
+//!   asks for a probability vector), and implements [`OnlineEstimator`]
+//!   once; [`OnlineDm`] … [`OnlineSeqDr`] alias it over the nine kernels;
+//! - a [`Bank`] is what a served session holds: one tally per requested
+//!   [`crate::menu`] name, and one scorer that computes each record's row
+//!   once for all of them, from tables of its context-free target policy
+//!   and constant model taken at init.
+//!
+//! Callers instantiate the generic fold in their own crate, so the
+//! per-record path is `#[inline]`.
+//!
+//! The contract, property-tested in `tests/online_parity.rs` and
+//! `tests/bank.rs`, is **bit-identity with the batch engine**, including
+//! the [`WeightDiagnostics`] and the error surface. Each step keeps the
+//! batch path's float expression and each finalize shape its fold order:
+//! [`Finalize::Mean`] terms are final on arrival, so a running `sum += t`
+//! seeded at `-0.0` (the float `Sum` identity) is the batch left fold in
+//! O(1) state; [`Finalize::Pairs`] terms (SNIPS's `n·w·r/Σw`, the
+//! adaptive `(h·Γ)·(n/Σh)`) need end-of-stream quantities, so the pairs
+//! are kept, `Σh` runs as a left fold, and `estimate` replays the batch
 //! loop; [`Finalize::Trajectory`] steps (SeqDR) wait for their trajectory
-//! and fold through the backward recursion. [`SlidingWindow`] bounds any
-//! estimator to its last `capacity` records (§4.1 non-stationarity).
+//! and fold through the backward recursion. A bank with a `snips` member
+//! keeps each pair value once: SNIPS's `(w, r)` columns, from which the
+//! adaptive members' `(h, Γ)` pairs follow (`h` sees only earlier
+//! weights), and one pass over the columns estimates every pair member.
+//! [`SlidingWindow`] bounds any estimator to its last `capacity` records
+//! (§4.1 non-stationarity).
 
 use crate::adaptive::AdaptiveWeights;
 use crate::estimate::{EstimatorError, WeightDiagnostics};
 use crate::marginalized::ActionEmbedding;
+use crate::menu::{self, MenuConfig};
 use ddn_models::RewardModel;
 use ddn_policy::Policy;
 use ddn_stats::Json;
-use ddn_trace::{Context, Decision, DecisionSpace, TraceRecord};
+use ddn_trace::{Decision, DecisionSpace, TraceRecord};
 use std::collections::VecDeque;
 
 /// A target or logging policy as an online estimator owns it.
@@ -334,7 +348,40 @@ impl<E: OnlineEstimator + ?Sized> OnlineEstimator for Box<E> {
     }
 }
 
-// ---- the generic fold ---------------------------------------------------
+// ---- the score row --------------------------------------------------------
+
+/// What the kernels read of one record: its reward and its scores. Only
+/// the entries some kernel reads are filled; the rest stay `0.0`.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Row {
+    /// Importance weight `μ_new(a|c) / p` of the logged arm `a`.
+    w: f64,
+    /// Logged reward `r`.
+    r: f64,
+    /// The DM term `Σ_d μ_new(d|c)·r̂(c, d)`, summed in space order.
+    dm: f64,
+    /// The model's prediction `r̂(c, a)` at the logged arm.
+    rhat: f64,
+    /// Marginalized DR's weight: the target's over the logging policy's
+    /// mass on the logged arm's embedding group. Read only with `dm`.
+    mdr_w: f64,
+}
+
+/// Which [`Row`] entries a kernel reads besides the reward: a union of
+/// the `READS_*` bits.
+pub type Reads = u8;
+/// `w`, which needs the record's propensity.
+const READS_W: Reads = 1;
+/// `dm`.
+const READS_DM: Reads = 2;
+/// `rhat`.
+const READS_RHAT: Reads = 4;
+/// `mdr_w`, read only with `dm`.
+const READS_MDR_W: Reads = 8;
+/// The DR family's: weight, DM term and prediction.
+const READS_DR: Reads = READS_W | READS_DM | READS_RHAT;
+
+// ---- the generic tally ----------------------------------------------------
 
 /// What a kernel's step computes for one record.
 #[derive(Debug, Clone, Copy)]
@@ -367,35 +414,50 @@ impl Step {
 pub enum Finalize {
     /// Terms are final on arrival; the estimate is their left-fold mean.
     Mean,
-    /// The fold retains `(h, t)` pairs; the estimate is the left-fold mean
-    /// of `f(n, Σh, h, t)` over them, defined only when `Σh > 0`.
+    /// The tally retains `(h, t)` pairs; the estimate is the left-fold
+    /// mean of `f(n, Σh, h, t)` over them, defined only when `Σh > 0`.
     Pairs(fn(f64, f64, f64, f64) -> f64),
     /// Steps wait until this many complete a trajectory, which folds
     /// through SeqDR's backward recursion into one contribution.
     Trajectory(usize),
 }
 
-/// The per-estimator part of an online estimator; [`Fold`] does the rest.
-pub trait Kernel: Sized {
+/// SNIPS's term of the pair `(w, r)`: `n·w·r / Σw`.
+#[inline]
+fn snips_term(n: f64, wsum: f64, w: f64, r: f64) -> f64 {
+    n * w * r / wsum
+}
+
+/// The adaptive term of the pair `(h, Γ)`: `(h·Γ)·(n/Σh)`.
+#[inline]
+fn adaptive_term(n: f64, hsum: f64, h: f64, gamma: f64) -> f64 {
+    (h * gamma) * (n / hsum)
+}
+
+/// The per-estimator part of an online estimator; [`Tally`] does the rest.
+pub trait Kernel: Sized + Clone {
     /// Whether steps carry importance weights (DM's diagnostics are uniform).
     const WEIGHTED: bool = true;
     /// Whether steps carry model residuals (reported as `mean_abs_residual`).
     const RESIDUALS: bool = false;
+    /// The row entries [`Kernel::step`] reads.
+    const READS: Reads;
     /// Short name matching the batch twin ("DM", "IPS", …).
     fn name(&self) -> &'static str;
-    /// The step for the record at stream position `k`; on error the kernel
-    /// is untouched.
-    fn step(&mut self, rec: &TraceRecord, k: usize) -> Result<Step>;
+    /// The name of [`AdaptiveKernel`] around this kernel.
+    const ADAPTIVE_NAME: &'static str = "Adaptive";
+    /// The step for one record's row.
+    fn step(&mut self, row: &Row) -> Step;
     /// The finalize expression.
     fn finalize(&self) -> Finalize {
         Finalize::Mean
     }
     /// Extra health keys, once a contribution has folded.
-    fn health(&self, _fold: &Fold<Self>, _m: &mut Vec<(&'static str, f64)>) {}
+    fn health(&self, _tally: &Tally<Self>, _m: &mut Vec<(&'static str, f64)>) {}
     /// Appends kernel-owned state (ClippedIPS's count, the adaptive EMA)
     /// to the saved state.
     fn save(&self, _fields: &mut Vec<(String, Json)>) {}
-    /// Restores what [`Kernel::save`] wrote; on error nothing changes.
+    /// Restores what [`Kernel::save`] wrote.
     fn load(&mut self, _state: &Json) -> Result<()> {
         Ok(())
     }
@@ -403,35 +465,43 @@ pub trait Kernel: Sized {
     fn reset(&mut self) {}
 }
 
-/// The streaming fold every online estimator shares: kernel `K`'s steps
-/// folded into running state, behind [`OnlineEstimator`].
-pub struct Fold<K> {
+/// What kernel `K`'s online estimator accumulates: everything but its
+/// scorer. A standalone [`Fold`] holds one; a [`Bank`] one per member.
+pub struct Tally<K> {
     kernel: K,
     /// Records accepted, including a pending partial trajectory.
     n: usize,
     /// Left-fold sum of final contributions, seeded at `-0.0`.
     sum: f64,
+    /// Left-fold `Σh` of a [`Finalize::Pairs`] kernel's pairs, seeded at
+    /// `-0.0` like the batch path's sum over them.
+    hsum: f64,
     abs_residual_sum: f64,
     acc: WeightAcc,
     moments: StreamingMoments,
-    /// `(h, t)` per record of a [`Finalize::Pairs`] kernel.
+    /// `(h, t)` per record of a [`Finalize::Pairs`] kernel, unless its
+    /// bank keeps them as columns.
     pairs: Vec<(f64, f64)>,
     /// `(dm, w, residual)` steps of the in-flight trajectory.
     pending: Vec<(f64, f64, f64)>,
 }
 
-impl<K: Kernel> Fold<K> {
-    fn with(kernel: K) -> Self {
+impl<K: Kernel> Tally<K> {
+    fn new(kernel: K) -> Self {
         Self {
             kernel,
             n: 0,
             sum: -0.0,
+            hsum: -0.0,
             abs_residual_sum: 0.0,
             acc: WeightAcc::new(),
             moments: StreamingMoments::new(),
             pairs: Vec::new(),
             pending: Vec::new(),
         }
+    }
+    fn reads(&self) -> Reads {
+        K::READS
     }
     /// Records whose contribution has folded.
     fn folded(&self) -> usize {
@@ -443,10 +513,6 @@ impl<K: Kernel> Fold<K> {
             Finalize::Trajectory(horizon) => self.folded() / horizon,
             _ => self.n,
         }
-    }
-    /// `Σh` over the retained pairs, the batch path's left fold.
-    fn hsum(&self) -> f64 {
-        self.pairs.iter().map(|(h, _)| *h).sum()
     }
     fn absorb(acc: &mut WeightAcc, abs_residual_sum: &mut f64, w: f64, residual: f64) {
         if K::WEIGHTED {
@@ -462,15 +528,12 @@ impl<K: Kernel> Fold<K> {
             false => WeightDiagnostics::uniform(self.folded()),
         }
     }
-}
 
-impl<K: Kernel> OnlineEstimator for Fold<K> {
-    fn name(&self) -> &str {
-        self.kernel.name()
-    }
-
-    fn push(&mut self, rec: &TraceRecord) -> Result<()> {
-        let s = self.kernel.step(rec, self.n)?;
+    /// Folds one record's row; a pair is kept only with `keep_pair` (a
+    /// bank with columns keeps it there instead).
+    #[inline]
+    fn push(&mut self, row: &Row, keep_pair: bool) {
+        let s = self.kernel.step(row);
         self.n += 1;
         match self.kernel.finalize() {
             Finalize::Mean => {
@@ -478,7 +541,10 @@ impl<K: Kernel> OnlineEstimator for Fold<K> {
                 self.moments.push(s.t);
             }
             Finalize::Pairs(_) => {
-                self.pairs.push((s.h, s.t));
+                if keep_pair {
+                    self.pairs.push((s.h, s.t));
+                }
+                self.hsum += s.h;
                 // The moments track the unnormalized terms: the final
                 // normalization is not knowable until the stream ends.
                 self.moments.push(s.h * s.t);
@@ -496,46 +562,46 @@ impl<K: Kernel> OnlineEstimator for Fold<K> {
                     self.moments.push(v);
                     self.pending.clear();
                 }
-                return Ok(());
+                return;
             }
         }
         Self::absorb(&mut self.acc, &mut self.abs_residual_sum, s.w, s.residual);
-        Ok(())
+    }
+
+    fn finish(&self, n: usize, value: f64) -> OnlineEstimate {
+        OnlineEstimate {
+            value,
+            n,
+            diagnostics: self.diagnostics(),
+        }
+    }
+
+    /// A [`Finalize::Pairs`] estimate whose terms over the pairs sum to
+    /// `terms(n, Σh)`, with the batch path's order of checks.
+    fn pairs_estimate(&self, terms: impl FnOnce(f64, f64) -> f64) -> Result<OnlineEstimate> {
+        if self.hsum <= 0.0 {
+            return Err(EstimatorError::NoUsableRecords);
+        }
+        let n = self.contributions();
+        Ok(self.finish(n, terms(n as f64, self.hsum) / n as f64))
     }
 
     fn estimate(&self) -> Result<OnlineEstimate> {
         let n = self.contributions();
-        let value = match self.kernel.finalize() {
-            Finalize::Pairs(term) => {
-                // The batch path's order of checks and float operations.
-                let hsum = self.hsum();
-                if hsum <= 0.0 {
-                    return Err(EstimatorError::NoUsableRecords);
-                }
-                let mut sum = -0.0;
-                for &(h, t) in &self.pairs {
-                    sum += term(n as f64, hsum, h, t);
-                }
-                sum / n as f64
-            }
-            _ if n == 0 => return Err(EstimatorError::NoUsableRecords),
-            _ => self.sum / n as f64,
-        };
-        let diagnostics = self.diagnostics();
-        Ok(OnlineEstimate {
-            value,
-            n,
-            diagnostics,
-        })
-    }
-
-    fn len(&self) -> usize {
-        self.n
+        match self.kernel.finalize() {
+            Finalize::Pairs(term) => self.pairs_estimate(|n, hsum| {
+                let terms = self.pairs.iter().map(|&(h, t)| term(n, hsum, h, t));
+                terms.fold(-0.0, |sum, x| sum + x)
+            }),
+            _ if n == 0 => Err(EstimatorError::NoUsableRecords),
+            _ => Ok(self.finish(n, self.sum / n as f64)),
+        }
     }
 
     fn reset(&mut self) {
         self.n = 0;
         self.sum = -0.0;
+        self.hsum = -0.0;
         self.abs_residual_sum = 0.0;
         self.acc = WeightAcc::new();
         self.moments = StreamingMoments::new();
@@ -544,7 +610,7 @@ impl<K: Kernel> OnlineEstimator for Fold<K> {
         self.kernel.reset();
     }
 
-    fn health_metrics(&self) -> Vec<(&'static str, f64)> {
+    fn health(&self) -> Vec<(&'static str, f64)> {
         let folded = self.folded();
         let mut m = vec![("n", folded as f64)];
         if folded == 0 {
@@ -565,16 +631,17 @@ impl<K: Kernel> OnlineEstimator for Fold<K> {
         m
     }
 
-    fn state_save(&self) -> Json {
+    /// The saved state, with `pairs` as a [`Finalize::Pairs`] kernel's.
+    fn save(&self, pairs: impl Iterator<Item = (f64, f64)>) -> Json {
         // Every estimator's fields in their historical order, so snapshots
         // re-save byte for byte: est, n | pairs | trajectories, kernel
         // state, sum, abs_residual_sum, pending, acc, moments.
         let finalize = self.kernel.finalize();
-        let mut f = vec![("est".to_string(), Json::str(self.name()))];
+        let mut f = vec![("est".to_string(), Json::str(self.kernel.name()))];
         match finalize {
             Finalize::Mean => f.push(("n".into(), Json::Int(self.n as i64))),
             Finalize::Pairs(_) => {
-                let flat = self.pairs.iter().flat_map(|&(h, t)| [bits(h), bits(t)]);
+                let flat = pairs.flat_map(|(h, t)| [bits(h), bits(t)]);
                 f.push(("pairs".into(), Json::Array(flat.collect())));
             }
             Finalize::Trajectory(_) => {
@@ -603,8 +670,9 @@ impl<K: Kernel> OnlineEstimator for Fold<K> {
         Json::Object(f)
     }
 
-    fn state_load(&mut self, state: &Json) -> Result<()> {
-        check_kind(state, self.name())?;
+    /// This tally's configuration with the state [`Tally::save`] wrote.
+    fn loaded(&self, state: &Json) -> Result<Self> {
+        check_kind(state, self.kernel.name())?;
         let finalize = self.kernel.finalize();
         let (mut pairs, mut pending, mut sum) = (Vec::new(), Vec::new(), -0.0);
         let n = match finalize {
@@ -638,16 +706,77 @@ impl<K: Kernel> OnlineEstimator for Fold<K> {
             false => WeightAcc::new(),
         };
         let moments = StreamingMoments::state_load(field(state, "moments")?)?;
-        // Last fallible step, itself atomic: an error anywhere leaves the
-        // fold untouched.
-        self.kernel.load(state)?;
-        (self.n, self.sum, self.abs_residual_sum) = (n, sum, abs_residual_sum);
-        (self.acc, self.moments, self.pairs, self.pending) = (acc, moments, pairs, pending);
-        Ok(())
+        let mut kernel = self.kernel.clone();
+        kernel.load(state)?;
+        let hsum = pairs.iter().map(|&(h, _)| h).sum();
+        Ok(Self {
+            kernel,
+            n,
+            sum,
+            hsum,
+            abs_residual_sum,
+            acc,
+            moments,
+            pairs,
+            pending,
+        })
     }
 }
 
-// ---- the kernels ----------------------------------------------------------
+// ---- the standalone fold --------------------------------------------------
+
+/// A standalone online estimator: kernel `K`'s [`Tally`], fed rows by a
+/// scorer of its own, behind [`OnlineEstimator`].
+pub struct Fold<K> {
+    scorer: Scorer,
+    tally: Tally<K>,
+}
+
+impl<K: Kernel> Fold<K> {
+    fn with(scorer: Scorer, kernel: K) -> Self {
+        Self {
+            scorer,
+            tally: Tally::new(kernel),
+        }
+    }
+}
+
+impl<K: Kernel> OnlineEstimator for Fold<K> {
+    fn name(&self) -> &str {
+        self.tally.kernel.name()
+    }
+
+    fn push(&mut self, rec: &TraceRecord) -> Result<()> {
+        let row = self.scorer.row(rec, self.tally.n, K::READS)?;
+        self.tally.push(&row, true);
+        Ok(())
+    }
+
+    fn estimate(&self) -> Result<OnlineEstimate> {
+        self.tally.estimate()
+    }
+
+    fn len(&self) -> usize {
+        self.tally.n
+    }
+
+    fn reset(&mut self) {
+        self.tally.reset();
+    }
+
+    fn health_metrics(&self) -> Vec<(&'static str, f64)> {
+        self.tally.health()
+    }
+
+    fn state_save(&self) -> Json {
+        self.tally.save(self.tally.pairs.iter().copied())
+    }
+
+    fn state_load(&mut self, state: &Json) -> Result<()> {
+        self.tally = self.tally.loaded(state)?;
+        Ok(())
+    }
+}
 
 fn check_policy_space(space: &DecisionSpace, policy: &dyn Policy) -> Result<()> {
     let (trace, policy) = (space.len(), policy.space().len());
@@ -666,106 +795,155 @@ fn weight_at(policy: &dyn Policy, rec: &TraceRecord, k: usize) -> Result<f64> {
     Ok(p_new / p_old)
 }
 
-/// Direct Method: the term is `Σ_d μ_new(d|c)·r̂(c, d)`. Never reads
-/// propensities. Also the model half every DR-family kernel embeds.
-pub struct DmKernel {
+/// A standalone fold's scorer: its policy and model, called per record
+/// for the row entries its kernel reads, with the batch path's calls.
+struct Scorer {
     space: DecisionSpace,
     policy: BoxPolicy,
-    model: BoxModel,
+    /// The reward model of the kernels that read `dm` or `rhat`.
+    model: Option<BoxModel>,
+    /// Marginalized DR's logging policy and embedding.
+    marginal: Option<(BoxPolicy, ActionEmbedding)>,
 }
 
-impl DmKernel {
-    fn new(space: DecisionSpace, policy: BoxPolicy, model: BoxModel) -> Result<Self> {
+impl Scorer {
+    fn new(space: DecisionSpace, policy: BoxPolicy, model: Option<BoxModel>) -> Result<Self> {
         check_policy_space(&space, policy.as_ref())?;
         Ok(Self {
             space,
             policy,
             model,
+            marginal: None,
         })
     }
 
-    /// `Σ_d probs[d]·r̂(c, d)` in the batch path's order.
-    #[inline]
-    fn dm(&self, probs: &[f64], ctx: &Context) -> f64 {
-        let predict = |d: Decision| probs[d.index()] * self.model.predict(ctx, d);
-        self.space.iter().map(predict).sum()
+    fn model(&self) -> &dyn RewardModel {
+        let model = self.model.as_deref();
+        model.expect("a fold whose kernel reads the model is built with one")
     }
 
-    /// The DR family's `(w, dm, residual)` for the record at position `k`.
+    /// Record `k`'s row: the entries `reads` names.
     #[inline]
-    fn dr_parts(&self, rec: &TraceRecord, k: usize) -> Result<(f64, f64, f64)> {
-        let w = weight_at(self.policy.as_ref(), rec, k)?;
-        let dm = self.dm(&self.policy.probabilities(&rec.context), &rec.context);
-        let residual = rec.reward - self.model.predict(&rec.context, rec.decision);
-        Ok((w, dm, residual))
+    fn row(&self, rec: &TraceRecord, k: usize, reads: Reads) -> Result<Row> {
+        let ctx = &rec.context;
+        let mut row = Row {
+            r: rec.reward,
+            ..Row::default()
+        };
+        if reads & READS_W != 0 {
+            row.w = weight_at(self.policy.as_ref(), rec, k)?;
+        }
+        if reads & READS_DM != 0 {
+            let probs = self.policy.probabilities(ctx);
+            if reads & READS_MDR_W != 0 {
+                let (logging, embedding) =
+                    self.marginal.as_ref().expect("mdr has a logging policy");
+                let a = rec.decision.index();
+                let num = embedding.marginal(&probs, a);
+                row.mdr_w = num / embedding.marginal(&logging.probabilities(ctx), a);
+            }
+            let model = self.model();
+            let predict = |d: Decision| probs[d.index()] * model.predict(ctx, d);
+            row.dm = self.space.iter().map(predict).sum();
+        }
+        if reads & READS_RHAT != 0 {
+            row.rhat = self.model().predict(ctx, rec.decision);
+        }
+        Ok(row)
     }
 }
 
+// ---- the kernels ----------------------------------------------------------
+
+/// Direct Method: the term is `Σ_d μ_new(d|c)·r̂(c, d)`. Never reads
+/// propensities.
+#[derive(Debug, Clone)]
+pub struct DmKernel;
+
 impl Kernel for DmKernel {
     const WEIGHTED: bool = false;
+    const READS: Reads = READS_DM;
     fn name(&self) -> &'static str {
         "DM"
     }
     #[inline]
-    fn step(&mut self, rec: &TraceRecord, _k: usize) -> Result<Step> {
-        let dm = self.dm(&self.policy.probabilities(&rec.context), &rec.context);
-        Ok(Step::new(1.0, dm, 0.0))
+    fn step(&mut self, row: &Row) -> Step {
+        Step::new(1.0, row.dm, 0.0)
     }
 }
 
 /// Plain IPS: the term is `w·r`.
-pub struct IpsKernel(BoxPolicy);
+#[derive(Debug, Clone)]
+pub struct IpsKernel;
 
 impl Kernel for IpsKernel {
+    const READS: Reads = READS_W;
+    const ADAPTIVE_NAME: &'static str = "AdaptiveIPS";
     fn name(&self) -> &'static str {
         "IPS"
     }
     #[inline]
-    fn step(&mut self, rec: &TraceRecord, k: usize) -> Result<Step> {
-        let w = weight_at(self.0.as_ref(), rec, k)?;
-        Ok(Step::new(w, w * rec.reward, 0.0))
+    fn step(&mut self, row: &Row) -> Step {
+        Step::new(row.w, row.w * row.r, 0.0)
     }
 }
 
 /// Self-normalized IPS: keeps `(w, r)` and finalizes `n·w·r / Σw`.
-pub struct SnipsKernel(BoxPolicy);
+#[derive(Debug, Clone)]
+pub struct SnipsKernel;
 
 impl Kernel for SnipsKernel {
+    const READS: Reads = READS_W;
     fn name(&self) -> &'static str {
         "SNIPS"
     }
     #[inline]
-    fn step(&mut self, rec: &TraceRecord, k: usize) -> Result<Step> {
-        let w = weight_at(self.0.as_ref(), rec, k)?;
-        Ok(Step::new(w, rec.reward, 0.0))
+    fn step(&mut self, row: &Row) -> Step {
+        Step::new(row.w, row.r, 0.0)
     }
     fn finalize(&self) -> Finalize {
-        Finalize::Pairs(|n, wsum, w, r| n * w * r / wsum)
+        Finalize::Pairs(snips_term)
     }
 }
 
 /// Clipped IPS: weights are capped at `max_weight`, as in [`crate::ClippedIps`].
+#[derive(Debug, Clone)]
 pub struct ClippedKernel {
-    policy: BoxPolicy,
     max_weight: f64,
     clipped: usize,
 }
 
+impl ClippedKernel {
+    /// # Panics
+    /// Unless `max_weight > 0` and finite, like [`crate::ClippedIps::new`].
+    fn new(max_weight: f64) -> Self {
+        assert!(
+            max_weight > 0.0 && max_weight.is_finite(),
+            "max_weight must be positive, got {max_weight}"
+        );
+        Self {
+            max_weight,
+            clipped: 0,
+        }
+    }
+}
+
 impl Kernel for ClippedKernel {
+    const READS: Reads = READS_W;
     fn name(&self) -> &'static str {
         "ClippedIPS"
     }
     #[inline]
-    fn step(&mut self, rec: &TraceRecord, k: usize) -> Result<Step> {
-        let raw = weight_at(self.policy.as_ref(), rec, k)?;
+    fn step(&mut self, row: &Row) -> Step {
+        let raw = row.w;
         if raw > self.max_weight {
             self.clipped += 1;
         }
         let w = raw.min(self.max_weight);
-        Ok(Step::new(w, w * rec.reward, 0.0))
+        Step::new(w, w * row.r, 0.0)
     }
-    fn health(&self, fold: &Fold<Self>, m: &mut Vec<(&'static str, f64)>) {
-        m.push(("clip_rate", fold.clip_rate()));
+    fn health(&self, tally: &Tally<Self>, m: &mut Vec<(&'static str, f64)>) {
+        m.push(("clip_rate", tally.clip_rate()));
     }
     fn save(&self, fields: &mut Vec<(String, Json)>) {
         fields.push(("clipped".into(), Json::Int(self.clipped as i64)));
@@ -779,47 +957,69 @@ impl Kernel for ClippedKernel {
     }
 }
 
+impl Tally<ClippedKernel> {
+    /// Fraction of records whose raw weight exceeded the cap.
+    fn clip_rate(&self) -> f64 {
+        self.kernel.clipped as f64 / self.n.max(1) as f64
+    }
+}
+
 /// Doubly Robust (Eq. 2): the term is `dm + w·(r − r̂(c, d))`.
-pub struct DrKernel(DmKernel);
+#[derive(Debug, Clone)]
+pub struct DrKernel;
 
 impl Kernel for DrKernel {
     const RESIDUALS: bool = true;
+    const READS: Reads = READS_DR;
+    const ADAPTIVE_NAME: &'static str = "AdaptiveDR";
     fn name(&self) -> &'static str {
         "DR"
     }
     #[inline]
-    fn step(&mut self, rec: &TraceRecord, k: usize) -> Result<Step> {
-        let (w, dm, residual) = self.0.dr_parts(rec, k)?;
-        Ok(Step::new(w, dm + w * residual, residual))
+    fn step(&mut self, row: &Row) -> Step {
+        let residual = row.r - row.rhat;
+        Step::new(row.w, row.dm + row.w * residual, residual)
     }
 }
 
 /// Adaptive weighting ([`crate::AdaptiveIps`], [`crate::AdaptiveDr`]): the
 /// inner term `Γ` with a stabilizer `h` of past weights, `(h·Γ)·(n/Σh)`.
+#[derive(Debug, Clone)]
 pub struct AdaptiveKernel<K> {
     inner: K,
-    name: &'static str,
     mode: AdaptiveWeights,
     /// EMA of past squared weights — the stabilizer's variance tracker.
     ema: f64,
 }
 
+impl<K> AdaptiveKernel<K> {
+    fn new(inner: K, mode: AdaptiveWeights) -> Self {
+        Self {
+            inner,
+            mode,
+            ema: 1.0,
+        }
+    }
+}
+
 impl<K: Kernel> Kernel for AdaptiveKernel<K> {
     const RESIDUALS: bool = K::RESIDUALS;
+    const READS: Reads = K::READS;
     fn name(&self) -> &'static str {
-        self.name
+        K::ADAPTIVE_NAME
     }
-    fn step(&mut self, rec: &TraceRecord, k: usize) -> Result<Step> {
-        let s = self.inner.step(rec, k)?;
+    #[inline]
+    fn step(&mut self, row: &Row) -> Step {
+        let s = self.inner.step(row);
         let h = self.mode.h_at(self.ema);
         self.ema = AdaptiveWeights::advance(self.ema, s.w);
-        Ok(Step { h, ..s })
+        Step { h, ..s }
     }
     fn finalize(&self) -> Finalize {
-        Finalize::Pairs(|n, hsum, h, gamma| (h * gamma) * (n / hsum))
+        Finalize::Pairs(adaptive_term)
     }
-    fn health(&self, fold: &Fold<Self>, m: &mut Vec<(&'static str, f64)>) {
-        m.push(("hsum", fold.hsum()));
+    fn health(&self, tally: &Tally<Self>, m: &mut Vec<(&'static str, f64)>) {
+        m.push(("hsum", tally.hsum));
     }
     fn save(&self, fields: &mut Vec<(String, Json)>) {
         fields.push(("ema".into(), bits(self.ema)));
@@ -835,55 +1035,60 @@ impl<K: Kernel> Kernel for AdaptiveKernel<K> {
 
 /// Marginalized DR ([`crate::MarginalizedDr`]): the weight is the target's
 /// over the logging policy's mass on the logged arm's embedding group.
+#[derive(Debug, Clone)]
 pub struct MdrKernel {
-    dm: DmKernel,
-    logging: BoxPolicy,
-    embedding: ActionEmbedding,
+    /// The embedding's group count, a health key.
+    groups: usize,
 }
 
 impl Kernel for MdrKernel {
     const RESIDUALS: bool = true;
+    const READS: Reads = READS_DM | READS_RHAT | READS_MDR_W;
     fn name(&self) -> &'static str {
         "MarginalizedDR"
     }
     #[inline]
-    fn step(&mut self, rec: &TraceRecord, _k: usize) -> Result<Step> {
-        let (ctx, a) = (&rec.context, rec.decision.index());
-        let probs = self.dm.policy.probabilities(ctx);
-        let num = self.embedding.marginal(&probs, a);
-        let w = num / self.embedding.marginal(&self.logging.probabilities(ctx), a);
-        let dm = self.dm.dm(&probs, ctx);
-        let residual = rec.reward - self.dm.model.predict(ctx, rec.decision);
-        Ok(Step::new(w, dm + w * residual, residual))
+    fn step(&mut self, row: &Row) -> Step {
+        let (w, residual) = (row.mdr_w, row.r - row.rhat);
+        Step::new(w, row.dm + w * residual, residual)
     }
-    fn health(&self, _fold: &Fold<Self>, m: &mut Vec<(&'static str, f64)>) {
-        m.push(("embedding_groups", self.embedding.num_groups() as f64));
+    fn health(&self, _tally: &Tally<Self>, m: &mut Vec<(&'static str, f64)>) {
+        m.push(("embedding_groups", self.groups as f64));
     }
 }
 
 /// Per-decision sequential DR ([`crate::SeqDr`]): DR's `(dm, w, residual)`
 /// per step, folded per trajectory of `horizon` steps.
+#[derive(Debug, Clone)]
 pub struct SeqDrKernel {
-    dm: DmKernel,
     horizon: usize,
+}
+
+impl SeqDrKernel {
+    /// # Panics
+    /// If `horizon == 0`.
+    fn new(horizon: usize) -> Self {
+        assert!(horizon > 0, "horizon must be positive");
+        Self { horizon }
+    }
 }
 
 impl Kernel for SeqDrKernel {
     const RESIDUALS: bool = true;
+    const READS: Reads = READS_DR;
     fn name(&self) -> &'static str {
         "SeqDR"
     }
     #[inline]
-    fn step(&mut self, rec: &TraceRecord, k: usize) -> Result<Step> {
-        let (w, dm, residual) = self.dm.dr_parts(rec, k)?;
-        Ok(Step::new(w, dm, residual))
+    fn step(&mut self, row: &Row) -> Step {
+        Step::new(row.w, row.dm, row.r - row.rhat)
     }
     fn finalize(&self) -> Finalize {
         Finalize::Trajectory(self.horizon)
     }
-    fn health(&self, fold: &Fold<Self>, m: &mut Vec<(&'static str, f64)>) {
+    fn health(&self, tally: &Tally<Self>, m: &mut Vec<(&'static str, f64)>) {
         m.push(("horizon", self.horizon as f64));
-        m.push(("trajectories", fold.contributions() as f64));
+        m.push(("trajectories", tally.contributions() as f64));
     }
 }
 
@@ -909,23 +1114,24 @@ pub type OnlineSeqDr = Fold<SeqDrKernel>;
 impl OnlineDm {
     /// Streaming DM of `policy` over `space` through a fitted `model`.
     pub fn new(space: DecisionSpace, policy: BoxPolicy, model: BoxModel) -> Result<Self> {
-        Ok(Fold::with(DmKernel::new(space, policy, model)?))
+        Ok(Fold::with(
+            Scorer::new(space, policy, Some(model))?,
+            DmKernel,
+        ))
     }
 }
 
 impl OnlineIps {
     /// Streaming IPS of `policy` over `space`.
     pub fn new(space: DecisionSpace, policy: BoxPolicy) -> Result<Self> {
-        check_policy_space(&space, policy.as_ref())?;
-        Ok(Fold::with(IpsKernel(policy)))
+        Ok(Fold::with(Scorer::new(space, policy, None)?, IpsKernel))
     }
 }
 
 impl OnlineSnips {
     /// Streaming SNIPS of `policy` over `space`.
     pub fn new(space: DecisionSpace, policy: BoxPolicy) -> Result<Self> {
-        check_policy_space(&space, policy.as_ref())?;
-        Ok(Fold::with(SnipsKernel(policy)))
+        Ok(Fold::with(Scorer::new(space, policy, None)?, SnipsKernel))
     }
 }
 
@@ -935,47 +1141,31 @@ impl OnlineClippedIps {
     /// # Panics
     /// Unless `max_weight > 0` and finite, like [`crate::ClippedIps::new`].
     pub fn new(space: DecisionSpace, policy: BoxPolicy, max_weight: f64) -> Result<Self> {
-        assert!(
-            max_weight > 0.0 && max_weight.is_finite(),
-            "max_weight must be positive, got {max_weight}"
-        );
-        check_policy_space(&space, policy.as_ref())?;
-        Ok(Fold::with(ClippedKernel {
-            policy,
-            max_weight,
-            clipped: 0,
-        }))
+        let kernel = ClippedKernel::new(max_weight);
+        Ok(Fold::with(Scorer::new(space, policy, None)?, kernel))
     }
 
     /// Fraction of records whose raw weight exceeded the cap.
     pub fn clip_rate(&self) -> f64 {
-        self.kernel.clipped as f64 / self.n.max(1) as f64
+        self.tally.clip_rate()
     }
 }
 
 impl OnlineDr {
     /// Streaming DR of `policy` over `space` with a fitted `model`.
     pub fn new(space: DecisionSpace, policy: BoxPolicy, model: BoxModel) -> Result<Self> {
-        Ok(Fold::with(DrKernel(DmKernel::new(space, policy, model)?)))
-    }
-}
-
-impl<K: Kernel> Fold<AdaptiveKernel<K>> {
-    fn adaptive(inner: K, name: &'static str, mode: AdaptiveWeights) -> Self {
-        Fold::with(AdaptiveKernel {
-            inner,
-            name,
-            mode,
-            ema: 1.0,
-        })
+        Ok(Fold::with(
+            Scorer::new(space, policy, Some(model))?,
+            DrKernel,
+        ))
     }
 }
 
 impl OnlineAdaptiveIps {
     /// Streaming adaptive IPS of `policy` over `space`.
     pub fn new(space: DecisionSpace, policy: BoxPolicy, mode: AdaptiveWeights) -> Result<Self> {
-        check_policy_space(&space, policy.as_ref())?;
-        Ok(Fold::adaptive(IpsKernel(policy), "AdaptiveIPS", mode))
+        let scorer = Scorer::new(space, policy, None)?;
+        Ok(Fold::with(scorer, AdaptiveKernel::new(IpsKernel, mode)))
     }
 }
 
@@ -987,8 +1177,8 @@ impl OnlineAdaptiveDr {
         model: BoxModel,
         mode: AdaptiveWeights,
     ) -> Result<Self> {
-        let dr = DrKernel(DmKernel::new(space, policy, model)?);
-        Ok(Fold::adaptive(dr, "AdaptiveDR", mode))
+        let scorer = Scorer::new(space, policy, Some(model))?;
+        Ok(Fold::with(scorer, AdaptiveKernel::new(DrKernel, mode)))
     }
 }
 
@@ -1005,19 +1195,25 @@ impl OnlineMarginalizedDr {
         model: BoxModel,
         embedding: ActionEmbedding,
     ) -> Result<Self> {
-        let dm = DmKernel::new(space, policy, model)?;
-        check_policy_space(&dm.space, logging.as_ref())?;
-        let (covered, arms) = (embedding.len(), dm.space.len());
-        assert!(
-            covered == arms,
-            "embedding covers {covered} arms but the space has {arms}"
-        );
-        Ok(Fold::with(MdrKernel {
-            dm,
-            logging,
-            embedding,
-        }))
+        let mut scorer = Scorer::new(space, policy, Some(model))?;
+        check_policy_space(&scorer.space, logging.as_ref())?;
+        check_embedding(&embedding, scorer.space.len());
+        let kernel = MdrKernel {
+            groups: embedding.num_groups(),
+        };
+        scorer.marginal = Some((logging, embedding));
+        Ok(Fold::with(scorer, kernel))
     }
+}
+
+/// # Panics
+/// If `embedding` does not cover exactly `arms` arms.
+fn check_embedding(embedding: &ActionEmbedding, arms: usize) {
+    let covered = embedding.len();
+    assert!(
+        covered == arms,
+        "embedding covers {covered} arms but the space has {arms}"
+    );
 }
 
 impl OnlineSeqDr {
@@ -1032,14 +1228,580 @@ impl OnlineSeqDr {
         model: BoxModel,
         horizon: usize,
     ) -> Result<Self> {
-        assert!(horizon > 0, "horizon must be positive");
-        let dm = DmKernel::new(space, policy, model)?;
-        Ok(Fold::with(SeqDrKernel { dm, horizon }))
+        let kernel = SeqDrKernel::new(horizon);
+        Ok(Fold::with(Scorer::new(space, policy, Some(model))?, kernel))
     }
 
     /// Completed trajectories so far.
     pub fn trajectories(&self) -> usize {
-        self.contributions()
+        self.tally.contributions()
+    }
+}
+
+// ---- the served bank ------------------------------------------------------
+
+/// The weighting of a bank's adaptive members.
+const BANK_ADAPTIVE: AdaptiveWeights = AdaptiveWeights::Stabilized;
+
+/// The kernel a registry row names.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Kind {
+    Ips,
+    Snips,
+    Clipped,
+    Dm,
+    Dr,
+    Adaptive,
+    AdaptiveDr,
+    Mdr,
+    SeqDr,
+}
+
+macro_rules! members {
+    ($($variant:ident($kernel:ty),)*) => {
+        /// One member of a [`Bank`]: a kernel's tally, dispatched
+        /// statically.
+        enum Member {
+            $($variant(Tally<$kernel>),)*
+        }
+        $(impl From<Tally<$kernel>> for Member {
+            fn from(tally: Tally<$kernel>) -> Self {
+                Member::$variant(tally)
+            }
+        })*
+    };
+}
+
+members! {
+    Ips(IpsKernel),
+    Snips(SnipsKernel),
+    Clipped(ClippedKernel),
+    Dm(DmKernel),
+    Dr(DrKernel),
+    Adaptive(AdaptiveKernel<IpsKernel>),
+    AdaptiveDr(AdaptiveKernel<DrKernel>),
+    Mdr(MdrKernel),
+    SeqDr(SeqDrKernel),
+}
+
+/// Evaluates `$body` with `$t` bound to the member's tally, whatever its
+/// kernel.
+macro_rules! each {
+    ($member:expr, $t:ident => $body:expr) => {
+        match $member {
+            Member::Ips($t) => $body,
+            Member::Snips($t) => $body,
+            Member::Clipped($t) => $body,
+            Member::Dm($t) => $body,
+            Member::Dr($t) => $body,
+            Member::Adaptive($t) => $body,
+            Member::AdaptiveDr($t) => $body,
+            Member::Mdr($t) => $body,
+            Member::SeqDr($t) => $body,
+        }
+    };
+}
+
+/// The scores a served bank prices records with. Its target policy gives
+/// every context the same probabilities and its model is a constant, so
+/// every row entry but `w` is one number per arm or per bank.
+struct Tables {
+    /// `μ_new(a)` per arm.
+    target: Box<[f64]>,
+    /// The model family's tables, when a member reads them: boxed, so a
+    /// bank of IPS-family members stays small.
+    model: Option<Box<ModelTables>>,
+}
+
+/// What the model family's rows read besides the weight and reward.
+struct ModelTables {
+    /// `Σ_d μ_new(d)·r̂`, in space order: every record's DM term.
+    dm: f64,
+    /// `r̂`, the constant model's value.
+    rhat: f64,
+    /// mdr's weight per arm; empty without an `mdr` member.
+    mdr_w: Box<[f64]>,
+}
+
+impl Tables {
+    /// The row of record `k`: one lookup and one division for `w`, the
+    /// rest from the tables.
+    #[inline]
+    fn row(&self, rec: &TraceRecord, k: usize, reads: Reads) -> Result<Row> {
+        let a = rec.decision.index();
+        let mut row = self.of(0.0, rec.reward);
+        if reads & READS_W != 0 {
+            let p_old = rec.require_propensity(k)?;
+            row.w = self.target[a] / p_old;
+        }
+        if let (true, Some(model)) = (reads & READS_MDR_W != 0, &self.model) {
+            row.mdr_w = model.mdr_w[a];
+        }
+        Ok(row)
+    }
+
+    /// The row of weight `w` and reward `r`, without mdr's weight.
+    fn of(&self, w: f64, r: f64) -> Row {
+        let (dm, rhat) = self.model.as_ref().map_or((0.0, 0.0), |m| (m.dm, m.rhat));
+        Row {
+            w,
+            r,
+            dm,
+            rhat,
+            mdr_w: 0.0,
+        }
+    }
+}
+
+/// mdr's weight of each arm: the target's over the logging policy's mass
+/// on the arm's embedding group.
+fn mdr_weights(
+    target: &[f64],
+    logging: &[f64],
+    embedding: &ActionEmbedding,
+) -> Result<Vec<f64>, String> {
+    let (trace, policy) = (target.len(), logging.len());
+    if trace != policy {
+        return Err(EstimatorError::SpaceMismatch { trace, policy }.to_string());
+    }
+    check_embedding(embedding, trace);
+    let weight = |a| {
+        let num = embedding.marginal(target, a);
+        num / embedding.marginal(logging, a)
+    };
+    Ok((0..trace).map(weight).collect())
+}
+
+/// SNIPS's `(w, r)` pairs as a bank keeps them, losslessly: every
+/// reward, the weights that are not `+0.0`, and one bit per record
+/// marking those that are. Under a constant target every record of
+/// another arm weighs exactly `+0.0`, so most records cost 8 bytes, not
+/// 16. Records come in chunks of [`CHUNK`], each of which can be read on
+/// its own.
+struct Columns {
+    r: Vec<f64>,
+    /// The weights whose bits are not `+0.0`'s, in record order.
+    w: Vec<f64>,
+    /// Bit `k % 64` of word `k / 64`: record `k` weighs `+0.0`.
+    zero: Vec<u64>,
+    /// Per chunk: the EMA of the squared weights before its first record
+    /// (where its stabilizers start, see [`stabilized`]) and the number
+    /// of weights `w` holds before it.
+    starts: Vec<(f64, usize)>,
+    /// The EMA after the last record.
+    ema: f64,
+}
+
+impl Columns {
+    fn new() -> Self {
+        Self {
+            r: Vec::new(),
+            w: Vec::new(),
+            zero: Vec::new(),
+            starts: Vec::new(),
+            ema: 1.0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.r.len()
+    }
+
+    fn push(&mut self, (w, r): (f64, f64)) {
+        let k = self.r.len();
+        if k.is_multiple_of(CHUNK) {
+            self.starts.push((self.ema, self.w.len()));
+        }
+        self.ema = AdaptiveWeights::advance(self.ema, w);
+        if k.is_multiple_of(64) {
+            self.zero.push(0);
+        }
+        if w.to_bits() == 0 {
+            self.zero[k / 64] |= 1 << (k % 64);
+        } else {
+            self.w.push(w);
+        }
+        self.r.push(r);
+    }
+
+    fn clear(&mut self) {
+        self.r.clear();
+        self.w.clear();
+        self.zero.clear();
+        self.starts.clear();
+        self.ema = 1.0;
+    }
+
+    /// Chunk `c`: its weights, written to the front of `w`, its rewards
+    /// and the EMA before it.
+    fn chunk(&self, c: usize, w: &mut [f64; CHUNK]) -> (&[f64], f64) {
+        let (ema, mut next) = self.starts[c];
+        let r = &self.r[c * CHUNK..self.r.len().min((c + 1) * CHUNK)];
+        w.fill(0.0);
+        let words = &self.zero[c * CHUNK / 64..(c * CHUNK + r.len()).div_ceil(64)];
+        for (j, &word) in words.iter().enumerate() {
+            // The records of this word that keep a weight: its clear
+            // bits, short of the end of the columns.
+            let held = r.len() - j * 64;
+            let mut kept = !word & if held < 64 { (1 << held) - 1 } else { u64::MAX };
+            while kept != 0 {
+                w[j * 64 + kept.trailing_zeros() as usize] = self.w[next];
+                next += 1;
+                kept &= kept - 1;
+            }
+        }
+        (r, ema)
+    }
+
+    /// The `(w, r)` pairs, in record order.
+    fn iter(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
+        let mut w = self.w.iter().copied();
+        self.r.iter().enumerate().map(move |(k, &r)| {
+            let w = match self.zero[k / 64] >> (k % 64) & 1 {
+                1 => 0.0,
+                _ => w.next().expect("a weight for each record not marked zero"),
+            };
+            (w, r)
+        })
+    }
+}
+
+impl FromIterator<(f64, f64)> for Columns {
+    fn from_iter<I: IntoIterator<Item = (f64, f64)>>(pairs: I) -> Self {
+        let mut columns = Columns::new();
+        pairs.into_iter().for_each(|pair| columns.push(pair));
+        columns
+    }
+}
+
+/// `(w, r, h)` per column: each record with its stabilizer `h_k =
+/// h_at(ema_{k−1})`, where `ema_k = advance(ema_{k−1}, w_k)` from
+/// `ema_0 = 1` — what each adaptive member computed at push.
+fn stabilized(columns: &Columns) -> impl Iterator<Item = (f64, f64, f64)> + '_ {
+    let mut ema = 1.0;
+    columns.iter().map(move |(w, r)| {
+        let h = BANK_ADAPTIVE.h_at(ema);
+        ema = AdaptiveWeights::advance(ema, w);
+        (w, r, h)
+    })
+}
+
+/// Whether `pairs` holds exactly `want`, bit for bit.
+fn same_pairs(pairs: &[(f64, f64)], mut want: impl Iterator<Item = (f64, f64)>) -> bool {
+    let same = |(a, b): (f64, f64), (c, d): (f64, f64)| {
+        a.to_bits() == c.to_bits() && b.to_bits() == d.to_bits()
+    };
+    pairs
+        .iter()
+        .all(|&p| want.next().is_some_and(|q| same(p, q)))
+        && want.next().is_none()
+}
+
+/// Records per chunk of an estimate's pass over the columns.
+const CHUNK: usize = 256;
+
+/// The pair members' sums of terms over the columns.
+struct PairSums {
+    snips: f64,
+    adaptive: f64,
+    adaptive_dr: f64,
+}
+
+/// A served session's estimators: one [`Tally`] per requested registry
+/// name, fed by one scorer that computes each record's [`Row`] once, from
+/// tables taken at init, and only the entries some member reads.
+///
+/// With a `snips` member the bank keeps each record's `(w, r)` once, as
+/// [`Columns`]: SNIPS's pairs and the only per-record storage, 8 bytes a
+/// record plus 8 per weight that is not `+0.0`. The adaptive members'
+/// `(h, Γ)` pairs are recomputed from them ([`stabilized`], and `Γ` as
+/// the inner kernel's term of `(w, r)`), so they keep O(1) state; `Σw`
+/// and `Σh` are running left folds. Without `snips` each pair member
+/// keeps its own pairs, as a standalone fold does: a saved `(h, Γ)` pair
+/// cannot be split back into `w` and `r`.
+pub struct Bank {
+    tables: Tables,
+    /// The row entries some member reads.
+    reads: Reads,
+    members: Box<[Member]>,
+    /// `(w, r)` per record, when a `snips` member is in the bank.
+    columns: Option<Box<Columns>>,
+}
+
+impl Bank {
+    /// The bank of the registry members `names` (in order; a name may
+    /// repeat) over `space`: `target` is the target policy's probability
+    /// of each arm, the same for every context, `model_value` the constant
+    /// reward model's value, and `cfg` gives every other knob.
+    ///
+    /// # Panics
+    /// If `model_value` is not finite (as `ConstantModel::new` does), or a
+    /// knob is out of the range its standalone fold accepts.
+    pub fn new(
+        names: &[String],
+        space: &DecisionSpace,
+        target: Vec<f64>,
+        model_value: f64,
+        cfg: &dyn MenuConfig,
+    ) -> Result<Bank, String> {
+        let (trace, policy) = (space.len(), target.len());
+        if trace != policy {
+            return Err(EstimatorError::SpaceMismatch { trace, policy }.to_string());
+        }
+        let (mut members, mut mdr_w) = (Vec::with_capacity(names.len()), Box::default());
+        for name in names {
+            let row = menu::lookup(name).ok_or_else(|| {
+                format!("unknown estimator {name:?} (expected {})", menu::names())
+            })?;
+            assert!(
+                model_value.is_finite(),
+                "constant model value must be finite"
+            );
+            let member: Member = match row.kind {
+                Kind::Ips => Tally::new(IpsKernel).into(),
+                Kind::Snips => Tally::new(SnipsKernel).into(),
+                Kind::Clipped => Tally::new(ClippedKernel::new(cfg.max_weight())).into(),
+                Kind::Dm => Tally::new(DmKernel).into(),
+                Kind::Dr => Tally::new(DrKernel).into(),
+                Kind::Adaptive => Tally::new(AdaptiveKernel::new(IpsKernel, BANK_ADAPTIVE)).into(),
+                Kind::AdaptiveDr => Tally::new(AdaptiveKernel::new(DrKernel, BANK_ADAPTIVE)).into(),
+                Kind::Mdr => {
+                    let (logging, embedding) = (cfg.logging(space)?, cfg.embedding(space));
+                    mdr_w = mdr_weights(&target, &logging, &embedding)?.into();
+                    let groups = embedding.num_groups();
+                    Tally::new(MdrKernel { groups }).into()
+                }
+                Kind::SeqDr => Tally::new(SeqDrKernel::new(cfg.horizon())).into(),
+            };
+            members.push(member);
+        }
+        let reads = members
+            .iter()
+            .fold(0, |reads, m| reads | each!(m, t => t.reads()));
+        let model = (reads & (READS_DM | READS_RHAT) != 0).then(|| {
+            let dm = target.iter().map(|p| p * model_value).sum();
+            let rhat = model_value;
+            Box::new(ModelTables { dm, rhat, mdr_w })
+        });
+        let snips = members.iter().any(|m| matches!(m, Member::Snips(_)));
+        Ok(Bank {
+            tables: Tables {
+                target: target.into(),
+                model,
+            },
+            reads,
+            members: members.into(),
+            columns: snips.then(|| Box::new(Columns::new())),
+        })
+    }
+
+    /// Whether some member reads the records' propensities.
+    pub fn needs_propensity(&self) -> bool {
+        self.reads & READS_W != 0
+    }
+
+    /// Records in the bank: pushed since the last replay, or loaded.
+    fn len(&self) -> usize {
+        let first = self.members.first();
+        first.map_or(0, |m| each!(m, t => t.n))
+    }
+
+    /// The members' estimator names ("IPS", "SNIPS", …), in order.
+    pub fn kernel_names(&self) -> impl Iterator<Item = &'static str> + '_ {
+        self.members.iter().map(|m| each!(m, t => t.kernel.name()))
+    }
+
+    /// Folds one record into every member. When a member reads the
+    /// weight and the record has no propensity, the push fails with the
+    /// batch path's `MissingPropensity` and changes nothing.
+    pub fn push(&mut self, rec: &TraceRecord) -> Result<()> {
+        let row = self.tables.row(rec, self.len(), self.reads)?;
+        let keep_pairs = match &mut self.columns {
+            Some(columns) => {
+                columns.push((row.w, row.r));
+                false
+            }
+            None => true,
+        };
+        for m in &mut self.members {
+            each!(m, t => t.push(&row, keep_pairs));
+        }
+        Ok(())
+    }
+
+    /// Clears every member's records and statistics, then pushes
+    /// `records` through the bank once, as a windowed estimate does;
+    /// stops at the first failing push.
+    pub fn replay<'a>(&mut self, records: impl IntoIterator<Item = &'a TraceRecord>) -> Result<()> {
+        for m in &mut self.members {
+            each!(m, t => t.reset());
+        }
+        if let Some(columns) = &mut self.columns {
+            columns.clear();
+        }
+        records.into_iter().try_for_each(|rec| self.push(rec))
+    }
+
+    /// Every member's estimate, in order. The members whose pairs the
+    /// columns hold are estimated in one pass over them.
+    pub fn estimates(&self) -> Vec<Result<OnlineEstimate>> {
+        let sums = self.columns.as_ref().map(|c| self.pair_sums(c));
+        let estimate = |m: &Member| match (m, &sums) {
+            (Member::Snips(t), Some(s)) => t.pairs_estimate(|_, _| s.snips),
+            (Member::Adaptive(t), Some(s)) => t.pairs_estimate(|_, _| s.adaptive),
+            (Member::AdaptiveDr(t), Some(s)) => t.pairs_estimate(|_, _| s.adaptive_dr),
+            (m, _) => each!(m, t => t.estimate()),
+        };
+        self.members.iter().map(estimate).collect()
+    }
+
+    /// The sums of each pair kind's terms `term(n, Σh, h, t)` over the
+    /// columns, in one pass that computes `h` once per record for both
+    /// adaptive kinds. A kind with no member, or whose `Σh` is not
+    /// positive (its estimate is then an error), is skipped; members of
+    /// one kind hold the same `Σh`.
+    fn pair_sums(&self, columns: &Columns) -> PairSums {
+        let (mut wsum, mut hsum_ips, mut hsum_dr) = (None, None, None);
+        for m in &self.members {
+            let (kind, hsum) = match m {
+                Member::Snips(t) => (&mut wsum, t.hsum),
+                Member::Adaptive(t) => (&mut hsum_ips, t.hsum),
+                Member::AdaptiveDr(t) => (&mut hsum_dr, t.hsum),
+                _ => continue,
+            };
+            *kind = Some(hsum).filter(|&s| s > 0.0 || s.is_nan());
+        }
+        let n = columns.len() as f64;
+        let mut sums = PairSums {
+            snips: -0.0,
+            adaptive: -0.0,
+            adaptive_dr: -0.0,
+        };
+        // Two chunks at a time: first their stabilizers, each chunk's
+        // EMA recurrence from its start, the two side by side; then each
+        // chunk's sums, in record order. The recurrence is the pass's
+        // serial path, and in a loop of its own no sum's addition is
+        // packed into one vector instruction with it.
+        let chunks = columns.starts.len();
+        let (mut wa, mut wb, mut hs) = ([0.0; CHUNK], [0.0; CHUNK], [[0.0; 2]; CHUNK]);
+        for c in (0..chunks).step_by(2) {
+            let (ra, ema_a) = columns.chunk(c, &mut wa);
+            let (rb, ema_b) = match c + 1 < chunks {
+                true => columns.chunk(c + 1, &mut wb),
+                false => (&[][..], 1.0),
+            };
+            let mut ema = [ema_a, ema_b];
+            for ((h, &a), &b) in hs.iter_mut().zip(&wa).zip(&wb) {
+                *h = ema.map(|ema| BANK_ADAPTIVE.h_at(ema));
+                ema = [
+                    AdaptiveWeights::advance(ema[0], a),
+                    AdaptiveWeights::advance(ema[1], b),
+                ];
+            }
+            for (lane, (ws, rs)) in [(&wa, ra), (&wb, rb)].into_iter().enumerate() {
+                for ((&w, &r), h) in ws.iter().zip(rs).zip(&hs) {
+                    let (h, row) = (h[lane], self.tables.of(w, r));
+                    if let Some(wsum) = wsum {
+                        sums.snips += snips_term(n, wsum, w, r);
+                    }
+                    if let Some(hsum) = hsum_ips {
+                        sums.adaptive += adaptive_term(n, hsum, h, IpsKernel.step(&row).t);
+                    }
+                    if let Some(hsum) = hsum_dr {
+                        sums.adaptive_dr += adaptive_term(n, hsum, h, DrKernel.step(&row).t);
+                    }
+                }
+            }
+        }
+        sums
+    }
+
+    /// Every member's health metrics, in order.
+    pub fn health(&self) -> impl Iterator<Item = Vec<(&'static str, f64)>> + '_ {
+        self.members.iter().map(|m| each!(m, t => t.health()))
+    }
+
+    /// Every member's state, in order, as its standalone fold saves it:
+    /// column members render their pairs from the columns.
+    pub fn state_save(&self) -> Vec<Json> {
+        let save = |m: &Member| match (m, &self.columns) {
+            (Member::Snips(t), Some(c)) => t.save(c.iter()),
+            (Member::Adaptive(t), Some(c)) => t.save(self.adaptive_pairs(c, IpsKernel)),
+            (Member::AdaptiveDr(t), Some(c)) => t.save(self.adaptive_pairs(c, DrKernel)),
+            (m, _) => each!(m, t => t.save(t.pairs.iter().copied())),
+        };
+        self.members.iter().map(save).collect()
+    }
+
+    /// An adaptive member's `(h, Γ)` pairs recomputed from the columns,
+    /// `Γ` being `inner`'s term.
+    fn adaptive_pairs<'a, K: Kernel + 'a>(
+        &'a self,
+        columns: &'a Columns,
+        mut inner: K,
+    ) -> impl Iterator<Item = (f64, f64)> + 'a {
+        stabilized(columns).map(move |(w, r, h)| (h, inner.step(&self.tables.of(w, r)).t))
+    }
+
+    /// Loads one state per member, as [`Bank::state_save`] wrote them.
+    /// With columns, they come from the first `snips` member's pairs, and
+    /// every member sharing them must hold what they imply, bit for bit:
+    /// each `snips` the same pairs, each adaptive member the recomputed
+    /// pairs (so as many) and the EMA they end at. Atomic: on any error
+    /// the bank is unchanged.
+    pub fn state_load(&mut self, states: &[Json]) -> Result<(), String> {
+        if states.len() != self.members.len() {
+            return Err(format!(
+                "{} states for a bank of {}",
+                states.len(),
+                self.members.len()
+            ));
+        }
+        let mut members = Vec::with_capacity(states.len());
+        for (m, st) in self.members.iter().zip(states) {
+            let loaded: Result<Member> = each!(m, t => t.loaded(st).map(Member::from));
+            members.push(loaded.map_err(|e| format!("{}: {e}", each!(m, t => t.kernel.name())))?);
+        }
+        let columns = match self.columns {
+            Some(_) => Some(Box::new(self.columns_of(&mut members)?)),
+            None => None,
+        };
+        (self.members, self.columns) = (members.into(), columns);
+        Ok(())
+    }
+
+    /// The columns of loaded `members`, checked against every member that
+    /// shares them, whose own pairs are then dropped.
+    fn columns_of(&self, members: &mut [Member]) -> Result<Columns, String> {
+        let snips = members.iter().find_map(|m| match m {
+            Member::Snips(t) => Some(t.pairs.iter().copied().collect()),
+            _ => None,
+        });
+        let columns: Columns = snips.unwrap_or_else(Columns::new);
+        let ema = columns
+            .iter()
+            .fold(1.0, |ema, (w, _)| AdaptiveWeights::advance(ema, w));
+        let same_ema = |got: f64| got.to_bits() == ema.to_bits();
+        for m in members.iter_mut() {
+            let agrees = match m {
+                Member::Snips(t) => same_pairs(&t.pairs, columns.iter()),
+                Member::Adaptive(t) => {
+                    let want = self.adaptive_pairs(&columns, IpsKernel);
+                    same_pairs(&t.pairs, want) && same_ema(t.kernel.ema)
+                }
+                Member::AdaptiveDr(t) => {
+                    let want = self.adaptive_pairs(&columns, DrKernel);
+                    same_pairs(&t.pairs, want) && same_ema(t.kernel.ema)
+                }
+                _ => continue,
+            };
+            if !agrees {
+                let name = each!(m, t => t.kernel.name());
+                return Err(format!("{name}: state disagrees with the SNIPS pairs"));
+            }
+            each!(m, t => t.pairs = Vec::new());
+        }
+        Ok(columns)
     }
 }
 
@@ -1055,8 +1817,8 @@ impl OnlineSeqDr {
 /// Each `SlidingWindow` keeps its own copy of the window. A bank of
 /// windowed estimators over one stream would hold every record once per
 /// estimator, so the server (`ddn-serve`'s `Session`) does not use this
-/// type: it keeps one ring per session and replays it through each
-/// estimator the same way.
+/// type: it keeps one ring per session and replays it through its
+/// [`Bank`] once, the same way.
 pub struct SlidingWindow<E: OnlineEstimator> {
     inner: E,
     window: VecDeque<TraceRecord>,
@@ -1535,5 +2297,32 @@ mod tests {
         let again = online.estimate().unwrap();
         let batch = ClippedIps::new(2.0).estimate(&t, &target()).unwrap();
         assert_eq!(again.value.to_bits(), batch.value.to_bits());
+    }
+
+    #[test]
+    fn columns_keep_every_pair_bit_for_bit() {
+        // Only `+0.0` weights go unstored; `-0.0`, NaN and the rest keep
+        // their bits, across the bitmap's word and chunk boundaries.
+        let weights = [0.0, -0.0, 2.5, f64::NAN, 0.0, f64::MIN_POSITIVE];
+        let pairs: Vec<(f64, f64)> = (0..2 * CHUNK + 100)
+            .map(|k| (weights[k % weights.len()], k as f64 - 99.5))
+            .collect();
+        let columns: Columns = pairs.iter().copied().collect();
+        assert_eq!(columns.len(), pairs.len());
+        assert_eq!(
+            columns.w.len(),
+            pairs.iter().filter(|p| p.0.to_bits() != 0).count()
+        );
+        let bits = |(w, r): (f64, f64)| (w.to_bits(), r.to_bits());
+        let want: Vec<_> = pairs.into_iter().map(bits).collect();
+        let back: Vec<_> = columns.iter().map(bits).collect();
+        assert_eq!(back, want);
+        // Each chunk reads the same from its own start.
+        let (mut w, mut chunked) = ([f64::NAN; CHUNK], Vec::new());
+        for c in 0..columns.starts.len() {
+            let (r, _) = columns.chunk(c, &mut w);
+            chunked.extend(w.iter().zip(r).map(|(&w, &r)| bits((w, r))));
+        }
+        assert_eq!(chunked, want);
     }
 }

@@ -179,8 +179,13 @@ impl LookupPolicy {
         self.table.insert(ctx.key(), decision);
     }
 
-    /// The decision this policy takes for `ctx`.
+    /// The decision this policy takes for `ctx`. A constant policy (an
+    /// empty table) answers without building the context's key, so it
+    /// allocates nothing.
     pub fn decide(&self, ctx: &Context) -> Decision {
+        if self.table.is_empty() {
+            return Decision::from_index(self.default);
+        }
         Decision::from_index(*self.table.get(&ctx.key()).unwrap_or(&self.default))
     }
 }

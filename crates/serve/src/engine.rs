@@ -2,20 +2,18 @@
 //!
 //! Each shard worker owns one [`Engine`]: a map from session id to
 //! [`Session`], where a session holds the [`InitSpec`] that created it
-//! (schema and space its records must conform to included), a bank of
-//! online estimators (one per requested protocol name), and a
+//! (schema and space its records must conform to included), one [`Bank`]
+//! of online estimators (a member per requested protocol name, all fed
+//! by one scorer built from the spec's policy and model value), and a
 //! [`CouplingMonitor`] running §4.3 change-point detection over the live
 //! reward stream. A windowed session also keeps one ring of its most
-//! recent records, which every estimator of the bank replays on
-//! `estimate`. [`Engine::apply`] is the one apply path both live shard
-//! traffic and WAL recovery take.
+//! recent records, which its bank replays once on `estimate`.
+//! [`Engine::apply`] is the one apply path both live shard traffic and
+//! WAL recovery take.
 
 use crate::protocol::{error_response, ok_response, InitSpec, PolicySpec, Request};
-use ddn_estimators::menu::{self, BoxOnline, MenuConfig};
-use ddn_estimators::online::{BoxPolicy, OnlineEstimate};
-use ddn_estimators::{ActionEmbedding, EstimatorError, OnlineEstimator};
-use ddn_models::ConstantModel;
-use ddn_policy::{LookupPolicy, UniformRandomPolicy};
+use ddn_estimators::menu::{self, MenuConfig};
+use ddn_estimators::{ActionEmbedding, Bank, EstimatorError, OnlineEstimate};
 use ddn_stats::changepoint::{pelt, CostModel, Penalty};
 use ddn_stats::Json;
 use ddn_telemetry::Collector;
@@ -190,24 +188,13 @@ fn estimate_json(est: Result<OnlineEstimate, EstimatorError>) -> Json {
     }
 }
 
-/// A windowed estimate: reset the estimator, replay the ring through
-/// it, estimate — what [`ddn_estimators::SlidingWindow::estimate`] does
-/// with a window of its own, so it equals the batch estimate over the
-/// ring's records.
-fn replay(
-    e: &mut BoxOnline,
-    ring: &VecDeque<TraceRecord>,
-) -> Result<OnlineEstimate, EstimatorError> {
-    e.reset();
-    for rec in ring {
-        e.push(rec)?;
-    }
-    e.estimate()
-}
-
-fn build_policy(spec: &PolicySpec, space: &DecisionSpace) -> Result<BoxPolicy, String> {
-    match spec {
-        PolicySpec::Uniform => Ok(Box::new(UniformRandomPolicy::new(space.clone()))),
+/// The probability `spec` gives each arm of `space`, the same for every
+/// context: `1/K` each for uniform (what `UniformRandomPolicy::prob`
+/// returns), 1 on the decision and 0 elsewhere for a constant (what a
+/// constant `LookupPolicy::prob` returns).
+fn policy_probs(spec: &PolicySpec, space: &DecisionSpace) -> Result<Vec<f64>, String> {
+    let decision = match spec {
+        PolicySpec::Uniform => return Ok(menu::uniform(space)),
         PolicySpec::ConstantIndex(i) => {
             if *i >= space.len() {
                 return Err(format!(
@@ -215,15 +202,14 @@ fn build_policy(spec: &PolicySpec, space: &DecisionSpace) -> Result<BoxPolicy, S
                     space.len()
                 ));
             }
-            Ok(Box::new(LookupPolicy::constant(space.clone(), *i)))
+            *i
         }
-        PolicySpec::ConstantName(name) => {
-            let i = space.position(name).ok_or_else(|| {
-                format!("policy decision {name:?} not in space {:?}", space.names())
-            })?;
-            Ok(Box::new(LookupPolicy::constant(space.clone(), i)))
-        }
-    }
+        PolicySpec::ConstantName(name) => space
+            .position(name)
+            .ok_or_else(|| format!("policy decision {name:?} not in space {:?}", space.names()))?,
+    };
+    let one_hot = |d| if d == decision { 1.0 } else { 0.0 };
+    Ok((0..space.len()).map(one_hot).collect())
 }
 
 /// An init request configures the menu's knobs; what it leaves unset
@@ -244,8 +230,8 @@ impl MenuConfig for InitSpec {
         }
     }
 
-    fn logging(&self, space: &DecisionSpace) -> Result<BoxPolicy, String> {
-        build_policy(&self.logging, space)
+    fn logging(&self, space: &DecisionSpace) -> Result<Vec<f64>, String> {
+        policy_probs(&self.logging, space)
     }
 }
 
@@ -254,10 +240,10 @@ pub struct Session {
     /// The init request that created this session; a snapshot stores it
     /// as [`InitSpec::to_json`] (see [`Session::from_state`]).
     spec: InitSpec,
-    /// One estimator per name in `spec.estimators`, in the same order.
-    /// A cumulative session folds every record into each; a windowed
-    /// one replays `ring` through each on `estimate`.
-    bank: Vec<BoxOnline>,
+    /// One member per name in `spec.estimators`, in the same order. A
+    /// cumulative session folds every record into it; a windowed one
+    /// replays `ring` through it on `estimate`.
+    bank: Bank,
     /// With `spec.window` set: the most recent records, at most that
     /// many, kept once for the whole bank. Grown on demand — the
     /// capacity comes from the client, and memory must follow the
@@ -265,7 +251,6 @@ pub struct Session {
     ring: VecDeque<TraceRecord>,
     /// Records evicted from `ring` so far.
     evicted: u64,
-    needs_propensity: bool,
     coupling: CouplingMonitor,
     last_ts: f64,
     accepted: usize,
@@ -279,26 +264,22 @@ pub struct Session {
 }
 
 impl Session {
-    /// Builds the session's estimator bank from an init spec, one
-    /// registry row per requested name.
+    /// Builds the session's bank from an init spec, one registry row per
+    /// requested name.
     pub fn new(spec: InitSpec) -> Result<Self, String> {
-        let mut bank = Vec::with_capacity(spec.estimators.len());
-        let mut needs_propensity = false;
-        for name in &spec.estimators {
-            let policy = build_policy(&spec.policy, &spec.space)?;
-            let row = menu::lookup(name).ok_or_else(|| {
-                format!("unknown estimator {name:?} (expected {})", menu::names())
-            })?;
-            needs_propensity |= row.needs_propensity;
-            let model = Box::new(ConstantModel::new(spec.model_value));
-            bank.push((row.online)(spec.space.clone(), policy, model, &spec)?);
-        }
+        let target = policy_probs(&spec.policy, &spec.space)?;
+        let bank = Bank::new(
+            &spec.estimators,
+            &spec.space,
+            target,
+            spec.model_value,
+            &spec,
+        )?;
         Ok(Session {
             spec,
             bank,
             ring: VecDeque::new(),
             evicted: 0,
-            needs_propensity,
             coupling: CouplingMonitor::new(COUPLING_WINDOW, COUPLING_MIN_SEGMENT),
             last_ts: f64::NEG_INFINITY,
             accepted: 0,
@@ -314,7 +295,7 @@ impl Session {
     fn check_record(&self, k: usize, rec: &TraceRecord, ts: &mut f64) -> Result<(), String> {
         Trace::validate_record(k, rec, &self.spec.schema, &self.spec.space, ts)
             .map_err(|e| e.to_string())?;
-        if self.needs_propensity && rec.propensity.is_none() {
+        if self.bank.needs_propensity() && rec.propensity.is_none() {
             return Err("logging propensity required by the session's estimators".into());
         }
         Ok(())
@@ -344,12 +325,10 @@ impl Session {
                     }
                     self.ring.push_back(rec.clone());
                 }
-                None => {
-                    for (name, e) in self.spec.estimators.iter().zip(&mut self.bank) {
-                        e.push(rec)
-                            .map_err(|e| format!("batch record {i}: {name}: {e}"))?;
-                    }
-                }
+                None => self
+                    .bank
+                    .push(rec)
+                    .map_err(|e| format!("batch record {i}: {e}"))?,
             }
             self.coupling.push(rec.reward);
             self.accepted += 1;
@@ -394,14 +373,14 @@ impl Session {
     /// blocks carry [`Session::ring`] and the coupling rewards instead.
     pub(crate) fn state_json(&self, inline_windows: bool) -> Json {
         let estimators = match self.spec.window {
-            None => self.bank.iter().map(|e| e.state_save()).collect(),
+            None => self.bank.state_save(),
             Some(_) => {
                 let window = inline_windows
                     .then(|| Json::Array(self.ring.iter().map(TraceRecord::to_json).collect()));
                 self.bank
-                    .iter()
-                    .map(|e| {
-                        let mut fields = vec![("est", Json::str(e.name()))];
+                    .kernel_names()
+                    .map(|est| {
+                        let mut fields = vec![("est", Json::str(est))];
                         fields.extend(window.clone().map(|w| ("window", w)));
                         fields.push(("evicted", Json::Int(self.evicted as i64)));
                         Json::object(fields)
@@ -476,31 +455,17 @@ impl Session {
         };
         let mut s = Session::new(spec)?;
         let states = estimator_states(state)?;
-        if states.len() != s.bank.len() {
+        if states.len() != s.spec.estimators.len() {
             return Err(format!(
                 "session state carries {} estimator states for a bank of {}",
                 states.len(),
-                s.bank.len()
+                s.spec.estimators.len()
             ));
         }
-        let mut evicted = None;
-        for ((name, e), st) in s.spec.estimators.iter().zip(&mut s.bank).zip(states) {
-            if s.spec.window.is_none() {
-                e.state_load(st).map_err(|err| format!("{name}: {err}"))?;
-                continue;
-            }
-            if st.get("est").and_then(Json::as_str) != Some(e.name()) {
-                return Err(format!("{name}: not a windowed {} state", e.name()));
-            }
-            let n = st
-                .get("evicted")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("{name}: windowed state needs \"evicted\""))?;
-            if *evicted.get_or_insert(n) != n {
-                return Err("windowed estimators disagree on the eviction count".into());
-            }
+        match s.spec.window {
+            None => s.bank.state_load(states)?,
+            Some(_) => s.evicted = s.evictions(states)?,
         }
-        s.evicted = evicted.unwrap_or(0);
         let ts_bits = state
             .get("last_ts")
             .and_then(Json::as_i64)
@@ -526,6 +491,26 @@ impl Session {
             }
         };
         Ok(s)
+    }
+
+    /// The eviction count windowed entries `states` agree on, each
+    /// checked to be a windowed state of its member.
+    fn evictions(&self, states: &[Json]) -> Result<u64, String> {
+        let mut evicted = None;
+        let names = self.spec.estimators.iter().zip(self.bank.kernel_names());
+        for ((name, est), st) in names.zip(states) {
+            if st.get("est").and_then(Json::as_str) != Some(est) {
+                return Err(format!("{name}: not a windowed {est} state"));
+            }
+            let n = st
+                .get("evicted")
+                .and_then(Json::as_u64)
+                .ok_or_else(|| format!("{name}: windowed state needs \"evicted\""))?;
+            if *evicted.get_or_insert(n) != n {
+                return Err("windowed estimators disagree on the eviction count".into());
+            }
+        }
+        Ok(evicted.unwrap_or(0))
     }
 
     /// Installs a restored ring, checked as ingest checks records: every
@@ -557,26 +542,19 @@ impl Session {
 
     /// The `estimate` response body: one object per estimator (keyed by
     /// its protocol name, request order preserved) plus the coupling
-    /// report.
+    /// report. A windowed session first replays its ring through the
+    /// bank once, so each estimate equals the batch estimate over the
+    /// ring's records.
     pub fn estimate_json(&mut self) -> Json {
         let coupling = self.coupling.to_json();
-        let windowed = self.spec.window.is_some();
-        let ring = &self.ring;
-        let estimates = Json::Object(
-            self.spec
-                .estimators
-                .iter()
-                .zip(&mut self.bank)
-                .map(|(name, e)| {
-                    let est = if windowed {
-                        replay(e, ring)
-                    } else {
-                        e.estimate()
-                    };
-                    (name.clone(), estimate_json(est))
-                })
-                .collect(),
-        );
+        if self.spec.window.is_some() {
+            self.bank
+                .replay(&self.ring)
+                .expect("a ring holds only records its bank accepts");
+        }
+        let bodies = self.bank.estimates().into_iter().map(estimate_json);
+        let names = self.spec.estimators.iter().cloned();
+        let estimates = Json::Object(names.zip(bodies).collect());
         ok_response(vec![
             ("n", Json::Int(self.accepted as i64)),
             ("estimates", estimates),
@@ -587,20 +565,17 @@ impl Session {
     /// Health metrics per estimator name. A windowed entry reports the
     /// ring: `n` records held, `evicted` so far.
     fn health(&self) -> impl Iterator<Item = (&String, Vec<(&'static str, f64)>)> + '_ {
-        self.spec
-            .estimators
-            .iter()
-            .zip(&self.bank)
-            .map(move |(name, e)| {
-                let metrics = match self.spec.window {
-                    None => e.health_metrics(),
-                    Some(_) => vec![
-                        ("n", self.ring.len() as f64),
-                        ("evicted", self.evicted as f64),
-                    ],
-                };
-                (name, metrics)
-            })
+        let metrics: Vec<_> = match self.spec.window {
+            None => self.bank.health().collect(),
+            Some(_) => {
+                let ring = vec![
+                    ("n", self.ring.len() as f64),
+                    ("evicted", self.evicted as f64),
+                ];
+                vec![ring; self.spec.estimators.len()]
+            }
+        };
+        self.spec.estimators.iter().zip(metrics)
     }
 }
 
@@ -919,6 +894,8 @@ mod tests {
     use super::*;
     use crate::protocol::Request;
     use ddn_estimators::Estimator;
+    use ddn_models::ConstantModel;
+    use ddn_policy::LookupPolicy;
     use ddn_stats::rng::{Rng, Xoshiro256};
     use ddn_trace::{Context, ContextSchema, Decision};
 

@@ -760,12 +760,15 @@ struct Pending {
 
 /// A `health` or `stats {"flight":true}` collecting one part from each
 /// shard through the shard FIFOs, so a busy shard delays only this
-/// reply. Whichever thread adds the last part writes it.
+/// reply. Whichever thread adds the last part takes the server part —
+/// for `health` the server counters, for `stats` the registry snapshot —
+/// and writes the reply. The server part is taken after every shard part
+/// (so it counts the handoffs of parts that queued behind a held shard)
+/// and before the reply is booked (so it never counts the request
+/// itself).
 struct Gather {
-    /// Taken when the request was decoded: for `health` the server
-    /// counters, for `stats` the registry snapshot (which therefore never
-    /// counts the request itself).
-    server: Part,
+    /// `health`, or else `stats {"flight":true}`.
+    health: bool,
     id: Option<Json>,
     at: Instant,
     parts: Mutex<Parts<Part, Conn>>,
@@ -1115,16 +1118,9 @@ impl Server {
                 (&self.stats.req_shutdown, resp)
             }
             Request::Health | Request::Stats { .. } => {
-                let server = match req {
-                    Request::Health => Part::Health(Collector {
-                        counts: Count::ALL.map(|c| (c.name(), self.stats.get(c))).to_vec(),
-                        ..Collector::default()
-                    }),
-                    _ => Part::Flight(self.stats.registry().to_json()),
-                };
                 let n = self.shards.len();
                 let gather = Arc::new(Gather {
-                    server,
+                    health: matches!(req, Request::Health),
                     id,
                     at,
                     parts: Mutex::new(Parts::new(conn, n)),
@@ -1388,8 +1384,8 @@ impl Server {
         answered: &mut Vec<Conn>,
     ) {
         let part = st.and_then(|st| {
-            catch_unwind(AssertUnwindSafe(|| match g.server {
-                Part::Health(_) => {
+            catch_unwind(AssertUnwindSafe(|| match g.health {
+                true => {
                     let mut c = st.engine.collector();
                     for session in &st.poisoned {
                         c.health
@@ -1397,7 +1393,7 @@ impl Server {
                     }
                     Part::Health(c)
                 }
-                Part::Flight(_) => {
+                false => {
                     self.dump_flight(k, &st.flight);
                     Part::Flight(st.flight.to_json_array())
                 }
@@ -1407,9 +1403,13 @@ impl Server {
         let Some((mut conn, shards)) = lock(&g.parts).add(k, part) else {
             return;
         };
-        let (metrics, resp) = match &g.server {
-            Part::Health(counters) => {
-                let mut collectors = vec![counters.clone()];
+        let (metrics, resp) = match g.health {
+            true => {
+                let counters = Collector {
+                    counts: Count::ALL.map(|c| (c.name(), self.stats.get(c))).to_vec(),
+                    ..Collector::default()
+                };
+                let mut collectors = vec![counters];
                 collectors.extend(shards.into_iter().flatten().filter_map(|part| match part {
                     Part::Health(c) => Some(c),
                     Part::Flight(_) => None,
@@ -1419,7 +1419,8 @@ impl Server {
                 let resp = ok_response(vec![("telemetry", snap.to_json())]);
                 (&self.stats.req_health, resp)
             }
-            Part::Flight(stats) => {
+            false => {
+                let stats = self.stats.registry().to_json();
                 let rings = shards.into_iter().enumerate().map(|(i, part)| {
                     let events = match part {
                         Some(Part::Flight(events)) => events,
@@ -1427,10 +1428,7 @@ impl Server {
                     };
                     (format!("shard-{i}"), events)
                 });
-                let fields = vec![
-                    ("stats", stats.clone()),
-                    ("flight", Json::Object(rings.collect())),
-                ];
+                let fields = vec![("stats", stats), ("flight", Json::Object(rings.collect()))];
                 (&self.stats.req_stats, ok_response(fields))
             }
         };

@@ -449,3 +449,105 @@ fn health_and_stats_report_one_value_per_server_metric() {
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Inits sessions named `<prefix>-<k>` until one lands on `shard`, read
+/// off the per-shard live-session gauge, and returns its name.
+fn init_on_shard(
+    client: &mut ServeClient,
+    shard: usize,
+    prefix: &str,
+    estimators: &[&str],
+    window: Option<usize>,
+) -> String {
+    let gauge = format!("serve.sessions.live.s{shard}");
+    let live = |client: &mut ServeClient| {
+        let resp = client.server_stats(false).unwrap();
+        let gauges = resp.get("stats").and_then(|s| s.get("gauges"));
+        gauges.and_then(|g| g.get(&gauge)).and_then(Json::as_f64)
+    };
+    for k in 0..64 {
+        let session = format!("{prefix}-{k}");
+        let before = live(client);
+        client
+            .init(&session, &schema(), &space(), estimators, "b", 0.0, window)
+            .unwrap();
+        if live(client) > before {
+            return session;
+        }
+    }
+    panic!("no {prefix}-k session hashed to shard {shard}");
+}
+
+#[test]
+fn health_counts_the_handoffs_of_its_own_parts() {
+    // `health` visits each shard through its FIFO. Here its part for
+    // shard 1 queues behind a slow estimate, a handoff; the server
+    // counters it reports are taken once its last part is in, so they
+    // count that handoff, and a `stats` sent next on the same connection
+    // reports every server metric with the same value.
+    let handle = serve(&ServeConfig {
+        shards: 2,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let addr = handle.local_addr().to_string();
+    let mut client = ServeClient::connect(&addr).unwrap();
+    // A session on shard 1 whose estimate replays a 100,000-record
+    // window through four estimators.
+    let bank = ["ips", "snips", "dr", "adaptive"];
+    let slow = init_on_shard(&mut client, 1, "slow", &bank, Some(100_000));
+    for chunk in records(100_000, 23).chunks(10_000) {
+        client.ingest_binary(&slow, chunk).unwrap();
+    }
+
+    // Two estimates of it on two connections: once one waits for the
+    // other (a handoff), shard 1 is held for a whole estimate more.
+    let before = handle.stats().get(Count::ShardHandoffs);
+    let line = format!("{{\"verb\":\"estimate\",\"session\":\"{slow}\"}}\n");
+    let waiting: Vec<_> = (0..2)
+        .map(|_| {
+            let mut stream = std::net::TcpStream::connect(handle.local_addr()).unwrap();
+            stream.write_all(line.as_bytes()).unwrap();
+            stream
+        })
+        .collect();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while handle.stats().get(Count::ShardHandoffs) == before {
+        assert!(Instant::now() < deadline, "no estimate waited for shard 1");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    let health = client.health().unwrap();
+    let stats = client.server_stats(false).unwrap();
+    let counters = health
+        .get("telemetry")
+        .and_then(|t| t.get("counters"))
+        .and_then(Json::as_object)
+        .unwrap_or_else(|| panic!("no counters in {health}"));
+    let names: Vec<&str> = counters.iter().map(|(n, _)| n.as_str()).collect();
+    assert_eq!(names, HEALTH_COUNTERS, "health's counter list");
+    let stats = stats.get("stats").unwrap();
+    for (name, value) in counters {
+        let registry = stats
+            .get("counters")
+            .and_then(|c| c.get(name))
+            .and_then(Json::as_u64)
+            .or_else(|| {
+                let gauge = stats.get("gauges")?.get(name)?.as_f64()?;
+                Some(gauge as u64)
+            });
+        assert_eq!(value.as_u64(), registry, "{name}: health vs stats");
+    }
+    // The estimates' handoff, then health's own part's.
+    let handoffs = counters
+        .iter()
+        .find(|(n, _)| n == "serve.shard.handoffs")
+        .and_then(|(_, v)| v.as_u64());
+    assert_eq!(handoffs, Some(before + 2), "{health}");
+    for stream in waiting {
+        let mut reply = String::new();
+        BufReader::new(stream).read_line(&mut reply).unwrap();
+        assert!(reply.contains("\"ok\":true"), "{reply}");
+    }
+    handle.shutdown();
+}
