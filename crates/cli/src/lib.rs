@@ -124,7 +124,7 @@ USAGE:
   ddn overlap  <trace.jsonl> --decision <name>
   ddn repair   <in.jsonl> <out.jsonl> [--smoothing 0.5]
   ddn generate <out.jsonl> --world cfa|wise|relay|netsim [--n 1000] [--seed 7]
-  ddn figure7  [7a|7b|7c|all|menu] [--panel <name>] [--runs 50] [--no-batch]
+  ddn figure7  [7a|7b|7c|all|menu] [--panel <name>] [--runs 50]
                [--telemetry <out.json>]
   ddn selftest [--runs 16] [--telemetry <out.json>]
   ddn telemetry-check <telemetry.json>   (expects a full-menu snapshot,
@@ -161,15 +161,12 @@ figure7's `menu` panel (also reachable as `--panel menu`) runs the
 estimator-menu ablation instead of a paper panel: three breaking
 scenarios (adaptive logging, composite actions, multi-step sessions)
 swept over trace size, each challenger against its incumbents. `all`
-still means the paper's three panels.
+still means the paper's three panels. 7a and 7c score each seed's trace
+once (policy probabilities, weights, model predictions) for their whole
+estimator menu; 7b replays sessions chunk by chunk.
 
 With --telemetry, the full snapshot (estimator health, span timings) is
 written as JSON to the given path and a summary table goes to stderr.
---no-batch disables the shared-score evaluation batch (per-estimator
-scoring, the pre-batching code path) for A/B timing; the estimates are
-bit-identical either way. For 7b, --no-batch is accepted but is a
-documented no-op: 7b replays sessions chunk-by-chunk and has no shared
-batch to disable, so it always runs the same code path.
 
 serve starts the streaming evaluation service (DESIGN.md §10): it prints
 the bound address to stderr (and to --port-file, if given) and blocks
@@ -232,7 +229,6 @@ an intentional perf change.
 
 /// Flags that stand alone (no value follows them).
 const BOOL_FLAGS: &[&str] = &[
-    "no-batch",
     "shutdown",
     "once",
     "json",
@@ -635,20 +631,16 @@ fn write_telemetry(path: &str, snap: &TelemetrySnapshot) -> Result<(), CliError>
     Ok(())
 }
 
-/// Runs one Figure 7 panel, instrumented or plain. `use_batch: false`
-/// is the `--no-batch` escape hatch (a documented no-op for 7b, whose
-/// session replay has no shared batch).
+/// Runs one Figure 7 panel, instrumented or plain.
 fn run_panel(
     panel: &str,
     runs: usize,
     with_telemetry: bool,
-    use_batch: bool,
 ) -> (ErrorTable, Option<TelemetrySnapshot>) {
     match panel {
         "7a" => {
             let cfg = Figure7aConfig {
                 runs,
-                use_batch,
                 ..Default::default()
             };
             if with_telemetry {
@@ -673,7 +665,6 @@ fn run_panel(
         _ => {
             let cfg = Figure7cConfig {
                 runs,
-                use_batch,
                 ..Default::default()
             };
             if with_telemetry {
@@ -687,7 +678,7 @@ fn run_panel(
 }
 
 fn cmd_figure7(args: &[String]) -> Result<String, CliError> {
-    let flags = Flags::parse(args, &["panel", "runs", "no-batch", "telemetry"])?;
+    let flags = Flags::parse(args, &["panel", "runs", "telemetry"])?;
     // The panel can arrive positionally (`ddn figure7 menu`) or as a
     // flag (`ddn figure7 --panel menu`); the flag wins if both appear.
     let panel = flags
@@ -703,7 +694,6 @@ fn cmd_figure7(args: &[String]) -> Result<String, CliError> {
         return Err(CliError::Usage("runs must be at least 1".into()));
     }
     let telemetry_path = flags.get("telemetry");
-    let use_batch = !flags.has("no-batch");
 
     if panel == "menu" {
         let cfg = MenuConfig {
@@ -737,7 +727,7 @@ fn cmd_figure7(args: &[String]) -> Result<String, CliError> {
     let mut out = String::new();
     let mut merged: Option<TelemetrySnapshot> = None;
     for p in panels {
-        let (table, snap) = run_panel(p, runs, telemetry_path.is_some(), use_batch);
+        let (table, snap) = run_panel(p, runs, telemetry_path.is_some());
         out.push_str(&table.render(&format!("Figure {p} — relative error ({runs} runs)")));
         out.push('\n');
         if let Some(snap) = snap {
@@ -2209,17 +2199,6 @@ mod tests {
     }
 
     #[test]
-    fn figure7_no_batch_is_a_standalone_switch() {
-        // --no-batch must not swallow the following token: here it sits
-        // right before --runs, which still has to parse.
-        let batched = run(&args(&["figure7", "7c", "--runs", "1"])).unwrap();
-        let plain = run(&args(&["figure7", "7c", "--no-batch", "--runs", "1"])).unwrap();
-        assert!(plain.contains("Figure 7c"), "{plain}");
-        // Bit-identical numbers → identical rendered tables.
-        assert_eq!(batched, plain);
-    }
-
-    #[test]
     fn serve_and_replay_to_match_offline_evaluate() {
         let trace_path = write_temp_trace("serve", true);
         let port_file = std::env::temp_dir()
@@ -2671,9 +2650,8 @@ mod tests {
     }
 
     #[test]
-    fn usage_text_documents_the_7b_no_batch_no_op() {
+    fn usage_text_lists_the_serving_subcommands() {
         let help = run(&args(&["help"])).unwrap();
-        assert!(help.contains("no-op"), "{help}");
         assert!(help.contains("serve"), "{help}");
         assert!(help.contains("replay-to"), "{help}");
     }

@@ -26,8 +26,9 @@ fn usage_errors_exit_2_with_stderr_only() {
         &["telemetry-check"][..],
         &["selftest", "--runs", "zero"][..],
         // Flags a subcommand does not read: a typo, or the retired
-        // shard-queue knob.
+        // shard-queue and per-estimator scoring knobs.
         &["figure7", "7c", "--runs", "1", "--bogus", "3"][..],
+        &["figure7", "7c", "--runs", "1", "--no-batch"][..],
         &["serve", "--shard", "2"][..],
         &["serve", "--queue", "1"][..],
         &["loadgen", "--queue", "1"][..],
@@ -63,6 +64,38 @@ fn runtime_failures_exit_1_with_stderr_only() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("telemetry error"), "stderr: {err}");
     std::fs::remove_file(bad).ok();
+}
+
+#[test]
+fn a_trace_header_schema_the_builder_refuses_is_a_runtime_error() {
+    for (name, schema) in [
+        (
+            "zero-levels",
+            r#"{"inner":{"names":["g"],"kinds":[{"Categorical":{"cardinality":0}}]}}"#,
+        ),
+        (
+            "repeated-name",
+            r#"{"inner":{"names":["g","g"],"kinds":["Numeric","Numeric"]}}"#,
+        ),
+    ] {
+        let path = tmp(&format!("{name}.jsonl"));
+        let header = format!(r#"{{"schema":{schema},"space":{{"names":["a","b"]}}}}"#);
+        let record = r#"{"context":{"values":[0]},"decision":0,"reward":1.0,"propensity":0.5}"#;
+        std::fs::write(&path, format!("{header}\n{record}\n")).unwrap();
+        let out = ddn(&[
+            "evaluate",
+            path.to_str().unwrap(),
+            "--decision",
+            "a",
+            "--estimator",
+            "ips",
+        ]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: stderr {err}");
+        assert!(out.stdout.is_empty(), "{name}");
+        assert!(err.contains("trace error"), "{name}: stderr {err}");
+        std::fs::remove_file(path).ok();
+    }
 }
 
 #[test]

@@ -33,12 +33,12 @@
 //! is exact, `Σ_j 1.0 = n` is exact for any trace that fits in memory,
 //! and `n/n = 1.0` is exact — pinned by the reduction property tests.
 
-use crate::batch::{note_reuse, BatchEstimator, EvalBatch};
-use crate::dr::dr_contributions_batch;
+use crate::batch::{BatchEstimator, EvalBatch};
 use crate::estimate::{
     check_space, emit_weight_health, Estimate, Estimator, EstimatorError, WeightDiagnostics,
 };
 use crate::ips::importance_weights;
+use crate::online::{fold_batch, AdaptiveKernel, DrKernel, IpsKernel};
 use ddn_models::RewardModel;
 use ddn_policy::Policy;
 use ddn_trace::Trace;
@@ -176,18 +176,7 @@ impl Estimator for AdaptiveIps {
 impl BatchEstimator for AdaptiveIps {
     fn estimate_batch(&self, trace: &Trace, batch: &EvalBatch) -> Result<Estimate, EstimatorError> {
         batch.check_trace(trace);
-        let weights = batch.weights()?;
-        note_reuse(self.name(), trace.len() as u64, 0);
-        let hs = stabilizers(weights, self.mode);
-        let gammas: Vec<f64> = weights
-            .iter()
-            .zip(batch.rewards())
-            .map(|(&w, r)| w * r)
-            .collect();
-        let (per_record, hsum) = stabilized_contributions(&gammas, &hs)?;
-        let diagnostics = WeightDiagnostics::from_weights(weights);
-        emit_weight_health(self.name(), &diagnostics, &[("hsum", hsum)]);
-        Ok(Estimate::from_contributions(per_record, diagnostics))
+        fold_batch(AdaptiveKernel::new(IpsKernel, self.mode), batch, None, 1)
     }
 }
 
@@ -262,21 +251,7 @@ impl<M: RewardModel> Estimator for AdaptiveDr<M> {
 impl<M: RewardModel> BatchEstimator for AdaptiveDr<M> {
     fn estimate_batch(&self, trace: &Trace, batch: &EvalBatch) -> Result<Estimate, EstimatorError> {
         batch.check_trace(trace);
-        let weights = batch.weights()?;
-        let hs = stabilizers(weights, self.mode);
-        let (gammas, abs_residual_sum) =
-            dr_contributions_batch(self.name(), trace, batch, &self.model, weights);
-        let (per_record, hsum) = stabilized_contributions(&gammas, &hs)?;
-        let diagnostics = WeightDiagnostics::from_weights(weights);
-        emit_weight_health(
-            self.name(),
-            &diagnostics,
-            &[
-                ("hsum", hsum),
-                ("mean_abs_residual", abs_residual_sum / trace.len() as f64),
-            ],
-        );
-        Ok(Estimate::from_contributions(per_record, diagnostics))
+        fold_batch(AdaptiveKernel::new(DrKernel, self.mode), batch, None, 3)
     }
 }
 

@@ -13,6 +13,11 @@
 //! (row-major for the per-decision matrices) built in cache-friendly
 //! chunks.
 //!
+//! The nine menu estimators with an online kernel estimate a batch by
+//! folding its rows through that kernel ([`crate::online`]), so their
+//! arithmetic exists once there and once in the scalar [`crate::Estimator`]
+//! impls, the oracle the batch path is checked against.
+//!
 //! ## Bit-identity contract
 //!
 //! The batched paths are required to produce **bit-identical** results
@@ -30,8 +35,8 @@
 //! 3. Error order is preserved: a missing propensity is remembered as
 //!    the *first* offending record index and resurfaces as the same
 //!    [`TraceError::MissingPropensity`] the unbatched estimators raise,
-//!    while model-free estimators (DM, CFA) keep working off the same
-//!    batch.
+//!    while estimators that read no propensity (DM, CFA, marginalized
+//!    DR) keep working off the same batch.
 //!
 //! ## Telemetry
 //!
@@ -39,9 +44,10 @@
 //! the process-wide `batch.build_ns` registry counter (wall-clock stays
 //! out of run-local counters so deterministic telemetry JSON is
 //! unaffected). Estimators report per-record scores served from the
-//! batch as `batch.hit` and live recomputations as `batch.miss`
-//! (run-local, deterministic), plus a `batch.score_reuse.<name>` gauge
-//! in the global registry.
+//! batch as `batch.hit` and scores they recompute as `batch.miss`
+//! (run-local, deterministic; only CrossFitDR, which refits the model
+//! per fold, books misses), plus a `batch.score_reuse.<name>` gauge in
+//! the global registry.
 
 use crate::estimate::{check_space, EstimatorError};
 use ddn_models::RewardModel;
@@ -54,40 +60,9 @@ use ddn_trace::{StateTag, Trace, TraceError};
 /// change any float result.
 const CHUNK: usize = 1024;
 
-/// Reward-model scores shared by DM, DR, SwitchDR, state-aware DR and
-/// replay when the batch was built with the same model those estimators
-/// hold.
-#[derive(Debug, Clone)]
-pub struct ModelScores {
-    /// `q[i*k + j] = model.predict(c_i, d_j)`, row-major.
-    q: Vec<f64>,
-    /// `q_logged[i] = model.predict(c_i, d_i_logged)`.
-    q_logged: Vec<f64>,
-    /// `dm_terms[i] = Σ_j probs[i*k+j] · q[i*k+j]`, accumulated in
-    /// ascending decision order (bit-identical to the unbatched DM term).
-    dm_terms: Vec<f64>,
-}
-
-impl ModelScores {
-    /// Model prediction for record `i`'s logged decision.
-    pub fn q_logged(&self) -> &[f64] {
-        &self.q_logged
-    }
-
-    /// Per-record DM terms `Σ_d μ_new(d|c_i) · r̂(c_i, d)`.
-    pub fn dm_terms(&self) -> &[f64] {
-        &self.dm_terms
-    }
-
-    /// Record `i`'s prediction row over the decision space.
-    pub fn q_row(&self, i: usize, k: usize) -> &[f64] {
-        &self.q[i * k..(i + 1) * k]
-    }
-}
-
-/// Shared per-record scores for one (trace, policy) pair — and
-/// optionally one reward model — consumed by every estimator in the
-/// menu via their `estimate_batch` methods.
+/// Shared per-record scores for one (trace, policy, reward model)
+/// triple, consumed by every estimator in the menu via their
+/// `estimate_batch` methods.
 #[derive(Debug, Clone)]
 pub struct EvalBatch {
     n: usize,
@@ -103,23 +78,24 @@ pub struct EvalBatch {
     /// Importance weights `p_logged / propensity`, or the first record
     /// index whose propensity is missing.
     weights: Result<Vec<f64>, usize>,
-    model: Option<ModelScores>,
+    /// `q[i*k + j] = model.predict(c_i, d_j)`, row-major.
+    q: Vec<f64>,
+    /// `q_logged[i] = model.predict(c_i, d_i_logged)`.
+    q_logged: Vec<f64>,
+    /// `dm_terms[i] = Σ_j probs[i*k+j] · q[i*k+j]`, accumulated in
+    /// ascending decision order (bit-identical to the unbatched DM term).
+    dm_terms: Vec<f64>,
 }
 
 impl EvalBatch {
-    /// Builds the policy-side scores (propensities, probability rows,
-    /// importance weights) for `trace` under `policy`.
+    /// Scores `trace` under `policy` (propensities, probability rows,
+    /// importance weights) and `model` (predictions `q`, `q_logged` and
+    /// the per-record DM terms).
     ///
     /// Fails with [`EstimatorError::SpaceMismatch`] exactly when the
     /// unbatched estimators would. A missing propensity does *not* fail
     /// the build — DM and CFA never need weights — it is surfaced by
     /// [`EvalBatch::weights`] instead.
-    pub fn build(trace: &Trace, policy: &dyn Policy) -> Result<Self, EstimatorError> {
-        Self::build_inner(trace, policy, None)
-    }
-
-    /// Like [`EvalBatch::build`], additionally caching `model`'s
-    /// predictions (`q`, `q_logged`) and the per-record DM terms.
     ///
     /// The estimators consuming these scores must hold the *same*
     /// fitted model, otherwise the batched result diverges from the
@@ -129,14 +105,6 @@ impl EvalBatch {
         trace: &Trace,
         policy: &dyn Policy,
         model: &dyn RewardModel,
-    ) -> Result<Self, EstimatorError> {
-        Self::build_inner(trace, policy, Some(model))
-    }
-
-    fn build_inner(
-        trace: &Trace,
-        policy: &dyn Policy,
-        model: Option<&dyn RewardModel>,
     ) -> Result<Self, EstimatorError> {
         check_space(trace, policy)?;
         let _span = ddn_telemetry::span("batch_build");
@@ -154,11 +122,9 @@ impl EvalBatch {
         let mut probs = Vec::with_capacity(n * k);
         let mut weight_vec = Vec::with_capacity(n);
         let mut missing: Option<usize> = None;
-        let mut scores = model.map(|_| ModelScores {
-            q: Vec::with_capacity(n * k),
-            q_logged: Vec::with_capacity(n),
-            dm_terms: Vec::with_capacity(n),
-        });
+        let mut q = Vec::with_capacity(n * k);
+        let mut q_logged = Vec::with_capacity(n);
+        let mut dm_terms = Vec::with_capacity(n);
 
         for chunk_start in (0..n).step_by(CHUNK) {
             let chunk_end = (chunk_start + CHUNK).min(n);
@@ -180,21 +146,13 @@ impl EvalBatch {
                         Err(_) => missing = Some(idx),
                     }
                 }
-                if let (Some(scores), Some(model)) = (scores.as_mut(), model) {
-                    let q_start = scores.q.len();
-                    for d in space.iter() {
-                        scores.q.push(model.predict(&rec.context, d));
-                    }
-                    scores
-                        .q_logged
-                        .push(model.predict(&rec.context, rec.decision));
-                    let dm: f64 = row
-                        .iter()
-                        .zip(&scores.q[q_start..])
-                        .map(|(p, q)| p * q)
-                        .sum();
-                    scores.dm_terms.push(dm);
+                let q_start = q.len();
+                for d in space.iter() {
+                    q.push(model.predict(&rec.context, d));
                 }
+                q_logged.push(model.predict(&rec.context, rec.decision));
+                let dm: f64 = row.iter().zip(&q[q_start..]).map(|(p, qd)| p * qd).sum();
+                dm_terms.push(dm);
                 probs.extend_from_slice(&row);
             }
         }
@@ -214,7 +172,9 @@ impl EvalBatch {
                 Some(idx) => Err(idx),
                 None => Ok(weight_vec),
             },
-            model: scores,
+            q,
+            q_logged,
+            dm_terms,
         })
     }
 
@@ -271,10 +231,19 @@ impl EvalBatch {
         }
     }
 
-    /// Cached reward-model scores, when the batch was built with
-    /// [`EvalBatch::with_model`].
-    pub fn model_scores(&self) -> Option<&ModelScores> {
-        self.model.as_ref()
+    /// Record `i`'s prediction row over the decision space.
+    pub fn q_row(&self, i: usize) -> &[f64] {
+        &self.q[i * self.k..(i + 1) * self.k]
+    }
+
+    /// The model's prediction for each record's logged decision.
+    pub fn q_logged(&self) -> &[f64] {
+        &self.q_logged
+    }
+
+    /// Per-record DM terms `Σ_d μ_new(d|c_i) · r̂(c_i, d)`.
+    pub fn dm_terms(&self) -> &[f64] {
+        &self.dm_terms
     }
 
     /// Asserts the batch was built from a trace of the same shape —
@@ -299,9 +268,8 @@ impl EvalBatch {
 /// [`crate::Estimator::estimate`].
 ///
 /// The batch must have been built from the same `trace` with the policy
-/// being evaluated, and — for model-based estimators — with the same
-/// fitted reward model the estimator holds (a model-free batch falls
-/// back to live prediction, counted as `batch.miss`).
+/// being evaluated and, for model-based estimators, with the same
+/// fitted reward model the estimator holds.
 pub trait BatchEstimator: crate::Estimator {
     /// Estimates `V(new_policy)` from the shared batch.
     fn estimate_batch(
@@ -312,9 +280,9 @@ pub trait BatchEstimator: crate::Estimator {
 }
 
 /// Records batch score reuse: `hits` per-record scores served from the
-/// batch, `misses` recomputed live. Run-local counters stay
-/// deterministic (pure counts); the reuse ratio lands in the global
-/// registry as `batch.score_reuse.<source>`.
+/// batch, `misses` recomputed. Run-local counters stay deterministic
+/// (pure counts); the reuse ratio lands in the global registry as
+/// `batch.score_reuse.<source>`.
 pub(crate) fn note_reuse(source: &str, hits: u64, misses: u64) {
     if !ddn_telemetry::enabled() {
         return;
@@ -365,7 +333,7 @@ mod tests {
     fn build_matches_direct_policy_calls_across_chunks() {
         let t = big_trace(CHUNK + 500, 9);
         let pol = UniformRandomPolicy::new(space());
-        let b = EvalBatch::build(&t, &pol).unwrap();
+        let b = EvalBatch::with_model(&t, &pol, &ConstantModel::zero()).unwrap();
         assert_eq!(b.len(), t.len());
         assert_eq!(b.decision_count(), 3);
         for (i, rec) in t.records().iter().enumerate() {
@@ -385,12 +353,11 @@ mod tests {
         let pol = LookupPolicy::constant(space(), 1);
         let model = ConstantModel::new(2.5);
         let b = EvalBatch::with_model(&t, &pol, &model).unwrap();
-        let scores = b.model_scores().unwrap();
         for i in 0..t.len() {
-            assert_eq!(scores.q_row(i, 3), &[2.5, 2.5, 2.5]);
-            assert_eq!(scores.q_logged()[i], 2.5);
+            assert_eq!(b.q_row(i), &[2.5, 2.5, 2.5]);
+            assert_eq!(b.q_logged()[i], 2.5);
             // dm_term = Σ probs·q; deterministic policy row sums to 1.
-            assert!((scores.dm_terms()[i] - 2.5).abs() < 1e-15);
+            assert!((b.dm_terms()[i] - 2.5).abs() < 1e-15);
         }
     }
 
@@ -417,7 +384,7 @@ mod tests {
         ];
         let t = Trace::from_records(s, space(), recs).unwrap();
         let pol = UniformRandomPolicy::new(space());
-        let b = EvalBatch::build(&t, &pol).unwrap();
+        let b = EvalBatch::with_model(&t, &pol, &ConstantModel::zero()).unwrap();
         assert!(matches!(
             b.weights(),
             Err(EstimatorError::Trace(TraceError::MissingPropensity {
@@ -433,7 +400,7 @@ mod tests {
         let t = big_trace(8, 11);
         let pol = UniformRandomPolicy::new(DecisionSpace::of(&["only"]));
         assert!(matches!(
-            EvalBatch::build(&t, &pol),
+            EvalBatch::with_model(&t, &pol, &ConstantModel::zero()),
             Err(EstimatorError::SpaceMismatch {
                 trace: 3,
                 policy: 1

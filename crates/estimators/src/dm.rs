@@ -1,9 +1,10 @@
 //! The Direct Method estimator (paper §3).
 
-use crate::batch::{note_reuse, BatchEstimator, EvalBatch};
+use crate::batch::{BatchEstimator, EvalBatch};
 use crate::estimate::{
     check_space, emit_weight_health, Estimate, Estimator, EstimatorError, WeightDiagnostics,
 };
+use crate::online::{fold_batch, DmKernel};
 use ddn_models::RewardModel;
 use ddn_policy::Policy;
 use ddn_trace::Trace;
@@ -64,34 +65,7 @@ impl<M: RewardModel> Estimator for DirectMethod<M> {
 impl<M: RewardModel> BatchEstimator for DirectMethod<M> {
     fn estimate_batch(&self, trace: &Trace, batch: &EvalBatch) -> Result<Estimate, EstimatorError> {
         batch.check_trace(trace);
-        let n = trace.len();
-        let per_record: Vec<f64> = match batch.model_scores() {
-            Some(scores) => {
-                note_reuse(self.name(), 2 * n as u64, 0);
-                scores.dm_terms().to_vec()
-            }
-            None => {
-                // Probability rows come from the batch; predictions are
-                // recomputed live against this estimator's model.
-                note_reuse(self.name(), n as u64, n as u64);
-                let space = trace.space();
-                trace
-                    .records()
-                    .iter()
-                    .enumerate()
-                    .map(|(i, rec)| {
-                        let probs = batch.probs_row(i);
-                        space
-                            .iter()
-                            .map(|d| probs[d.index()] * self.model.predict(&rec.context, d))
-                            .sum()
-                    })
-                    .collect()
-            }
-        };
-        let diagnostics = WeightDiagnostics::uniform(trace.len());
-        emit_weight_health(self.name(), &diagnostics, &[]);
-        Ok(Estimate::from_contributions(per_record, diagnostics))
+        fold_batch(DmKernel, batch, None, 2)
     }
 }
 

@@ -5,6 +5,7 @@ use crate::estimate::{
     check_space, emit_weight_health, Estimate, Estimator, EstimatorError, WeightDiagnostics,
 };
 use crate::ips::importance_weights;
+use crate::online::{fold_batch, DrKernel};
 use ddn_models::RewardModel;
 use ddn_policy::Policy;
 use ddn_trace::Trace;
@@ -106,73 +107,10 @@ impl<M: RewardModel> Estimator for DoublyRobust<M> {
     }
 }
 
-/// Per-record DR contributions `dm_term_i + w_i · (r_i − q̂_i_logged)`
-/// from a batch, either entirely from cached scores or with the model
-/// re-queried live; also accumulates `Σ|residual|` in record order.
-/// Shared by DR, SWITCH-DR (via pre-switched weights), and the
-/// state-aware path's dense case.
-pub(crate) fn dr_contributions_batch<M: RewardModel>(
-    source: &str,
-    trace: &Trace,
-    batch: &EvalBatch,
-    model: &M,
-    weights: &[f64],
-) -> (Vec<f64>, f64) {
-    let n = trace.len();
-    let mut abs_residual_sum = 0.0;
-    let per_record: Vec<f64> = match batch.model_scores() {
-        Some(scores) => {
-            note_reuse(source, 3 * n as u64, 0);
-            scores
-                .dm_terms()
-                .iter()
-                .zip(scores.q_logged())
-                .zip(batch.rewards())
-                .zip(weights)
-                .map(|(((dm_term, q_logged), r), &w)| {
-                    let residual = r - q_logged;
-                    abs_residual_sum += residual.abs();
-                    dm_term + w * residual
-                })
-                .collect()
-        }
-        None => {
-            note_reuse(source, 2 * n as u64, n as u64);
-            let space = trace.space();
-            trace
-                .records()
-                .iter()
-                .enumerate()
-                .zip(weights)
-                .map(|((i, rec), &w)| {
-                    let probs = batch.probs_row(i);
-                    let dm_term: f64 = space
-                        .iter()
-                        .map(|d| probs[d.index()] * model.predict(&rec.context, d))
-                        .sum();
-                    let residual = rec.reward - model.predict(&rec.context, rec.decision);
-                    abs_residual_sum += residual.abs();
-                    dm_term + w * residual
-                })
-                .collect()
-        }
-    };
-    (per_record, abs_residual_sum)
-}
-
 impl<M: RewardModel> BatchEstimator for DoublyRobust<M> {
     fn estimate_batch(&self, trace: &Trace, batch: &EvalBatch) -> Result<Estimate, EstimatorError> {
         batch.check_trace(trace);
-        let weights = batch.weights()?;
-        let (per_record, abs_residual_sum) =
-            dr_contributions_batch(self.name(), trace, batch, &self.model, weights);
-        let diagnostics = WeightDiagnostics::from_weights(weights);
-        emit_weight_health(
-            self.name(),
-            &diagnostics,
-            &[("mean_abs_residual", abs_residual_sum / trace.len() as f64)],
-        );
-        Ok(Estimate::from_contributions(per_record, diagnostics))
+        fold_batch(DrKernel, batch, None, 3)
     }
 }
 
@@ -260,8 +198,18 @@ impl<M: RewardModel> BatchEstimator for SwitchDr<M> {
             .iter()
             .map(|&w| if w <= self.tau { w } else { 0.0 })
             .collect();
-        let (per_record, abs_residual_sum) =
-            dr_contributions_batch(self.name(), trace, batch, &self.model, &effective);
+        note_reuse(self.name(), 3 * trace.len() as u64, 0);
+        let mut abs_residual_sum = 0.0;
+        let scores = batch.dm_terms().iter().zip(batch.q_logged());
+        let per_record: Vec<f64> = scores
+            .zip(batch.rewards())
+            .zip(&effective)
+            .map(|(((dm_term, q_logged), r), &w)| {
+                let residual = r - q_logged;
+                abs_residual_sum += residual.abs();
+                dm_term + w * residual
+            })
+            .collect();
         let diagnostics = WeightDiagnostics::from_weights(&effective);
         emit_weight_health(
             self.name(),

@@ -1,9 +1,10 @@
 //! Inverse Propensity Scoring estimators (paper §3).
 
-use crate::batch::{note_reuse, BatchEstimator, EvalBatch};
+use crate::batch::{BatchEstimator, EvalBatch};
 use crate::estimate::{
     check_space, emit_weight_health, Estimate, Estimator, EstimatorError, WeightDiagnostics,
 };
+use crate::online::{fold_batch, ClippedKernel, IpsKernel, SnipsKernel};
 use ddn_policy::Policy;
 use ddn_trace::Trace;
 
@@ -67,16 +68,7 @@ impl Estimator for Ips {
 impl BatchEstimator for Ips {
     fn estimate_batch(&self, trace: &Trace, batch: &EvalBatch) -> Result<Estimate, EstimatorError> {
         batch.check_trace(trace);
-        let weights = batch.weights()?;
-        note_reuse(self.name(), trace.len() as u64, 0);
-        let per_record: Vec<f64> = weights
-            .iter()
-            .zip(batch.rewards())
-            .map(|(w, r)| w * r)
-            .collect();
-        let diagnostics = WeightDiagnostics::from_weights(weights);
-        emit_weight_health(self.name(), &diagnostics, &[]);
-        Ok(Estimate::from_contributions(per_record, diagnostics))
+        fold_batch(IpsKernel, batch, None, 1)
     }
 }
 
@@ -127,21 +119,7 @@ impl Estimator for SelfNormalizedIps {
 impl BatchEstimator for SelfNormalizedIps {
     fn estimate_batch(&self, trace: &Trace, batch: &EvalBatch) -> Result<Estimate, EstimatorError> {
         batch.check_trace(trace);
-        let weights = batch.weights()?;
-        note_reuse(self.name(), trace.len() as u64, 0);
-        let wsum: f64 = weights.iter().sum();
-        if wsum <= 0.0 {
-            return Err(EstimatorError::NoUsableRecords);
-        }
-        let n = weights.len() as f64;
-        let per_record: Vec<f64> = weights
-            .iter()
-            .zip(batch.rewards())
-            .map(|(w, r)| n * w * r / wsum)
-            .collect();
-        let diagnostics = WeightDiagnostics::from_weights(weights);
-        emit_weight_health(self.name(), &diagnostics, &[]);
-        Ok(Estimate::from_contributions(per_record, diagnostics))
+        fold_batch(SnipsKernel, batch, None, 1)
     }
 }
 
@@ -201,22 +179,7 @@ impl Estimator for ClippedIps {
 impl BatchEstimator for ClippedIps {
     fn estimate_batch(&self, trace: &Trace, batch: &EvalBatch) -> Result<Estimate, EstimatorError> {
         batch.check_trace(trace);
-        let raw = batch.weights()?;
-        note_reuse(self.name(), trace.len() as u64, 0);
-        let clipped = raw.iter().filter(|&&w| w > self.max_weight).count();
-        let weights: Vec<f64> = raw.iter().map(|w| w.min(self.max_weight)).collect();
-        let per_record: Vec<f64> = weights
-            .iter()
-            .zip(batch.rewards())
-            .map(|(w, r)| w * r)
-            .collect();
-        let diagnostics = WeightDiagnostics::from_weights(&weights);
-        emit_weight_health(
-            self.name(),
-            &diagnostics,
-            &[("clip_rate", clipped as f64 / weights.len().max(1) as f64)],
-        );
-        Ok(Estimate::from_contributions(per_record, diagnostics))
+        fold_batch(ClippedKernel::new(self.max_weight), batch, None, 1)
     }
 }
 

@@ -60,9 +60,13 @@
 //! [`EvalBatch`] precomputes, once per (seed, trace), the per-record
 //! scores the whole menu shares — logged propensities, target-policy
 //! probability rows, reward-model predictions — in contiguous columnar
-//! arrays; every estimator exposes a batched path ([`BatchEstimator`],
-//! plus inherent `estimate_batch` methods on the replay and state-aware
-//! evaluators) that is bit-identical to the unbatched one.
+//! arrays, always with the reward model its estimators hold. Every
+//! estimator exposes a batched path ([`BatchEstimator`], plus inherent
+//! `estimate_batch` methods on the replay and state-aware evaluators)
+//! that is bit-identical to the unbatched one. The nine menu estimators'
+//! batched paths fold the batch through their [`online`] kernels, so each
+//! is written twice: once as its kernel, and once as its scalar
+//! [`Estimator`] impl, the oracle both other paths are checked against.
 //!
 //! ## Online (streaming) estimation
 //!
@@ -102,7 +106,7 @@ pub mod seq;
 pub mod state_aware;
 
 pub use adaptive::{AdaptiveDr, AdaptiveIps, AdaptiveWeights};
-pub use batch::{BatchEstimator, EvalBatch, ModelScores};
+pub use batch::{BatchEstimator, EvalBatch};
 pub use coupling::{CouplingDetector, CouplingReport};
 pub use crossfit::CrossFitDr;
 pub use dm::DirectMethod;

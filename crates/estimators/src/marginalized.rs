@@ -31,10 +31,10 @@
 //! pins this.
 
 use crate::batch::{BatchEstimator, EvalBatch};
-use crate::dr::dr_contributions_batch;
 use crate::estimate::{
     check_space, emit_weight_health, Estimate, Estimator, EstimatorError, WeightDiagnostics,
 };
+use crate::online::{fold_batch, MdrKernel};
 use ddn_models::RewardModel;
 use ddn_policy::Policy;
 use ddn_trace::Trace;
@@ -217,18 +217,8 @@ impl<M: RewardModel> BatchEstimator for MarginalizedDr<M> {
         check_space(trace, self.logging.as_ref())?;
         self.check_embedding(trace);
         let weights = self.marginal_weights(trace, |i| batch.probs_row(i).to_vec());
-        let (per_record, abs_residual_sum) =
-            dr_contributions_batch(self.name(), trace, batch, &self.model, &weights);
-        let diagnostics = WeightDiagnostics::from_weights(&weights);
-        emit_weight_health(
-            self.name(),
-            &diagnostics,
-            &[
-                ("embedding_groups", self.embedding.num_groups() as f64),
-                ("mean_abs_residual", abs_residual_sum / trace.len() as f64),
-            ],
-        );
-        Ok(Estimate::from_contributions(per_record, diagnostics))
+        let groups = self.embedding.num_groups();
+        fold_batch(MdrKernel { groups }, batch, Some(&weights), 3)
     }
 }
 

@@ -3,7 +3,7 @@
 //! record's score [`Row`], a [`Finalize`] expression and its extra health
 //! keys. One generic [`Tally`] owns the state they share (record count,
 //! left-fold sums, weight accumulators, contribution moments, |residual|
-//! sum, retained pairs or pending trajectory steps). Two things feed
+//! sum, retained pairs or pending trajectory steps). Three things feed
 //! tallies rows:
 //!
 //! - a standalone [`Fold`] owns one tally and its own policy and model,
@@ -13,22 +13,28 @@
 //! - a [`Bank`] is what a served session holds: one tally per requested
 //!   [`crate::menu`] name, and one scorer that computes each record's row
 //!   once for all of them, from tables of its context-free target policy
-//!   and constant model taken at init.
+//!   and constant model taken at init;
+//! - an offline batch estimate ([`crate::BatchEstimator`]) of the nine
+//!   menu estimators reads each record's row off an [`EvalBatch`] and
+//!   folds the batch through one tally, which also yields the per-record
+//!   contributions.
 //!
 //! Callers instantiate the generic fold in their own crate, so the
 //! per-record path is `#[inline]`.
 //!
-//! The contract, property-tested in `tests/online_parity.rs` and
-//! `tests/bank.rs`, is **bit-identity with the batch engine**, including
-//! the [`WeightDiagnostics`] and the error surface. Each step keeps the
-//! batch path's float expression and each finalize shape its fold order:
-//! [`Finalize::Mean`] terms are final on arrival, so a running `sum += t`
-//! seeded at `-0.0` (the float `Sum` identity) is the batch left fold in
-//! O(1) state; [`Finalize::Pairs`] terms (SNIPS's `n·w·r/Σw`, the
-//! adaptive `(h·Γ)·(n/Σh)`) need end-of-stream quantities, so the pairs
-//! are kept, `Σh` runs as a left fold, and `estimate` replays the batch
-//! loop; [`Finalize::Trajectory`] steps (SeqDR) wait for their trajectory
-//! and fold through the backward recursion. A bank with a `snips` member
+//! The contract, property-tested in `tests/online_parity.rs`,
+//! `tests/bank.rs` and `tests/properties.rs`, is **bit-identity with the
+//! scalar [`crate::Estimator`] impls**, including the
+//! [`WeightDiagnostics`], the health metrics and the error surface. Each
+//! step keeps the scalar path's float expression and each finalize shape
+//! its fold order: [`Finalize::Mean`] terms are final on arrival, so a
+//! running `sum += t` seeded at `-0.0` (the float `Sum` identity) is the
+//! scalar left fold in O(1) state; [`Finalize::Pairs`] terms (SNIPS's
+//! `n·w·r/Σw`, the adaptive `(h·Γ)·(n/Σh)`) need end-of-stream
+//! quantities, so the pairs are kept, `Σh` runs as a left fold, and
+//! `estimate` replays the scalar loop; [`Finalize::Trajectory`] steps
+//! (SeqDR) wait for their trajectory and fold through the backward
+//! recursion. A bank with a `snips` member
 //! keeps each pair value once: SNIPS's `(w, r)` columns, from which the
 //! adaptive members' `(h, Γ)` pairs follow (`h` sees only earlier
 //! weights), and one pass over the columns estimates every pair member.
@@ -36,7 +42,8 @@
 //! (§4.1 non-stationarity).
 
 use crate::adaptive::AdaptiveWeights;
-use crate::estimate::{EstimatorError, WeightDiagnostics};
+use crate::batch::{note_reuse, EvalBatch};
+use crate::estimate::{Estimate, EstimatorError, WeightDiagnostics};
 use crate::marginalized::ActionEmbedding;
 use crate::menu::{self, MenuConfig};
 use ddn_models::RewardModel;
@@ -530,15 +537,18 @@ impl<K: Kernel> Tally<K> {
     }
 
     /// Folds one record's row; a pair is kept only with `keep_pair` (a
-    /// bank with columns keeps it there instead).
+    /// bank with columns keeps it there instead). Returns the
+    /// contribution the row completes: a [`Finalize::Mean`] term or a
+    /// finished trajectory's value.
     #[inline]
-    fn push(&mut self, row: &Row, keep_pair: bool) {
+    fn push(&mut self, row: &Row, keep_pair: bool) -> Option<f64> {
         let s = self.kernel.step(row);
         self.n += 1;
-        match self.kernel.finalize() {
+        let folded = match self.kernel.finalize() {
             Finalize::Mean => {
                 self.sum += s.t;
                 self.moments.push(s.t);
+                Some(s.t)
             }
             Finalize::Pairs(_) => {
                 if keep_pair {
@@ -548,24 +558,27 @@ impl<K: Kernel> Tally<K> {
                 // The moments track the unnormalized terms: the final
                 // normalization is not knowable until the stream ends.
                 self.moments.push(s.h * s.t);
+                None
             }
             Finalize::Trajectory(horizon) => {
                 self.pending.push((s.t, s.w, s.residual));
-                if self.pending.len() == horizon {
-                    // The batch path's record order: weights and residuals
-                    // forward, then the backward value recursion.
-                    for &(_, w, residual) in &self.pending {
-                        Self::absorb(&mut self.acc, &mut self.abs_residual_sum, w, residual);
-                    }
-                    let v = crate::seq::trajectory_value(&self.pending);
-                    self.sum += v;
-                    self.moments.push(v);
-                    self.pending.clear();
+                if self.pending.len() < horizon {
+                    return None;
                 }
-                return;
+                // The scalar path's record order: weights and residuals
+                // forward, then the backward value recursion.
+                for &(_, w, residual) in &self.pending {
+                    Self::absorb(&mut self.acc, &mut self.abs_residual_sum, w, residual);
+                }
+                let v = crate::seq::trajectory_value(&self.pending);
+                self.sum += v;
+                self.moments.push(v);
+                self.pending.clear();
+                return Some(v);
             }
-        }
+        };
         Self::absorb(&mut self.acc, &mut self.abs_residual_sum, s.w, s.residual);
+        folded
     }
 
     fn finish(&self, n: usize, value: f64) -> OnlineEstimate {
@@ -853,6 +866,68 @@ impl Scorer {
     }
 }
 
+// ---- the offline fold -----------------------------------------------------
+
+/// Kernel `K`'s estimate over `batch`, for the estimator's
+/// [`crate::BatchEstimator`] impl: each record's [`Row`] read off the
+/// batch and folded through one [`Tally`], which also yields the
+/// per-record contributions an [`Estimate`] carries. `w` is read only
+/// when `K` reads it, so a missing propensity fails only those kernels;
+/// `mdr_w` holds marginalized DR's weights. Books `hits` batch scores
+/// per record as `batch.hit` (1 for a weight, 2 for DM's probability
+/// and prediction rows, 3 for the DR family's weight, DM term and
+/// prediction) and, on success, emits the scalar estimator's health:
+/// the tally's without its contribution moments.
+pub(crate) fn fold_batch<K: Kernel>(
+    kernel: K,
+    batch: &EvalBatch,
+    mdr_w: Option<&[f64]>,
+    hits: u64,
+) -> Result<Estimate> {
+    let w = match K::READS & READS_W {
+        0 => None,
+        _ => Some(batch.weights()?),
+    };
+    let name = kernel.name();
+    let mut tally = Tally::new(kernel);
+    let mut per_record = Vec::with_capacity(batch.len());
+    let scores = batch.dm_terms().iter().zip(batch.q_logged());
+    for (i, (&r, (&dm, &rhat))) in batch.rewards().iter().zip(scores).enumerate() {
+        let row = Row {
+            w: w.map_or(0.0, |w| w[i]),
+            r,
+            dm,
+            rhat,
+            mdr_w: mdr_w.map_or(0.0, |m| m[i]),
+        };
+        per_record.extend(tally.push(&row, true));
+    }
+    if tally.contributions() == 0 {
+        return Err(EstimatorError::NoUsableRecords);
+    }
+    note_reuse(name, hits * batch.len() as u64, 0);
+    if let Finalize::Pairs(term) = tally.kernel.finalize() {
+        if tally.hsum <= 0.0 {
+            return Err(EstimatorError::NoUsableRecords);
+        }
+        let (n, hsum) = (tally.n as f64, tally.hsum);
+        let terms = tally.pairs.iter().map(|&(h, t)| term(n, hsum, h, t));
+        per_record.extend(terms);
+    }
+    let estimate = Estimate::from_contributions(per_record, tally.diagnostics());
+    if ddn_telemetry::enabled() {
+        let mut health = tally.health();
+        let moments = [
+            "contribution_mean",
+            "contribution_variance",
+            "standard_error",
+        ];
+        health.retain(|(key, _)| !moments.contains(key));
+        ddn_telemetry::record_health(name, &health);
+    }
+    Ok(estimate)
+}
+
 // ---- the kernels ----------------------------------------------------------
 
 /// Direct Method: the term is `Σ_d μ_new(d|c)·r̂(c, d)`. Never reads
@@ -916,7 +991,7 @@ pub struct ClippedKernel {
 impl ClippedKernel {
     /// # Panics
     /// Unless `max_weight > 0` and finite, like [`crate::ClippedIps::new`].
-    fn new(max_weight: f64) -> Self {
+    pub(crate) fn new(max_weight: f64) -> Self {
         assert!(
             max_weight > 0.0 && max_weight.is_finite(),
             "max_weight must be positive, got {max_weight}"
@@ -993,7 +1068,7 @@ pub struct AdaptiveKernel<K> {
 }
 
 impl<K> AdaptiveKernel<K> {
-    fn new(inner: K, mode: AdaptiveWeights) -> Self {
+    pub(crate) fn new(inner: K, mode: AdaptiveWeights) -> Self {
         Self {
             inner,
             mode,
@@ -1038,7 +1113,7 @@ impl<K: Kernel> Kernel for AdaptiveKernel<K> {
 #[derive(Debug, Clone)]
 pub struct MdrKernel {
     /// The embedding's group count, a health key.
-    groups: usize,
+    pub(crate) groups: usize,
 }
 
 impl Kernel for MdrKernel {
@@ -1067,7 +1142,7 @@ pub struct SeqDrKernel {
 impl SeqDrKernel {
     /// # Panics
     /// If `horizon == 0`.
-    fn new(horizon: usize) -> Self {
+    pub(crate) fn new(horizon: usize) -> Self {
         assert!(horizon > 0, "horizon must be positive");
         Self { horizon }
     }

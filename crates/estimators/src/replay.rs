@@ -180,12 +180,12 @@ impl<M: RewardModel> ReplayEvaluator<M> {
 
     /// Batched counterpart of [`ReplayEvaluator::evaluate`]: `old_batch`
     /// must be built from the same trace with the *old* (logging)
-    /// policy — its probability rows replace the per-record
-    /// `old_policy.probabilities` calls, and its model scores (when
-    /// built with this evaluator's model) replace the per-record
-    /// predictions. The new policy's probabilities stay live because
-    /// they depend on the replay history; the RNG consumption and all
-    /// float arithmetic are identical to the unbatched path.
+    /// policy and this evaluator's model — its probability rows replace
+    /// the per-record `old_policy.probabilities` calls, and its model
+    /// scores replace the per-record predictions. The new policy's
+    /// probabilities stay live because they depend on the replay
+    /// history; the RNG consumption and all float arithmetic are
+    /// identical to the unbatched path.
     pub fn evaluate_batch(
         &self,
         trace: &Trace,
@@ -202,7 +202,6 @@ impl<M: RewardModel> ReplayEvaluator<M> {
         old_batch.check_trace(trace);
         new_policy.reset();
         let space = trace.space();
-        let scores = old_batch.model_scores();
         let mut contributions = Vec::new();
         let mut weights = Vec::new();
         let mut rejected = 0usize;
@@ -231,27 +230,15 @@ impl<M: RewardModel> ReplayEvaluator<M> {
             }
             let z: f64 = probs_old.iter().zip(&probs_new).map(|(a, b)| a * b).sum();
             let w = z / p_old;
-            let (dm_term, q_logged) = match scores {
-                Some(s) => {
-                    // The cached q row is the old-policy batch's, but q̂
-                    // depends only on (context, decision), not on which
-                    // policy the batch was built for.
-                    let q = s.q_row(i, space.len());
-                    let dm: f64 = space
-                        .iter()
-                        .map(|d| probs_new[d.index()] * q[d.index()])
-                        .sum();
-                    (dm, s.q_logged()[i])
-                }
-                None => {
-                    let dm: f64 = space
-                        .iter()
-                        .map(|d| probs_new[d.index()] * self.model.predict(&rec.context, d))
-                        .sum();
-                    (dm, self.model.predict(&rec.context, rec.decision))
-                }
-            };
-            let residual = rec.reward - q_logged;
+            // The cached q row is the old-policy batch's, but q̂ depends
+            // only on (context, decision), not on which policy the batch
+            // was built for.
+            let q = old_batch.q_row(i);
+            let dm_term: f64 = space
+                .iter()
+                .map(|d| probs_new[d.index()] * q[d.index()])
+                .sum();
+            let residual = rec.reward - old_batch.q_logged()[i];
             contributions.push(dm_term + w * residual);
             weights.push(w);
             new_policy.observe(&rec.context, rec.decision, rec.reward);
@@ -262,10 +249,7 @@ impl<M: RewardModel> ReplayEvaluator<M> {
             return Err(EstimatorError::NoUsableRecords);
         }
         let accepted = contributions.len();
-        match scores {
-            Some(_) => note_reuse("Replay", (trace.len() + 2 * accepted) as u64, 0),
-            None => note_reuse("Replay", trace.len() as u64, 2 * accepted as u64),
-        }
+        note_reuse("Replay", (trace.len() + 2 * accepted) as u64, 0);
         let diagnostics = WeightDiagnostics::from_weights(&weights);
         let outcome = ReplayOutcome {
             estimate: Estimate::from_contributions(contributions, diagnostics),

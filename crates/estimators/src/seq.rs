@@ -31,11 +31,12 @@
 //!
 //! [`ddn-abr`'s]: ../../ddn_abr/index.html
 
-use crate::batch::{note_reuse, BatchEstimator, EvalBatch};
+use crate::batch::{BatchEstimator, EvalBatch};
 use crate::estimate::{
     check_space, emit_weight_health, Estimate, Estimator, EstimatorError, WeightDiagnostics,
 };
 use crate::ips::importance_weights;
+use crate::online::{fold_batch, SeqDrKernel};
 use ddn_models::RewardModel;
 use ddn_policy::Policy;
 use ddn_trace::Trace;
@@ -136,61 +137,7 @@ impl<M: RewardModel> Estimator for SeqDr<M> {
 impl<M: RewardModel> BatchEstimator for SeqDr<M> {
     fn estimate_batch(&self, trace: &Trace, batch: &EvalBatch) -> Result<Estimate, EstimatorError> {
         batch.check_trace(trace);
-        let weights = batch.weights()?;
-        let trajectories = trace.len() / self.horizon;
-        if trajectories == 0 {
-            return Err(EstimatorError::NoUsableRecords);
-        }
-        let used = trajectories * self.horizon;
-        let n = trace.len();
-        let mut abs_residual_sum = 0.0;
-        let steps: Vec<(f64, f64, f64)> = match batch.model_scores() {
-            Some(scores) => {
-                note_reuse(self.name(), 3 * n as u64, 0);
-                scores.dm_terms()[..used]
-                    .iter()
-                    .zip(&scores.q_logged()[..used])
-                    .zip(&batch.rewards()[..used])
-                    .zip(&weights[..used])
-                    .map(|(((dm_term, q_logged), r), &w)| {
-                        let residual = r - q_logged;
-                        abs_residual_sum += residual.abs();
-                        (*dm_term, w, residual)
-                    })
-                    .collect()
-            }
-            None => {
-                note_reuse(self.name(), 2 * n as u64, n as u64);
-                let space = trace.space();
-                trace.records()[..used]
-                    .iter()
-                    .enumerate()
-                    .zip(&weights[..used])
-                    .map(|((i, rec), &w)| {
-                        let probs = batch.probs_row(i);
-                        let dm_term: f64 = space
-                            .iter()
-                            .map(|d| probs[d.index()] * self.model.predict(&rec.context, d))
-                            .sum();
-                        let residual = rec.reward - self.model.predict(&rec.context, rec.decision);
-                        abs_residual_sum += residual.abs();
-                        (dm_term, w, residual)
-                    })
-                    .collect()
-            }
-        };
-        let per_record = per_trajectory(&steps, self.horizon);
-        let diagnostics = WeightDiagnostics::from_weights(&weights[..used]);
-        emit_weight_health(
-            self.name(),
-            &diagnostics,
-            &[
-                ("horizon", self.horizon as f64),
-                ("trajectories", trajectories as f64),
-                ("mean_abs_residual", abs_residual_sum / used as f64),
-            ],
-        );
-        Ok(Estimate::from_contributions(per_record, diagnostics))
+        fold_batch(SeqDrKernel::new(self.horizon), batch, None, 3)
     }
 }
 
@@ -251,14 +198,11 @@ mod tests {
         let newp = LookupPolicy::constant(space(), 1);
         let model = ConstantModel::new(2.5);
         let seq = SeqDr::new(model, 5);
-        let with_model = EvalBatch::with_model(&t, &newp, &model).unwrap();
-        let bare = EvalBatch::build(&t, &newp).unwrap();
+        let batch = EvalBatch::with_model(&t, &newp, &model).unwrap();
         let s = seq.estimate(&t, &newp).unwrap();
-        for batch in [&with_model, &bare] {
-            let b = seq.estimate_batch(&t, batch).unwrap();
-            assert_eq!(s.value.to_bits(), b.value.to_bits());
-            assert_eq!(s.diagnostics, b.diagnostics);
-        }
+        let b = seq.estimate_batch(&t, &batch).unwrap();
+        assert_eq!(s.value.to_bits(), b.value.to_bits());
+        assert_eq!(s.diagnostics, b.diagnostics);
     }
 
     #[test]

@@ -202,9 +202,9 @@ impl<M: RewardModel, T: TransitionModel> StateAwareDr<M, T> {
     }
 
     /// Batched counterpart of [`StateAwareDr::estimate`]: state tags,
-    /// rewards, importance weights and — when the batch carries this
-    /// estimator's model — DM terms and logged-decision predictions all
-    /// come from the shared batch. Bit-identical to the unbatched path.
+    /// rewards, importance weights, DM terms and logged-decision
+    /// predictions all come from the shared batch, built with this
+    /// estimator's model. Bit-identical to the unbatched path.
     pub fn estimate_batch(
         &self,
         trace: &Trace,
@@ -212,13 +212,7 @@ impl<M: RewardModel, T: TransitionModel> StateAwareDr<M, T> {
     ) -> Result<Estimate, EstimatorError> {
         batch.check_trace(trace);
         let weights = batch.weights()?;
-        let n = trace.len();
-        let space = trace.space();
-        let scores = batch.model_scores();
-        match scores {
-            Some(_) => note_reuse("StateAwareDR", 3 * n as u64, 0),
-            None => note_reuse("StateAwareDR", 2 * n as u64, n as u64),
-        }
+        note_reuse("StateAwareDR", 3 * trace.len() as u64, 0);
         let mut contributions = Vec::new();
         let mut used_weights = Vec::new();
         for (i, (&w, &state)) in weights.iter().zip(batch.states()).enumerate() {
@@ -227,20 +221,8 @@ impl<M: RewardModel, T: TransitionModel> StateAwareDr<M, T> {
             let Some(reward) = self.transition.transport(reward, from, self.target) else {
                 continue;
             };
-            let (dm_term, q_logged) = match scores {
-                Some(s) => (s.dm_terms()[i], s.q_logged()[i]),
-                None => {
-                    let rec = &trace.records()[i];
-                    let probs = batch.probs_row(i);
-                    let dm: f64 = space
-                        .iter()
-                        .map(|d| probs[d.index()] * self.model.predict(&rec.context, d))
-                        .sum();
-                    (dm, self.model.predict(&rec.context, rec.decision))
-                }
-            };
-            let residual = reward - q_logged;
-            contributions.push(dm_term + w * residual);
+            let residual = reward - batch.q_logged()[i];
+            contributions.push(batch.dm_terms()[i] + w * residual);
             used_weights.push(w);
         }
         if contributions.is_empty() {

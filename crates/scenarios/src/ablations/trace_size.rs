@@ -51,7 +51,6 @@ pub fn ablation_trace_size(scales: &[f64], runs: usize, base_seed: u64) -> Vec<T
                 },
                 runs,
                 base_seed,
-                ..Figure7aConfig::default()
             };
             let table = figure7a_with(&cfg);
             TraceSizeRow {

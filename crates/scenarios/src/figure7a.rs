@@ -17,8 +17,8 @@
 
 use ddn_cdn::wise::{WiseConfig, WiseWorld};
 use ddn_estimators::{
-    BatchEstimator, DirectMethod, DoublyRobust, ErrorTable, Estimator, EvalBatch, ExperimentRunner,
-    Ips, RunOutput,
+    BatchEstimator, DirectMethod, DoublyRobust, ErrorTable, EvalBatch, ExperimentRunner, Ips,
+    RunOutput,
 };
 use ddn_models::cbn::{CausalBayesNet, CbnConfig};
 use ddn_telemetry::TelemetrySnapshot;
@@ -32,11 +32,6 @@ pub struct Figure7aConfig {
     pub runs: usize,
     /// Base seed.
     pub base_seed: u64,
-    /// Share one [`EvalBatch`] of policy/model scores across the
-    /// estimator menu (default). Disable (`figure7 --no-batch`) to rerun
-    /// the original per-estimator scoring for A/B timing; the estimates
-    /// are bit-identical either way.
-    pub use_batch: bool,
 }
 
 impl Default for Figure7aConfig {
@@ -56,7 +51,6 @@ impl Default for Figure7aConfig {
             },
             runs: 50,
             base_seed: 70_001,
-            use_batch: true,
         }
     }
 }
@@ -78,7 +72,6 @@ fn prepared(config: &Figure7aConfig) -> (ExperimentRunner, impl Fn(u64) -> RunOu
         max_parents: 4,
     };
 
-    let use_batch = config.use_batch;
     let runner = ExperimentRunner::new(config.runs, config.base_seed);
     let work = move |seed: u64| {
         let trace = {
@@ -90,40 +83,23 @@ fn prepared(config: &Figure7aConfig) -> (ExperimentRunner, impl Fn(u64) -> RunOu
             CausalBayesNet::fit(&trace, &cbn_config)
         };
         let _span = ddn_telemetry::span("estimate");
-        let (wise, ips, dr) = if use_batch {
-            // Score the trace once — policy probabilities, importance
-            // weights, and CBN predictions — and let all three
-            // estimators read the shared columnar batch.
-            let batch = EvalBatch::with_model(&trace, &new_policy, &cbn)
-                .expect("policy shares the trace's decision space");
-            let wise = DirectMethod::new(cbn.clone())
-                .estimate_batch(&trace, &batch)
-                .expect("WISE DM always estimates")
-                .value;
-            let ips = Ips::new()
-                .estimate_batch(&trace, &batch)
-                .expect("trace carries propensities")
-                .value;
-            let dr = DoublyRobust::new(cbn)
-                .estimate_batch(&trace, &batch)
-                .expect("trace carries propensities")
-                .value;
-            (wise, ips, dr)
-        } else {
-            let wise = DirectMethod::new(cbn.clone())
-                .estimate(&trace, &new_policy)
-                .expect("WISE DM always estimates")
-                .value;
-            let ips = Ips::new()
-                .estimate(&trace, &new_policy)
-                .expect("trace carries propensities")
-                .value;
-            let dr = DoublyRobust::new(cbn)
-                .estimate(&trace, &new_policy)
-                .expect("trace carries propensities")
-                .value;
-            (wise, ips, dr)
-        };
+        // Score the trace once — policy probabilities, importance
+        // weights, and CBN predictions — and let all three estimators
+        // read the shared columnar batch.
+        let batch = EvalBatch::with_model(&trace, &new_policy, &cbn)
+            .expect("policy shares the trace's decision space");
+        let wise = DirectMethod::new(cbn.clone())
+            .estimate_batch(&trace, &batch)
+            .expect("WISE DM always estimates")
+            .value;
+        let ips = Ips::new()
+            .estimate_batch(&trace, &batch)
+            .expect("trace carries propensities")
+            .value;
+        let dr = DoublyRobust::new(cbn)
+            .estimate_batch(&trace, &batch)
+            .expect("trace carries propensities")
+            .value;
         (
             truth,
             vec![
@@ -214,26 +190,6 @@ mod tests {
             }
         }
         panic!("no seed produced the FE-only structure in 20 tries");
-    }
-
-    #[test]
-    fn batched_matches_unbatched_bit_for_bit() {
-        let batched = figure7a_with(&Figure7aConfig {
-            runs: 4,
-            ..Default::default()
-        });
-        let plain = figure7a_with(&Figure7aConfig {
-            runs: 4,
-            use_batch: false,
-            ..Default::default()
-        });
-        for name in ["WISE", "IPS", "DR"] {
-            let a = batched.get(name).unwrap();
-            let b = plain.get(name).unwrap();
-            assert_eq!(a.mean.to_bits(), b.mean.to_bits(), "{name} mean");
-            assert_eq!(a.min.to_bits(), b.min.to_bits(), "{name} min");
-            assert_eq!(a.max.to_bits(), b.max.to_bits(), "{name} max");
-        }
     }
 
     #[test]

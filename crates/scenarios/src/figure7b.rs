@@ -27,9 +27,8 @@
 //! **Shared-score batching:** this scenario replays bespoke
 //! [`SessionTrace`]s chunk-by-chunk (both policies are stateful), so the
 //! columnar [`ddn_estimators::EvalBatch`] does not apply; there is
-//! nothing scored twice to share. `figure7 --no-batch` is therefore a
-//! documented no-op for 7b — it still benefits from the worker-pool
-//! parallel runner like every other panel.
+//! nothing scored twice to share. It still benefits from the
+//! worker-pool parallel runner like every other panel.
 
 use ddn_abr::policies::AbrPolicy;
 use ddn_abr::session::ChunkState;

@@ -48,11 +48,6 @@ pub struct HealthConfig {
     pub runs: usize,
     /// Base seed.
     pub base_seed: u64,
-    /// Share [`EvalBatch`]es of policy/model scores across the menu
-    /// (default): one batch scored under the target policy for the
-    /// stationary estimators, one under the logging policy for Replay.
-    /// Disable to rerun per-estimator scoring; bit-identical either way.
-    pub use_batch: bool,
 }
 
 impl Default for HealthConfig {
@@ -61,7 +56,6 @@ impl Default for HealthConfig {
             records: 240,
             runs: 16,
             base_seed: 90_001,
-            use_batch: true,
         }
     }
 }
@@ -121,217 +115,116 @@ fn run_seed(cfg: &HealthConfig, seed: u64) -> (f64, Vec<(String, f64)>) {
     let mut rows: Vec<(String, f64)> = Vec::new();
     let mut push = |name: &str, value: f64| rows.push((name.to_string(), value));
 
-    if cfg.use_batch {
-        // Shared-score path: score every record once under the target
-        // policy (probabilities, weights, model predictions) and let the
-        // nine stationary estimators read the same columnar batch.
-        let batch = EvalBatch::with_model(&trace, &target, &model)
-            .expect("target shares the trace's decision space");
-        push(
-            "DM",
-            DirectMethod::new(&model)
-                .estimate_batch(&trace, &batch)
-                .expect("DM always estimates")
-                .value,
-        );
-        push(
-            "IPS",
-            Ips::new()
-                .estimate_batch(&trace, &batch)
-                .expect("IPS")
-                .value,
-        );
-        push(
-            "SNIPS",
-            SelfNormalizedIps::new()
-                .estimate_batch(&trace, &batch)
-                .expect("SNIPS")
-                .value,
-        );
-        push(
-            "ClippedIPS",
-            ClippedIps::new(2.0)
-                .estimate_batch(&trace, &batch)
-                .expect("ClippedIPS")
-                .value,
-        );
-        push(
-            "DR",
-            DoublyRobust::new(&model)
-                .estimate_batch(&trace, &batch)
-                .expect("DR")
-                .value,
-        );
-        push(
-            "SwitchDR",
-            SwitchDr::new(&model, 2.0)
-                .estimate_batch(&trace, &batch)
-                .expect("SwitchDR")
-                .value,
-        );
-        push(
-            "CrossFitDR",
-            CrossFitDr::new(3, fit)
-                .estimate_batch(&trace, &batch)
-                .expect("CrossFitDR")
-                .value,
-        );
-        push(
-            "CFA",
-            MatchingEstimator::new()
-                .estimate_batch(&trace, &batch)
-                .expect("ε-smoothed logging always yields matches at this scale")
-                .value,
-        );
-        push(
-            "StateAwareDR",
-            StateAwareDr::new(&model, MatchOnly, StateTag::HIGH_LOAD)
-                .estimate_batch(&trace, &batch)
-                .expect("StateAwareDR")
-                .value,
-        );
-        push(
-            "AdaptiveIPS",
-            AdaptiveIps::new(AdaptiveWeights::Stabilized)
-                .estimate_batch(&trace, &batch)
-                .expect("AdaptiveIPS")
-                .value,
-        );
-        push(
-            "AdaptiveDR",
-            AdaptiveDr::new(&model, AdaptiveWeights::Stabilized)
-                .estimate_batch(&trace, &batch)
-                .expect("AdaptiveDR")
-                .value,
-        );
-        push(
-            "MarginalizedDR",
-            MarginalizedDr::new(&model, ActionEmbedding::identity(2), Box::new(logger()))
-                .estimate_batch(&trace, &batch)
-                .expect("MarginalizedDR")
-                .value,
-        );
-        push(
-            "SeqDR",
-            SeqDr::new(&model, HEALTH_SEQ_HORIZON)
-                .estimate_batch(&trace, &batch)
-                .expect("SeqDR")
-                .value
-                / HEALTH_SEQ_HORIZON as f64,
-        );
+    // Score every record once under the target policy (probabilities,
+    // weights, model predictions) and let the stationary estimators read
+    // the same columnar batch.
+    let batch = EvalBatch::with_model(&trace, &target, &model)
+        .expect("target shares the trace's decision space");
+    push(
+        "DM",
+        DirectMethod::new(&model)
+            .estimate_batch(&trace, &batch)
+            .expect("DM always estimates")
+            .value,
+    );
+    push(
+        "IPS",
+        Ips::new()
+            .estimate_batch(&trace, &batch)
+            .expect("IPS")
+            .value,
+    );
+    push(
+        "SNIPS",
+        SelfNormalizedIps::new()
+            .estimate_batch(&trace, &batch)
+            .expect("SNIPS")
+            .value,
+    );
+    push(
+        "ClippedIPS",
+        ClippedIps::new(2.0)
+            .estimate_batch(&trace, &batch)
+            .expect("ClippedIPS")
+            .value,
+    );
+    push(
+        "DR",
+        DoublyRobust::new(&model)
+            .estimate_batch(&trace, &batch)
+            .expect("DR")
+            .value,
+    );
+    push(
+        "SwitchDR",
+        SwitchDr::new(&model, 2.0)
+            .estimate_batch(&trace, &batch)
+            .expect("SwitchDR")
+            .value,
+    );
+    push(
+        "CrossFitDR",
+        CrossFitDr::new(3, fit)
+            .estimate_batch(&trace, &batch)
+            .expect("CrossFitDR")
+            .value,
+    );
+    push(
+        "CFA",
+        MatchingEstimator::new()
+            .estimate_batch(&trace, &batch)
+            .expect("ε-smoothed logging always yields matches at this scale")
+            .value,
+    );
+    push(
+        "StateAwareDR",
+        StateAwareDr::new(&model, MatchOnly, StateTag::HIGH_LOAD)
+            .estimate_batch(&trace, &batch)
+            .expect("StateAwareDR")
+            .value,
+    );
+    push(
+        "AdaptiveIPS",
+        AdaptiveIps::new(AdaptiveWeights::Stabilized)
+            .estimate_batch(&trace, &batch)
+            .expect("AdaptiveIPS")
+            .value,
+    );
+    push(
+        "AdaptiveDR",
+        AdaptiveDr::new(&model, AdaptiveWeights::Stabilized)
+            .estimate_batch(&trace, &batch)
+            .expect("AdaptiveDR")
+            .value,
+    );
+    push(
+        "MarginalizedDR",
+        MarginalizedDr::new(&model, ActionEmbedding::identity(2), Box::new(logger()))
+            .estimate_batch(&trace, &batch)
+            .expect("MarginalizedDR")
+            .value,
+    );
+    push(
+        "SeqDR",
+        SeqDr::new(&model, HEALTH_SEQ_HORIZON)
+            .estimate_batch(&trace, &batch)
+            .expect("SeqDR")
+            .value
+            / HEALTH_SEQ_HORIZON as f64,
+    );
 
-        // Replay reads the *logging* policy's probability rows (it
-        // reweights by the old policy), so it gets its own batch; the
-        // model scores are shared because predictions depend only on
-        // (context, decision), not on which policy scored the batch.
-        let logger_batch = EvalBatch::with_model(&trace, &logger(), &model)
-            .expect("logger shares the trace's decision space");
-        let mut history = StationaryAsHistory::new(LookupPolicy::constant(space(), 1));
-        let mut replay_rng = rng.fork();
-        let replay = ReplayEvaluator::new(&model)
-            .evaluate_batch(&trace, &logger_batch, &mut history, &mut replay_rng)
-            .expect("skewed logging still accepts ~1/4 of tuples");
-        push("Replay", replay.estimate.value);
-    } else {
-        push(
-            "DM",
-            DirectMethod::new(&model)
-                .estimate(&trace, &target)
-                .expect("DM always estimates")
-                .value,
-        );
-        push(
-            "IPS",
-            Ips::new().estimate(&trace, &target).expect("IPS").value,
-        );
-        push(
-            "SNIPS",
-            SelfNormalizedIps::new()
-                .estimate(&trace, &target)
-                .expect("SNIPS")
-                .value,
-        );
-        push(
-            "ClippedIPS",
-            ClippedIps::new(2.0)
-                .estimate(&trace, &target)
-                .expect("ClippedIPS")
-                .value,
-        );
-        push(
-            "DR",
-            DoublyRobust::new(&model)
-                .estimate(&trace, &target)
-                .expect("DR")
-                .value,
-        );
-        push(
-            "SwitchDR",
-            SwitchDr::new(&model, 2.0)
-                .estimate(&trace, &target)
-                .expect("SwitchDR")
-                .value,
-        );
-        push(
-            "CrossFitDR",
-            CrossFitDr::new(3, fit)
-                .estimate(&trace, &target)
-                .expect("CrossFitDR")
-                .value,
-        );
-        push(
-            "CFA",
-            MatchingEstimator::new()
-                .estimate(&trace, &target)
-                .expect("ε-smoothed logging always yields matches at this scale")
-                .value,
-        );
-        push(
-            "StateAwareDR",
-            StateAwareDr::new(&model, MatchOnly, StateTag::HIGH_LOAD)
-                .estimate(&trace, &target)
-                .expect("StateAwareDR")
-                .value,
-        );
-        push(
-            "AdaptiveIPS",
-            AdaptiveIps::new(AdaptiveWeights::Stabilized)
-                .estimate(&trace, &target)
-                .expect("AdaptiveIPS")
-                .value,
-        );
-        push(
-            "AdaptiveDR",
-            AdaptiveDr::new(&model, AdaptiveWeights::Stabilized)
-                .estimate(&trace, &target)
-                .expect("AdaptiveDR")
-                .value,
-        );
-        push(
-            "MarginalizedDR",
-            MarginalizedDr::new(&model, ActionEmbedding::identity(2), Box::new(logger()))
-                .estimate(&trace, &target)
-                .expect("MarginalizedDR")
-                .value,
-        );
-        push(
-            "SeqDR",
-            SeqDr::new(&model, HEALTH_SEQ_HORIZON)
-                .estimate(&trace, &target)
-                .expect("SeqDR")
-                .value
-                / HEALTH_SEQ_HORIZON as f64,
-        );
-
-        // Replay drives the target as a (degenerate) history policy so the
-        // acceptance-rate diagnostic gets exercised too.
-        let mut history = StationaryAsHistory::new(LookupPolicy::constant(space(), 1));
-        let mut replay_rng = rng.fork();
-        let replay = ReplayEvaluator::new(&model)
-            .evaluate(&trace, &logger(), &mut history, &mut replay_rng)
-            .expect("skewed logging still accepts ~1/4 of tuples");
-        push("Replay", replay.estimate.value);
-    }
+    // Replay reads the *logging* policy's probability rows (it
+    // reweights by the old policy), so it gets its own batch; the
+    // model scores are shared because predictions depend only on
+    // (context, decision), not on which policy scored the batch.
+    let logger_batch = EvalBatch::with_model(&trace, &logger(), &model)
+        .expect("logger shares the trace's decision space");
+    let mut history = StationaryAsHistory::new(LookupPolicy::constant(space(), 1));
+    let mut replay_rng = rng.fork();
+    let replay = ReplayEvaluator::new(&model)
+        .evaluate_batch(&trace, &logger_batch, &mut history, &mut replay_rng)
+        .expect("skewed logging still accepts ~1/4 of tuples");
+    push("Replay", replay.estimate.value);
 
     // The proxy load shifts with the state tags: the detector should see
     // exactly two regimes and report them as health telemetry.
@@ -520,59 +413,14 @@ mod tests {
         );
         let segs = snap.health_metric("CouplingDetector", "segments").unwrap();
         assert_eq!(segs.mean(), 2.0, "the load shift must split the proxy");
+        // The menu reads its scores from the two batches; only
+        // CrossFitDR, refitting its model per fold, rescores a record.
+        assert!(snap.counter("batch.hit").unwrap_or(0) > 0);
+        assert_eq!(snap.counter("batch.miss"), Some(3 * cfg.records as u64));
         // And the world is calibrated: the unbiased estimators land near
         // the analytic truth.
         assert!(table.get("DR").unwrap().mean < 0.15);
         assert!(table.get("IPS").unwrap().mean < 0.3);
-    }
-
-    #[test]
-    fn batched_matches_unbatched_bit_for_bit() {
-        let cfg = HealthConfig {
-            runs: 3,
-            ..Default::default()
-        };
-        let (batched, batched_snap) = health_suite_with(&cfg);
-        let (plain, plain_snap) = health_suite_with(&HealthConfig {
-            use_batch: false,
-            ..cfg
-        });
-        for name in [
-            "DM",
-            "IPS",
-            "SNIPS",
-            "ClippedIPS",
-            "DR",
-            "SwitchDR",
-            "CrossFitDR",
-            "CFA",
-            "StateAwareDR",
-            "AdaptiveIPS",
-            "AdaptiveDR",
-            "MarginalizedDR",
-            "SeqDR",
-            "Replay",
-        ] {
-            let a = batched.get(name).unwrap();
-            let b = plain.get(name).unwrap();
-            assert_eq!(a.mean.to_bits(), b.mean.to_bits(), "{name} mean");
-            assert_eq!(a.min.to_bits(), b.min.to_bits(), "{name} min");
-            assert_eq!(a.max.to_bits(), b.max.to_bits(), "{name} max");
-        }
-        // The health diagnostics are identical too — the batch changes
-        // where scores come from, never what the estimators report.
-        for (source, metric) in [
-            ("ClippedIPS", "clip_rate"),
-            ("Replay", "acceptance_rate"),
-            ("CFA", "coverage"),
-        ] {
-            let a = batched_snap.health_metric(source, metric).unwrap();
-            let b = plain_snap.health_metric(source, metric).unwrap();
-            assert_eq!(a.mean().to_bits(), b.mean().to_bits(), "{source}/{metric}");
-        }
-        // Only the batched run counts score reuse.
-        assert!(batched_snap.counter("batch.hit").unwrap_or(0) > 0);
-        assert_eq!(plain_snap.counter("batch.hit"), None);
     }
 
     #[test]

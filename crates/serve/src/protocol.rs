@@ -389,7 +389,13 @@ fn parse_init(v: &Json) -> Result<InitSpec, String> {
     };
     let model_value = match v.get("model_value") {
         None => 0.0,
-        Some(x) => x.as_f64().ok_or("\"model_value\" must be a number")?,
+        Some(x) => {
+            let m = x.as_f64().ok_or("\"model_value\" must be a number")?;
+            if !m.is_finite() {
+                return Err("\"model_value\" must be finite".into());
+            }
+            m
+        }
     };
     let max_weight = match v.get("max_weight") {
         None => DEFAULT_MAX_WEIGHT,
@@ -541,11 +547,14 @@ mod tests {
         assert_eq!(again.logging, init.logging);
         assert_eq!(again.estimators, init.estimators);
 
-        // Validation: zero horizon, bad embedding arity, bad logging kind.
+        // Validation: zero horizon, bad embedding arity, bad logging kind,
+        // a model value that parses to infinity.
         for (extra, needle) in [
             (r#","horizon":0"#, "horizon"),
             (r#","embedding":[0]"#, "embedding"),
             (r#","logging":{"kind":"warp"}"#, "policy kind"),
+            (r#","model_value":1e999"#, "model_value"),
+            (r#","model_value":-1e999"#, "model_value"),
         ] {
             let line = format!(
                 r#"{{"verb":"init","session":"s","schema":{},"space":{}{extra}}}"#,
@@ -622,6 +631,14 @@ mod tests {
             (r#"{"verb":"ingest","records":[]}"#, "session"),
             (r#"{"verb":"ingest","session":"s"}"#, "records"),
             (r#"{"verb":"init","session":"s"}"#, "schema"),
+            (
+                r#"{"verb":"init","session":"s","schema":{"inner":{"names":["g"],"kinds":[{"Categorical":{"cardinality":0}}]}},"space":{"names":["a"]}}"#,
+                "bad schema",
+            ),
+            (
+                r#"{"verb":"init","session":"s","schema":{"inner":{"names":["g","g"],"kinds":["Numeric","Numeric"]}},"space":{"names":["a"]}}"#,
+                "bad schema",
+            ),
         ] {
             let e = Request::parse(line).unwrap_err();
             assert!(e.contains(needle), "{line}: {e}");

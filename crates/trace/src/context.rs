@@ -156,6 +156,19 @@ impl ContextSchema {
                 kinds.len()
             )));
         }
+        // What the builder asserts, refused here: `reindexed` runs the
+        // builder over schemas that arrive from outside.
+        let mut seen = std::collections::HashSet::with_capacity(names.len());
+        for (name, kind) in names.iter().zip(&kinds) {
+            if !seen.insert(name.as_str()) {
+                return Err(JsonError::msg(format!("duplicate feature name {name:?}")));
+            }
+            if *kind == (FeatureKind::Categorical { cardinality: 0 }) {
+                return Err(JsonError::msg(format!(
+                    "categorical feature {name:?} needs at least one level"
+                )));
+            }
+        }
         Ok(ContextSchema {
             inner: Arc::new(SchemaInner {
                 names,
@@ -655,6 +668,23 @@ mod tests {
         let fixed = loaded.reindexed();
         assert_eq!(fixed.position("nat"), Some(2));
         assert_eq!(fixed, s);
+    }
+
+    #[test]
+    fn from_json_refuses_what_the_builder_asserts() {
+        for (bad, needle) in [
+            (
+                r#"{"inner":{"names":["g"],"kinds":[{"Categorical":{"cardinality":0}}]}}"#,
+                "at least one level",
+            ),
+            (
+                r#"{"inner":{"names":["x","g","x"],"kinds":["Numeric",{"Categorical":{"cardinality":2}},"Numeric"]}}"#,
+                "duplicate feature name \"x\"",
+            ),
+        ] {
+            let e = ContextSchema::from_json(&Json::parse(bad).unwrap()).unwrap_err();
+            assert!(e.to_string().contains(needle), "{bad}: {e}");
+        }
     }
 
     #[test]

@@ -84,25 +84,23 @@ if [[ "${1:-}" == "ci" ]]; then
     selftest --runs 3 --telemetry "$telemetry_file" > /dev/null
   cargo run --release --offline -p ddn-cli --bin ddn -- \
     telemetry-check "$telemetry_file"
-  echo "== ci: shared-score batching (batched == unbatched, bench smoke) =="
-  # The batched path must print the exact same tables as --no-batch: the
-  # EvalBatch contract is bit-identity, so a plain text diff is a full
-  # equivalence check over every estimator in the 7c panel.
-  batched_out="$(cargo run --release --offline -p ddn-cli --bin ddn -- \
-    figure7 7c --runs 3)"
-  plain_out="$(cargo run --release --offline -p ddn-cli --bin ddn -- \
-    figure7 7c --runs 3 --no-batch)"
-  if [[ "$batched_out" != "$plain_out" ]]; then
-    echo "FAIL: figure7 7c output differs between batched and --no-batch" >&2
-    diff <(printf '%s\n' "$batched_out") <(printf '%s\n' "$plain_out") >&2 || true
+  echo "== ci: figures reproduce figures_output.txt (plus eval_batch bench smoke) =="
+  bench_dir="$(mktemp -d -t ddn-bench-XXXXXX)"
+  trap 'rm -f "$telemetry_file"; rm -rf "$bench_dir"' EXIT
+  # Every Figure 7 panel and ablation end to end: the figures binary must
+  # print the committed figures_output.txt byte for byte (about a minute
+  # on two cores). 7a and 7c score each seed through one EvalBatch, so
+  # this also pins the batch path's numbers.
+  cargo run --release --offline -p ddn-bench --bin figures > "$bench_dir/figures.txt"
+  if ! cmp -s figures_output.txt "$bench_dir/figures.txt"; then
+    echo "FAIL: figures output differs from figures_output.txt" >&2
+    diff figures_output.txt "$bench_dir/figures.txt" >&2 || true
     exit 1
   fi
   # Tiny eval_batch bench smoke: one warmup-free iteration, sized down,
   # writing BENCH_eval_batch.json into a scratch dir. This checks the
   # timing harness end-to-end, not the speedup ratio (CI boxes are noisy;
   # the pinned ratio lives in BENCH_perf.json from full bench runs).
-  bench_dir="$(mktemp -d -t ddn-bench-XXXXXX)"
-  trap 'rm -f "$telemetry_file"; rm -rf "$bench_dir"' EXIT
   DDN_BENCH_WARMUP=0 DDN_BENCH_ITERS=1 DDN_BENCH_DIR="$bench_dir" \
   DDN_EVAL_BATCH_RUNS=1 DDN_EVAL_BATCH_CLIENTS=100 \
     cargo bench --offline -p ddn-bench --bench eval_batch
@@ -363,7 +361,7 @@ if [[ "${1:-}" == "ci" ]]; then
   # The regression gate proper: every metric pinned in bench_floors.json
   # must sit at or above its floor, or ci fails here.
   ./target/release/ddn bench-diff "$bench_dir" --floors bench_floors.json
-  echo "ci ok: built, tested, servebench-tested, telemetry-smoked, batch-equivalence-checked, serve-smoked, binary-protocol-smoked, crash-resume-smoked, chaos-smoked, parking-smoked, loadgen-smoked, and bench-diff-gated with zero external dependencies"
+  echo "ci ok: built, tested, servebench-tested, telemetry-smoked, figures-checked, serve-smoked, binary-protocol-smoked, crash-resume-smoked, chaos-smoked, parking-smoked, loadgen-smoked, and bench-diff-gated with zero external dependencies"
   exit 0
 fi
 

@@ -183,8 +183,7 @@ const TIMING_AGG_KEYS: &[&str] = &["count", "total_ns", "mean_ns", "min_ns", "ma
 
 /// Pinned span paths the instrumented runner produces for this suite.
 /// `run/estimate/batch_build` is the shared-score [`EvalBatch`]
-/// construction (two per run: target-policy and logger-policy batches);
-/// it disappears when the suite runs with `use_batch: false`.
+/// construction (two per run: target-policy and logger-policy batches).
 const GOLDEN_TIMINGS: &[&str] = &[
     "experiment",
     "run",
